@@ -7,11 +7,9 @@ the top suggestion(s) and prints the patched source (the quick-fix flow).
 
 Batch mode: ``python -m repro explain [--jobs N] FILE... [--dir DIR]``
 explains many programs per invocation — concurrently across worker
-processes with ``--jobs`` — and prints one summary table (plus full
-reports with ``--verbose``).  ``--jobs`` on the single-file form instead
-parallelizes candidate checks *within* that one search; either way the
-answers are byte-identical to a serial run (see
-:mod:`repro.core.parallel`).
+processes with ``--jobs``, one whole search per file — and prints one
+summary table (plus full reports with ``--verbose``).  The answers are
+byte-identical to a serial run (see :mod:`repro.core.parallel`).
 
 MiniML is assumed for ``.ml`` files; ``--cpp`` (or a ``.cpp``/``.cc``
 extension) selects the MiniCpp front end.
@@ -47,7 +45,8 @@ EXIT_OK = 0
 EXIT_SUGGESTIONS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NO_ANSWER = 3
-#: Conventional 128+SIGINT: Ctrl-C tears the pool down and exits cleanly.
+#: Conventional 128+SIGINT: Ctrl-C tears batch workers down and exits
+#: cleanly.
 EXIT_INTERRUPTED = 130
 
 _EPILOG = """\
@@ -108,17 +107,6 @@ def _fraction_arg(value: str) -> float:
             f"shed fraction must be in (0, 1], got {value}"
         )
     return fraction
-
-
-def _positive_float_arg(value: str) -> float:
-    """A strictly positive float (watchdog limits)."""
-    try:
-        number = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return number
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,11 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "top hotspots; with --events the profile "
                              "table also lands in the event log (and in "
                              "`repro report`)")
-    parser.add_argument("--jobs", type=_jobs_arg, default=1, metavar="N",
-                        help="check candidates in N worker processes "
-                             "('auto' = one per CPU); answers are "
-                             "byte-identical to the serial default "
-                             "(MiniML only)")
     parser.add_argument("--no-dedup", action="store_true",
                         help="disable the per-search duplicate-candidate "
                              "memo (never changes answers; ablation)")
@@ -201,16 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="F",
                         help="fraction of --deadline after which optional "
                              "phases are shed (default 0.85) (MiniML only)")
-    parser.add_argument("--candidate-timeout", type=_positive_float_arg,
-                        default=None, metavar="SECONDS",
-                        help="per-candidate wall-clock watchdog in pooled "
-                             "workers: a check exceeding this becomes a "
-                             "clean crash verdict (MiniML only)")
-    parser.add_argument("--worker-rss-mb", type=_positive_float_arg,
-                        default=None, metavar="MIB",
-                        help="per-worker RSS ceiling: a worker past this is "
-                             "recycled after its batch, the offending check "
-                             "recorded as a crash verdict (MiniML only)")
     return parser
 
 
@@ -368,13 +341,11 @@ def _write_run_report(
     """Write the RunReport summary document ``--report`` asks for."""
     if not getattr(args, "report", None):
         return
-    from repro.core.parallel import resolve_jobs
     from repro.obs import NULL_METRICS, RunReport, suggestion_rows
 
     report = RunReport.from_run(
         metrics if metrics is not NULL_METRICS else None,
         label=args.file,
-        jobs=resolve_jobs(args.jobs),
         elapsed_seconds=round(elapsed_seconds, 6),
         degradation=getattr(result, "degradation", None),
         suggestions=suggestion_rows(getattr(result, "suggestions", []) or []),
@@ -473,10 +444,7 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
         speculate=not args.no_speculate,
         max_oracle_calls=args.max_calls,
         deadline_seconds=args.deadline,
-        jobs=args.jobs,
         dedup=not args.no_dedup,
-        candidate_timeout_seconds=args.candidate_timeout,
-        worker_rss_limit_mb=args.worker_rss_mb,
         events=events,
         label=args.file,
         **telemetry_kwargs,
@@ -739,9 +707,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return _dispatch(argv)
     except KeyboardInterrupt:
-        # Worker pools tear down on the way up (explain_many's executor is
-        # terminated, WorkerPool.shutdown is crash-path-safe); the user
-        # gets the conventional 128+SIGINT status, not a traceback.
+        # explain_many terminates its batch workers on the way up; the
+        # user gets the conventional 128+SIGINT status, not a traceback.
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
 

@@ -4,19 +4,16 @@ Public surface:
 
 * :func:`explain` — one call from source text to ranked suggestions.
 * :func:`explain_many` — the batch mode: many programs per invocation,
-  optionally fanned across worker processes (``jobs=``).
+  optionally fanned across worker processes (``jobs=``; see
+  :func:`resolve_jobs` and :mod:`repro.core.parallel`).
 * :class:`Searcher`, :class:`SearchConfig` — the search procedure.
-* :class:`WorkerPool`/:func:`resolve_jobs` — the parallel candidate-checking
-  layer (:mod:`repro.core.parallel`): deterministic merge, crash-degrading.
 * :class:`Oracle` — the boolean type-checker interface.
 * :class:`MiniMLEnumerator` — the constructive-change catalog.
 * :func:`rank` and the message renderers.
 * :class:`DegradationReport`/:class:`Deadline` — the fault-tolerance layer
   (:mod:`repro.core.resilience`): every search is best-effort under
   budget, deadline, or oracle crashes.
-* :class:`RestartPolicy`/:class:`CircuitBreaker` — worker-pool supervision
-  (restart backoff, breaker states, quarantine budgets), plus
-  :class:`RetryPolicy`/:func:`with_retry` (:mod:`repro.core.retry`) for
+* :class:`RetryPolicy`/:func:`with_retry` (:mod:`repro.core.retry`) —
   retrying transient I/O deterministically.
 """
 
@@ -38,13 +35,9 @@ from .enumerator import (  # noqa: F401
 from .quickfix import AppliedFix, FixAllResult, apply_suggestion, fix_all  # noqa: F401
 from .messages import render_report, render_suggestion, replacement_type  # noqa: F401
 from .oracle import BudgetExceeded, IncrementalMismatch, Oracle  # noqa: F401
-from .parallel import AUTO_JOBS, WorkerPool, resolve_jobs  # noqa: F401
+from .parallel import AUTO_JOBS, resolve_jobs  # noqa: F401
 from .ranker import rank  # noqa: F401
 from .resilience import (  # noqa: F401
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
     DegradationReport,
@@ -52,7 +45,6 @@ from .resilience import (  # noqa: F401
     REASON_CRASH,
     REASON_DEADLINE,
     REASON_FALLBACK,
-    RestartPolicy,
 )
 from .retry import RetryPolicy, retry, with_retry  # noqa: F401
 from .searcher import SearchConfig, Searcher, SearchOutcome, SearchStats  # noqa: F401

@@ -80,17 +80,12 @@ from repro.tree import DepthProbe, StructuralKeyer
 #: Sentinel for "derive ``max_depth`` from the interpreter's limit".
 AUTO_DEPTH = "auto"
 
-#: How a verdict was computed — the accounting "kind" a pool worker
-#: observes per candidate (by diffing its oracle's counters around the
-#: check) and ships home so :meth:`Oracle.account_verdict` can replay the
-#: exact serial accounting for each *applied* verdict.
+#: How a stored verdict was computed — the accounting "kind" the
+#: verdict store persists (:data:`~repro.store.verdicts.STORABLE_KINDS`)
+#: so a store hit replays the exact counters the original check bumped.
 VERDICT_FULL = "full"                      #: from-scratch check
 VERDICT_REUSED = "reused"                  #: incremental prefix-reuse path
-VERDICT_DEPTH = "depth"                    #: depth pre-check rejection (free)
 VERDICT_INVALIDATED = "invalidated"        #: snapshot invalidated, then full
-VERDICT_FALLBACK = "fallback"              #: prefix crash healed into a full check
-VERDICT_CRASH = "crash"                    #: counted call crashed (candidate rejected)
-VERDICT_CRASH_UNCOUNTED = "crash_uncounted"  #: bookkeeping crash, never a call
 
 
 def default_max_depth() -> int:
@@ -337,15 +332,6 @@ class Oracle:
             self.crash_samples.append(sample)
         self.events.emit("oracle_crash", error=sample)
 
-    def _record_crash_sample(self, sample: Optional[str]) -> None:
-        """Account a crash that happened *elsewhere* (a pool worker shipped
-        its traceback sample home with the verdict)."""
-        self.crashes += 1
-        self.metrics.incr("oracle.crashes")
-        if sample and len(self.crash_samples) < self.crash_sample_limit:
-            self.crash_samples.append(sample)
-        self.events.emit("oracle_crash", error=sample or "<worker crash>")
-
     # ------------------------------------------------------------------
     # The persistent verdict store (disk tier behind the memo)
     # ------------------------------------------------------------------
@@ -423,12 +409,12 @@ class Oracle:
         self.metrics.incr("oracle.full_checks")
 
     def _store_write(self, prefix_fp, skey, result, counters_before) -> None:
-        """Persist a freshly computed verdict (parent/serial process only).
+        """Persist a freshly computed verdict.
 
-        The kind is classified from the counter deltas around the check,
-        exactly as pool workers classify theirs; crash and fallback
-        outcomes are never persisted — they are checker failures, not
-        answers.  Write failures degrade silently (the store is a cache).
+        The kind is classified from the counter deltas around the check;
+        crash and fallback outcomes are never persisted — they are checker
+        failures, not answers.  Write failures degrade silently (the store
+        is a cache).
         """
         crashes, fallbacks, reused, invalidated = counters_before
         if self.crashes != crashes or self.prefix_fallbacks != fallbacks:
@@ -566,19 +552,6 @@ class Oracle:
             return False
         self._decl_pending = program
         return True
-
-    def ensure_decl_table(self) -> bool:
-        """Run the pending recording pass *now* instead of lazily.
-
-        Pool workers call this while seeding: their per-candidate counter
-        deltas become pure replay/check counts, so a ``jobs=N`` run's
-        per-verdict declaration accounting matches ``jobs=1`` exactly (the
-        parent pays its recording cost on the search's initial check, which
-        happens parent-side in both modes).
-        """
-        if self._decl_pending is not None:
-            self._decl_tier(self._decl_pending)
-        return self._decl_table is not None
 
     def _drop_decl_table(self) -> None:
         self._decl_table = None
@@ -932,158 +905,6 @@ class Oracle:
     def passes(self, program) -> bool:
         """The boolean question the searcher actually asks."""
         return self.check(program).ok
-
-    def account_verdict(self, program, verdict) -> bool:
-        """Account a verdict computed *elsewhere* (a pool worker) as if
-        :meth:`check` had computed it here, and return the verdict to use.
-
-        The parallel layer pre-checks candidates in worker processes but
-        the searcher still applies verdicts strictly in enumeration order;
-        this method replays :meth:`_check`'s exact accounting pipeline for
-        one applied verdict — depth pre-check (free rejection), cache hit
-        (free, and the *cached* verdict wins), budget gate (raises
-        :class:`BudgetExceeded` at the same call index a serial run
-        would), cache-miss/call counting, and cache store — without
-        re-running the checker.  This is what makes parallel call counts,
-        budget exhaustion points, and cached-mode behaviour byte-identical
-        to serial.
-
-        ``verdict`` is either a plain bool (back-compat: accounted as a
-        reused check while a snapshot is armed, a full check otherwise) or
-        a record with ``ok``/``kind``/``sample`` attributes (the pool's
-        ``WorkerVerdict``), where ``kind`` is the ``VERDICT_*`` constant
-        the worker observed when it computed the verdict.  Replaying the
-        kind here — instead of bulk-merging worker counters — is what
-        makes the ``oracle.*`` counters of a ``jobs=N`` run identical to
-        a serial run's: every increment happens per *applied* verdict, so
-        candidates a worker checked but the search never applied (e.g.
-        past the budget-exhaustion point) leave no trace, exactly as if
-        they were never checked.
-        """
-        if verdict is True or verdict is False:
-            ok = verdict
-            kind = VERDICT_REUSED if self._snapshot is not None else VERDICT_FULL
-            sample = None
-            vstore = None
-        else:
-            ok, kind, sample = verdict.ok, verdict.kind, verdict.sample
-            vstore = getattr(verdict, "store", None)
-        if self._depth_probe is not None and self._depth_probe.exceeds(
-            program, self.max_depth
-        ):
-            self.depth_rejections += 1
-            self.metrics.incr("oracle.depth_rejected")
-            return False
-        if kind == VERDICT_CRASH_UNCOUNTED:
-            # Serial analogue: a bookkeeping crash in :meth:`check`'s outer
-            # guard — crashes counted, but never a call (or a cache miss).
-            self._record_crash_sample(sample)
-            return False
-        key = None
-        if self._cache is not None:
-            key = (self._prefix_gen, self._key(program))
-            hit = self._cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                self.metrics.incr("oracle.cache.hits")
-                return hit.ok
-        if self.max_calls is not None and self.calls >= self.max_calls:
-            self.metrics.incr("oracle.budget_exceeded")
-            raise BudgetExceeded(self.max_calls)
-        if self._cache is not None:
-            self.cache_misses += 1
-            self.metrics.incr("oracle.cache.misses")
-        self.calls += 1
-        store_fp = self._prefix_fp if (self._store_active and vstore) else None
-        if store_fp is not None and vstore == "hit":
-            # The worker probed the store read-only and hit; replay it
-            # exactly as a serial store hit — the stored kind's counters,
-            # the store-hit metric, recency for compaction, and *no*
-            # ``oracle.calls`` metric (no checker ran anywhere).
-            self.store_hits += 1
-            self.metrics.incr("oracle.store.hits")
-            try:
-                self.store.note_hit(store_fp, self._key(program))
-            except Exception:
-                if self.strict:
-                    raise
-            self._replay_stored_kind(kind)
-            if self._cache is not None:
-                self._cache[(self._prefix_gen, key[1])] = CheckResult(ok=ok)
-            return ok
-        if store_fp is not None:
-            self.store_misses += 1
-            self.metrics.incr("oracle.store.misses")
-        # Replay the worker's trail telemetry for this applied verdict
-        # (legacy bool verdicts and non-speculating workers ship zeros),
-        # keeping oracle.trail.* byte-identical between jobs=1 and jobs=N.
-        tsp = getattr(verdict, "trail_speculated", 0)
-        trb = getattr(verdict, "trail_rolled_back", 0)
-        tfb = getattr(verdict, "trail_fallbacks", 0)
-        if tsp:
-            self.trail_speculated += tsp
-            self.metrics.incr("oracle.trail.speculated", tsp)
-        if trb:
-            self.trail_rolled_back += trb
-            self.metrics.incr("oracle.trail.rolled_back", trb)
-        if tfb:
-            self.trail_fallbacks += tfb
-            self.metrics.incr("oracle.trail.fallbacks", tfb)
-        if kind == VERDICT_REUSED:
-            self.prefix_reused += 1
-            self.metrics.incr("oracle.prefix.reused")
-        elif kind == VERDICT_FALLBACK:
-            # Prefix crash healed into a from-scratch re-run; mirror the
-            # serial self-healing, including disarming the snapshot.
-            self._drop_snapshot()
-            self.prefix_fallbacks += 1
-            self.metrics.incr("oracle.prefix.fallbacks")
-            self._record_crash_sample(sample)
-            self.full_checks += 1
-            self.metrics.incr("oracle.full_checks")
-        elif kind == VERDICT_INVALIDATED:
-            self._drop_snapshot()
-            self.prefix_invalidated += 1
-            self.metrics.incr("oracle.prefix.invalidated")
-            self.full_checks += 1
-            self.metrics.incr("oracle.full_checks")
-        elif kind == VERDICT_CRASH:
-            # The counted check crashed after entering the full path
-            # (serial increments full_checks before the checker runs);
-            # the candidate is rejected.
-            self._record_crash_sample(sample)
-            self.full_checks += 1
-            self.metrics.incr("oracle.full_checks")
-            ok = False
-        else:  # VERDICT_FULL — and any unknown kind degrades to it
-            self.full_checks += 1
-            self.metrics.incr("oracle.full_checks")
-        # Replay the worker's per-declaration accounting for this applied
-        # verdict (legacy bool verdicts carry none), keeping the
-        # oracle.decl.* family byte-identical between jobs=1 and jobs=N.
-        self._account_decls(verdict)
-        self.metrics.incr("oracle.calls")
-        self.metrics.incr("oracle.calls.ok" if ok else "oracle.calls.fail")
-        if store_fp is not None:
-            # Parent-writes discipline: workers probe read-only, and only
-            # verdicts the search actually *applies* reach this point —
-            # so speculative worker checks never touch the disk.
-            try:
-                err = getattr(verdict, "err", None) if not ok else None
-                err_kind = getattr(verdict, "err_kind", None) if not ok else None
-                if self.store.put(store_fp, self._key(program), ok, kind, err, err_kind):
-                    self.store_writes += 1
-                    self.metrics.incr("oracle.store.writes")
-            except Exception:
-                if self.strict:
-                    raise
-            self._drain_store_io()
-        if self._cache is not None:
-            # Re-tag with the *current* generation, as _check does: the
-            # fallback/invalidated kinds bumped it above, and the verdict
-            # belongs to the new regime.
-            self._cache[(self._prefix_gen, key[1])] = CheckResult(ok=ok)
-        return ok
 
     def reset(self) -> None:
         """Clear accounting, cache, and the prefix snapshot between searches.

@@ -1,168 +1,36 @@
-"""Parallel candidate checking: fan oracle calls across worker processes.
+"""File-level fan-out: one whole search per worker process.
 
-SEMINAL's inner loop is embarrassingly parallel (paper Section 2.2): the
-searcher enumerates candidate programs and each oracle check is an
-independent pure yes/no question.  This module adds the batching/sharding
-layer that exploits that:
+SEMINAL's searches are embarrassingly parallel *across files* (paper
+Section 5): every program is explained independently.  This module holds
+the process plumbing behind :func:`repro.core.seminal.explain_many` (and
+so ``python -m repro explain --jobs N``):
 
-* :class:`WorkerPool` — ships batches of candidate programs to
-  ``ProcessPoolExecutor`` workers.  Each worker holds its own
-  :class:`~repro.core.oracle.Oracle`, seeded once per search from the same
-  passing prefix the parent's oracle snapshotted (the worker re-derives a
-  :class:`~repro.miniml.infer.PrefixSnapshot` from the pickled prefix
-  declarations), so candidate checks ride the incremental fast path on
-  every worker.  Per candidate only the declarations *after* the prefix are
-  shipped (pickled AST — exact fidelity; the pretty-printer is lossy for
-  synthetic wildcard nodes), correlated by batch slot.
-* :func:`explain_batch_worker` — the per-*program* worker behind
-  :func:`repro.core.seminal.explain_many`: one whole ``explain()`` call per
-  task, for the batch front end (``python -m repro explain --jobs N``).
+* :func:`resolve_jobs` — normalize a ``jobs`` knob to a worker count;
+* :func:`explain_batch_worker` — the per-*program* worker task: one whole
+  serial ``explain()`` call, its :class:`~repro.core.seminal.BatchEntry`
+  pickled for the trip home;
+* :func:`terminate_executor` — prompt teardown on interrupt.
 
-Determinism
------------
-Parallel and serial searches produce **byte-identical** suggestions and
-ranks.  The searcher's worklist is FIFO and lazy expansions only ever
-*append*: every candidate currently queued will be tested no matter how
-earlier candidates turn out, so the searcher may pre-test a whole batch
-concurrently and then *apply* the verdicts strictly in enumeration order
-(recording suggestions, expanding follow-ups, counting budget).  Verdicts
-are pure functions of the candidate program, so only wall-clock test order
-changes — never the sequence of (candidate, verdict) applications the
-search observes.
+Candidate checks inside one search always run serially in the process
+doing the search: a median search takes a few milliseconds, so a single
+check costs less than the pickle round trip that would ship it to a
+worker.
 
-Supervision (fault tolerance)
------------------------------
-A worker death degrades *one batch*, never the pool.  The pool is
-supervised: a crashed or hung worker costs one *restart* — the executor is
-torn down (hung processes terminated) and respawned after a bounded
-jitter-free exponential backoff (:class:`~repro.core.resilience
-.RestartPolicy`).  The failed batch is then *re-checked by bisection*:
-sub-chunks are probed on fresh workers until the specific candidate(s)
-that reproducibly kill workers are isolated.  A candidate that fails
-``poison_confirmations`` consecutive single-candidate probes — each on a
-freshly respawned worker, which absolves candidates that merely sat on an
-unlucky crash schedule — is **quarantined**: it is answered with a clean
-``crash`` verdict (flowing through the parent's ``account_verdict`` path,
-so it is counted as ``oracle.crashes`` exactly like a serial in-process
-crash) and never shipped to a worker again.
-
-Only a restart *storm* — more than ``max_restarts`` failed batches within
-a rolling window — trips the :class:`~repro.core.resilience
-.CircuitBreaker` open: :meth:`WorkerPool.ready` answers ``False`` and the
-searcher drains candidates serially.  After ``cooldown_seconds`` the
-breaker half-opens, the next batch probes the pool, and a clean batch
-restores parallelism mid-search.  Unrecoverable infrastructure failures
-(the submit path itself erroring) still mark the pool :attr:`broken`
-permanently, as before.
-
-Resource watchdogs (both opt-in) convert runaway checks into clean crash
-verdicts: a per-candidate wall-clock limit (worker-side ``SIGALRM``) and a
-per-worker RSS ceiling (checked between candidates; the bloated worker
-pool is recycled without charging the breaker).
-
-Telemetry (the flight-recorder contract)
-----------------------------------------
-Verdicts come home as :class:`WorkerVerdict` records carrying not just the
-boolean but *how* it was computed (a ``VERDICT_*`` accounting kind plus an
-optional crash-traceback sample), observed worker-side by diffing the
-worker oracle's counters around each check.  The searcher replays each
-applied record through :meth:`~repro.core.oracle.Oracle.account_verdict`,
-so every ``oracle.*`` counter increment happens in the parent, per applied
-verdict — which is why a ``jobs=N`` run's merged counters are identical to
-a serial run's.  When the pool's registry/tracer are live, each worker
-additionally runs a real per-batch :class:`~repro.obs.MetricsRegistry` and
-:class:`~repro.obs.Tracer` and ships the snapshot home with the batch: the
-pool merges worker histograms (``span.worker.*``) and non-oracle counters
-deterministically (worker ``oracle.*`` counters are *dropped* — the parent
-replays those), and re-parents worker trace events under the
-``parallel.batch`` span that awaited them (timestamps rebased into the
-parent's timebase, ``tid`` set to the worker pid so each worker gets its
-own Perfetto lane, args annotated with batch/chunk/worker_pid).
-
-Pool counters: ``parallel.batches``, ``parallel.candidates``,
-``parallel.worker_crashes``, ``parallel.worker_hangs``,
-``parallel.restarts``, ``parallel.breaker.open`` / ``.half_open`` /
-``.closed``, ``parallel.quarantined``, ``parallel.quarantine.hits``,
-``parallel.quarantine.probes``, ``parallel.watchdog.timeouts``,
-``parallel.watchdog.rss``, ``parallel.fallback_checks``.  Events:
-``worker_crash``, ``worker_hang``, ``worker_restart``, ``breaker_open``,
-``breaker_half_open``, ``breaker_closed``, ``quarantine``,
-``watchdog_kill``.
+Crash isolation is per file: a worker that dies breaks the executor, and
+``explain_many`` re-runs every file whose entry did not come back serially
+in the parent, so the batch's answers are the serial answers either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
-import signal
-import time
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Union
 
-from repro.core.oracle import (
-    VERDICT_CRASH,
-    VERDICT_CRASH_UNCOUNTED,
-    VERDICT_DEPTH,
-    VERDICT_FALLBACK,
-    VERDICT_FULL,
-    VERDICT_INVALIDATED,
-    VERDICT_REUSED,
-)
-from repro.core.resilience import CircuitBreaker, RestartPolicy
-from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_TRACER
-
-
-class WorkerVerdict(NamedTuple):
-    """One pre-checked candidate: the verdict plus its accounting story.
-
-    ``kind`` is the ``VERDICT_*`` constant the worker observed (how the
-    check was computed: reused / full / crash / ...); ``sample`` carries a
-    crash-traceback line when the check crashed, so the parent's
-    degradation report keeps real samples even when the crash happened in
-    another process.
-
-    When a persistent verdict store is wired in, ``store`` records whether
-    the worker's read-only probe hit (``"hit"``/``"miss"``; ``None`` when
-    no store was active) and ``err``/``err_kind`` carry the rendered
-    checker message of a failing miss — the parent, which performs all
-    store writes, persists it when it applies the verdict.
-
-    The trailing ``decls_*`` fields carry the check's per-declaration
-    accounting (dependency-pruned re-checking) and the ``trail_*`` fields
-    the check's speculative-inference telemetry; the parent folds both
-    into its ``oracle.decl.*`` / ``oracle.trail.*`` counters per applied
-    verdict, keeping ``jobs=N`` identical to ``jobs=1``.
-    """
-
-    ok: bool
-    kind: str
-    sample: Optional[str] = None
-    store: Optional[str] = None
-    err: Optional[str] = None
-    err_kind: Optional[str] = None
-    decls_checked: int = 0
-    decls_replayed: int = 0
-    decls_skipped: int = 0
-    decls_degraded: int = 0
-    trail_speculated: int = 0
-    trail_rolled_back: int = 0
-    trail_fallbacks: int = 0
-
-#: ``SearchConfig.jobs`` sentinel: use one worker per CPU.
+#: ``jobs`` sentinel: use one worker per CPU.
 AUTO_JOBS = "auto"
 
 Jobs = Union[int, str, None]
-
-
-class WatchdogTimeout(BaseException):
-    """A worker-side per-candidate wall-clock watchdog fired.
-
-    Deliberately a ``BaseException``: the oracle's crash guard converts
-    ``Exception`` into a rejection (and the prefix fast path would even
-    retry the check from scratch), but a watchdog kill must abort the
-    check *now* — the worker loop catches it and records a clean crash
-    verdict instead.
-    """
 
 
 def resolve_jobs(jobs: Jobs) -> int:
@@ -215,852 +83,6 @@ def terminate_executor(executor) -> None:
     except Exception:  # pragma: no cover - teardown best-effort
         pass
 
-
-# ---------------------------------------------------------------------------
-# Worker side: one cached oracle per (search) seed
-# ---------------------------------------------------------------------------
-
-#: Worker-process cache: the last seed's state tuple.  One entry only — a
-#: worker serves one search at a time, and a new search's first batch
-#: replaces it.
-_SEED_CACHE: Dict[int, Tuple] = {}
-
-
-def _seed_state(seed_token: int, seed_blob: bytes) -> Tuple:
-    state = _SEED_CACHE.get(seed_token)
-    if state is not None:
-        return state
-    from repro.core.oracle import Oracle
-    from repro.miniml.ast_nodes import Program
-
-    (
-        prefix_decls,
-        incremental,
-        max_depth,
-        fault_plan,
-        store_path,
-        candidate_timeout,
-        rss_limit_mb,
-        depprune,
-        table_decls,
-        speculate,
-    ) = pickle.loads(seed_blob)
-    if fault_plan is not None:
-        from repro.faults import ChaosOracle
-
-        oracle = ChaosOracle(
-            fault_plan,
-            incremental=incremental,
-            max_depth=max_depth,
-            depprune=depprune,
-            speculate=speculate,
-        )
-    else:
-        oracle = Oracle(
-            incremental=incremental,
-            max_depth=max_depth,
-            depprune=depprune,
-            speculate=speculate,
-        )
-    if store_path:
-        # Workers probe the store strictly read-only: the parent performs
-        # every write when it applies verdicts, so speculative checks the
-        # search never applies leave no trace on disk.
-        try:
-            store_cls = None
-            store_kwargs: Dict[str, Any] = {}
-            if fault_plan is not None and getattr(fault_plan, "store_fail_every", None):
-                from repro.faults import FlakyStore
-
-                store_cls = FlakyStore
-                store_kwargs = dict(
-                    fail_every=fault_plan.store_fail_every,
-                    fail_streak=fault_plan.store_fail_streak,
-                )
-            if store_cls is None:
-                from repro.store import VerdictStore
-
-                store_cls = VerdictStore
-            oracle.attach_store(store_cls(store_path, read_only=True, **store_kwargs))
-        except Exception:
-            pass  # degrade: the worker just checks everything for real
-    if prefix_decls and incremental:
-        oracle.arm_prefix(Program(list(prefix_decls)), len(prefix_decls))
-    if depprune and table_decls:
-        # Record *now*, not lazily: seeding isn't a candidate check, so the
-        # recording cost never lands on any candidate's counter delta —
-        # per-verdict decl accounting stays identical to a serial run
-        # (where the parent pays recording on the search's initial check).
-        if oracle.arm_decl_table(Program(list(table_decls))):
-            oracle.ensure_decl_table()
-    _SEED_CACHE.clear()
-    state = (tuple(prefix_decls), oracle, candidate_timeout, rss_limit_mb)
-    _SEED_CACHE[seed_token] = state
-    return state
-
-
-def _count_state(oracle) -> Tuple[int, ...]:
-    """The oracle counters whose per-check delta classifies a verdict."""
-    return (
-        oracle.calls,
-        oracle.full_checks,
-        oracle.prefix_reused,
-        oracle.prefix_fallbacks,
-        oracle.prefix_invalidated,
-        oracle.crashes,
-        oracle.depth_rejections,
-        len(oracle.crash_samples),
-        oracle.store_hits,
-        oracle.store_misses,
-        oracle.decls_checked,
-        oracle.decls_replayed,
-        oracle.decls_skipped,
-        oracle.decls_degraded,
-        oracle.trail_speculated,
-        oracle.trail_rolled_back,
-        oracle.trail_fallbacks,
-    )
-
-
-def _classify(
-    oracle,
-    before: Tuple[int, ...],
-    ok: bool,
-    err: Optional[str] = None,
-    err_kind: Optional[str] = None,
-) -> WorkerVerdict:
-    """Turn the counter delta of one ``check`` call into a verdict record.
-
-    Mirrors the serial accounting paths of :meth:`Oracle._check` — each
-    observable outcome maps to exactly one ``VERDICT_*`` kind, so the
-    parent's replay reproduces the serial counter increments.
-    """
-    after = _count_state(oracle)
-    (d_calls, _d_full, d_reused, d_fallback, d_invalid,
-     d_crash, d_depth, d_samples,
-     d_store_hit, d_store_miss,
-     d_decl_checked, d_decl_replayed,
-     d_decl_skipped, d_decl_degraded,
-     d_trail_spec, d_trail_rolled, d_trail_fb) = tuple(
-         a - b for a, b in zip(after, before))
-    sample = oracle.crash_samples[-1] if d_samples else None
-    store = "hit" if d_store_hit else ("miss" if d_store_miss else None)
-    if d_depth:
-        kind = VERDICT_DEPTH
-    elif d_fallback:
-        kind = VERDICT_FALLBACK
-    elif d_crash and not d_calls:
-        kind = VERDICT_CRASH_UNCOUNTED
-    elif d_crash:
-        kind = VERDICT_CRASH
-    elif d_invalid:
-        kind = VERDICT_INVALIDATED
-    elif d_reused:
-        kind = VERDICT_REUSED
-    else:
-        kind = VERDICT_FULL
-    return WorkerVerdict(
-        ok, kind, sample, store, err, err_kind,
-        d_decl_checked, d_decl_replayed, d_decl_skipped, d_decl_degraded,
-        d_trail_spec, d_trail_rolled, d_trail_fb,
-    )
-
-
-def _rss_mb() -> Optional[float]:
-    """This process's resident set size in MiB (``None`` if unreadable)."""
-    try:
-        with open("/proc/self/status", "r", encoding="ascii", errors="replace") as fh:
-            for line in fh:
-                if line.startswith("VmRSS:"):
-                    return float(line.split()[1]) / 1024.0
-    except (OSError, ValueError, IndexError):
-        pass
-    try:  # pragma: no cover - non-Linux fallback (peak, not current)
-        import resource
-
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    except Exception:  # pragma: no cover
-        return None
-
-
-def _raise_watchdog(signum, frame):  # pragma: no cover - fires via SIGALRM
-    raise WatchdogTimeout()
-
-
-def _check_batch(
-    seed_token: int,
-    seed_blob: bytes,
-    items_blob: bytes,
-    deadline_remaining: Optional[float],
-    want_metrics: bool = False,
-    want_trace: bool = False,
-) -> Dict[str, Any]:
-    """Worker task: verdict records for one chunk of candidate suffixes.
-
-    ``items_blob`` is a pickled list of declaration tuples — the part of
-    each candidate program after the shared prefix.  Verdicts are aligned
-    by index; ``None`` marks a candidate left unchecked because the
-    per-batch soft deadline ran out or the RSS watchdog cut the chunk
-    short (the parent re-checks those serially).
-
-    The two resource watchdogs run here, worker-side: a per-candidate
-    ``SIGALRM`` wall-clock limit converts a runaway check into a clean
-    crash verdict (``watchdog_timeouts`` in the result), and an RSS
-    ceiling checked between candidates converts a memory-hogging check to
-    a crash verdict and stops the chunk (``rss_exceeded``) so the parent
-    can recycle this worker pool.
-
-    When the parent's telemetry is live (``want_metrics``/``want_trace``),
-    the chunk runs under a real per-batch registry and tracer — a
-    ``worker.batch`` span around the chunk, a ``worker.check`` span per
-    candidate — and the result carries the registry snapshot and the raw
-    trace events for the pool to merge and re-parent.
-    """
-    from repro.miniml.ast_nodes import Program
-
-    start = time.perf_counter()
-    prefix_decls, oracle, candidate_timeout, rss_limit_mb = _seed_state(
-        seed_token, seed_blob
-    )
-    suffixes: List[tuple] = pickle.loads(items_blob)
-    registry = None
-    tracer = NULL_TRACER
-    if want_metrics or want_trace:
-        from repro.obs import MetricsRegistry, Tracer
-
-        registry = MetricsRegistry() if want_metrics else None
-        tracer = Tracer(metrics=registry, keep_events=want_trace)
-    saved_metrics = oracle.metrics
-    if registry is not None:
-        oracle.metrics = registry
-    use_alarm = bool(candidate_timeout) and hasattr(signal, "SIGALRM")
-    watchdog_timeouts = 0
-    rss_exceeded: Optional[float] = None
-    verdicts: List[Optional[WorkerVerdict]] = []
-    try:
-        with tracer.span("worker.batch", candidates=len(suffixes)):
-            for suffix in suffixes:
-                if (
-                    deadline_remaining is not None
-                    and time.perf_counter() - start >= deadline_remaining
-                ):
-                    verdicts.append(None)
-                    continue
-                program = Program(list(prefix_decls) + list(suffix))
-                before = _count_state(oracle)
-                try:
-                    if use_alarm:
-                        old_handler = signal.signal(signal.SIGALRM, _raise_watchdog)
-                        signal.setitimer(signal.ITIMER_REAL, candidate_timeout)
-                    try:
-                        with tracer.span("worker.check"):
-                            res = oracle.check(program)
-                    finally:
-                        if use_alarm:
-                            signal.setitimer(signal.ITIMER_REAL, 0.0)
-                            signal.signal(signal.SIGALRM, old_handler)
-                except WatchdogTimeout:
-                    watchdog_timeouts += 1
-                    verdicts.append(
-                        WorkerVerdict(
-                            False,
-                            VERDICT_CRASH,
-                            sample=(
-                                "watchdog: check exceeded "
-                                f"{candidate_timeout:g}s wall-clock limit"
-                            ),
-                        )
-                    )
-                    continue
-                err = err_kind = None
-                if oracle.store is not None and not res.ok and res.error is not None:
-                    # Ship the rendered message home so the parent's store
-                    # write preserves display fidelity for future hits.
-                    try:
-                        err = res.error.render()
-                        err_kind = getattr(res.error, "kind", None)
-                    except Exception:
-                        err = err_kind = None
-                verdicts.append(_classify(oracle, before, res.ok, err, err_kind))
-                if rss_limit_mb:
-                    rss = _rss_mb()
-                    if rss is not None and rss > rss_limit_mb:
-                        verdicts[-1] = WorkerVerdict(
-                            False,
-                            VERDICT_CRASH,
-                            sample=(
-                                f"watchdog: worker rss {rss:.0f}MiB exceeded "
-                                f"{rss_limit_mb:g}MiB ceiling"
-                            ),
-                        )
-                        rss_exceeded = rss
-                        break
-    finally:
-        oracle.metrics = saved_metrics
-    while len(verdicts) < len(suffixes):
-        verdicts.append(None)
-    return {
-        "verdicts": verdicts,
-        "pid": os.getpid(),
-        "seconds": time.perf_counter() - start,
-        "metrics": registry.snapshot() if registry is not None else None,
-        "trace": list(tracer.events) if want_trace else None,
-        "watchdog_timeouts": watchdog_timeouts,
-        "rss_exceeded": rss_exceeded,
-    }
-
-
-class WorkerPool:
-    """A supervised process pool answering "does this candidate type-check?".
-
-    Lifecycle: the searcher creates one pool per ``search_program`` run
-    (when ``SearchConfig.jobs`` resolves to more than one worker), calls
-    :meth:`arm` once after localization with the passing prefix, then
-    :meth:`check_suffixes` per batch, and :meth:`shutdown` in a finally.
-    The underlying executor is created lazily on the first batch, so
-    searches that never reach a batch pay nothing.
-
-    The pool is merge-deterministic: verdicts come back aligned with the
-    submitted order regardless of which worker answered when.  Worker
-    deaths are *supervised* (see module docstring): the executor respawns
-    with backoff, the failed batch is bisected, reproducible killers are
-    quarantined, and only a restart storm trips the circuit breaker —
-    :meth:`ready` tells the searcher whether the next batch may go
-    parallel.  :attr:`broken` still marks the rare *permanent* failures
-    (the submit path itself erroring), after which every batch answers
-    "unchecked" immediately — degradation, never an exception.
-    """
-
-    def __init__(
-        self,
-        jobs: Jobs,
-        *,
-        batch_size: Optional[int] = None,
-        metrics=None,
-        tracer=None,
-        events=None,
-        supervision: Optional[RestartPolicy] = None,
-        candidate_timeout: Optional[float] = None,
-        rss_limit_mb: Optional[float] = None,
-        clock=time.monotonic,
-        sleep=time.sleep,
-    ):
-        self.jobs = resolve_jobs(jobs)
-        #: How many candidates the searcher drains per batch round; sized
-        #: so every worker gets a few candidates per round by default.
-        self.batch_size = batch_size if batch_size else max(16, 8 * self.jobs)
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.events = events if events is not None else NULL_EVENTS
-        self.supervision = supervision if supervision is not None else RestartPolicy()
-        self.breaker = CircuitBreaker(
-            self.supervision, clock=clock, on_transition=self._on_breaker_transition
-        )
-        self.candidate_timeout = candidate_timeout
-        self.rss_limit_mb = rss_limit_mb
-        self.broken = False
-        self.batches = 0
-        self.candidates = 0
-        self.worker_crashes = 0
-        self.worker_hangs = 0
-        self.restarts = 0
-        self.quarantined = 0
-        self.watchdog_timeouts = 0
-        self.watchdog_rss = 0
-        self._sleep = sleep
-        self._quarantine: set = set()
-        self._poison_strikes: Dict[str, int] = {}
-        self._respawn_pending = False
-        self._recycle_pending = False
-        self._executor = None
-        self._seed_token = 0
-        self._seed_blob: Optional[bytes] = None
-
-    # ------------------------------------------------------------------
-    # Seeding
-    # ------------------------------------------------------------------
-
-    def arm(
-        self,
-        prefix_decls: Sequence,
-        *,
-        incremental: bool = True,
-        max_depth: Optional[int] = None,
-        fault_plan=None,
-        store_path: Optional[str] = None,
-        depprune: bool = True,
-        table_decls: Optional[Sequence] = None,
-        speculate: bool = True,
-    ) -> None:
-        """Seed workers for one search: the passing prefix plus oracle knobs.
-
-        The prefix declarations are pickled once here; every batch carries
-        the blob and workers cache the parsed state by ``seed_token``, so
-        each worker re-derives its :class:`PrefixSnapshot` at most once per
-        search.  ``fault_plan`` (a :class:`repro.faults.FaultPlan`) seeds
-        workers with a :class:`~repro.faults.ChaosOracle` instead — the
-        fault-injection route the chaos tests use.  ``store_path`` points
-        workers at the parent's persistent verdict store (opened strictly
-        read-only worker-side).  ``table_decls`` (the localized baseline's
-        declarations, ``decls[:bad+1]``) seeds each worker's declaration
-        outcome table, recorded eagerly at seed time so ``jobs=N`` decl
-        accounting matches ``jobs=1`` per applied verdict.
-        """
-        self._seed_token += 1
-        self._seed_blob = pickle.dumps(
-            (
-                tuple(prefix_decls),
-                incremental,
-                max_depth,
-                fault_plan,
-                store_path,
-                self.candidate_timeout,
-                self.rss_limit_mb,
-                depprune,
-                tuple(table_decls) if table_decls is not None else None,
-                speculate,
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Supervision plumbing
-    # ------------------------------------------------------------------
-
-    def ready(self) -> bool:
-        """May the next batch go parallel?  ``False`` while the pool is
-        permanently broken or the breaker is open (an open breaker whose
-        cool-down elapsed half-opens here and answers ``True``)."""
-        return (
-            not self.broken
-            and self._seed_blob is not None
-            and self.breaker.allow()
-        )
-
-    def _on_breaker_transition(self, old: str, new: str) -> None:
-        counter = {
-            "open": "parallel.breaker.open",
-            "half-open": "parallel.breaker.half_open",
-            "closed": "parallel.breaker.closed",
-        }.get(new)
-        if counter:
-            self.metrics.incr(counter)
-        event = {
-            "open": "breaker_open",
-            "half-open": "breaker_half_open",
-            "closed": "breaker_closed",
-        }.get(new)
-        if event:
-            self.events.emit(
-                event, from_state=old, failures=self.breaker.recent_failures
-            )
-
-    @staticmethod
-    def _suffix_digest(suffix: Sequence) -> str:
-        """Stable per-process identity for a candidate suffix (quarantine
-        bookkeeping): digest of the same pickle that ships to workers."""
-        return hashlib.sha1(pickle.dumps(tuple(suffix))).hexdigest()
-
-    def _hang_timeout(self, deadline_remaining: Optional[float]) -> Optional[float]:
-        if self.supervision.hang_timeout_seconds is not None:
-            return self.supervision.hang_timeout_seconds
-        if deadline_remaining is not None:
-            # A healthy worker returns by the batch soft deadline; 5s of
-            # grace covers result shipping before we call it hung.
-            return deadline_remaining + 5.0
-        return None
-
-    def _teardown_workers(self) -> None:
-        """Kill the current executor (dead or hung) and schedule a
-        backed-off respawn for the next submission."""
-        executor = self._executor
-        self._executor = None
-        self._respawn_pending = True
-        if executor is not None:
-            terminate_executor(executor)
-
-    def _on_worker_crash(self) -> None:
-        self.worker_crashes += 1
-        self.metrics.incr("parallel.worker_crashes")
-        self.events.emit("worker_crash", batches=self.batches)
-        self._teardown_workers()
-
-    def _on_worker_hang(self) -> None:
-        self.worker_crashes += 1
-        self.worker_hangs += 1
-        self.metrics.incr("parallel.worker_hangs")
-        self.events.emit("worker_hang", batches=self.batches)
-        self._teardown_workers()
-
-    # ------------------------------------------------------------------
-    # Batch checking
-    # ------------------------------------------------------------------
-
-    def _ensure_executor(self):
-        if self._executor is None:
-            if self._respawn_pending:
-                restart = self.restarts + 1
-                backoff = self.supervision.backoff_for(restart)
-                if backoff > 0:
-                    self._sleep(backoff)
-                self.restarts = restart
-                self._respawn_pending = False
-                self.metrics.incr("parallel.restarts")
-                self.events.emit(
-                    "worker_restart",
-                    restart=restart,
-                    backoff_seconds=round(backoff, 6),
-                )
-            from concurrent.futures import ProcessPoolExecutor
-
-            context = _fork_context()
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=context
-            )
-        return self._executor
-
-    def _submit(
-        self,
-        executor,
-        suffixes: Sequence[Sequence],
-        indices: Sequence[int],
-        deadline_remaining: Optional[float],
-        want_metrics: bool,
-        want_trace: bool,
-    ):
-        return executor.submit(
-            _check_batch,
-            self._seed_token,
-            self._seed_blob,
-            pickle.dumps([tuple(suffixes[i]) for i in indices]),
-            deadline_remaining,
-            want_metrics,
-            want_trace,
-        )
-
-    def check_suffixes(
-        self,
-        suffixes: Sequence[Sequence],
-        deadline_remaining: Optional[float] = None,
-        oracle=None,
-    ) -> List[Optional[WorkerVerdict]]:
-        """Check candidate suffixes concurrently; verdicts aligned by index.
-
-        Each element of ``suffixes`` is the list of declarations a
-        candidate appends to the armed prefix.  The result holds one
-        :class:`WorkerVerdict` record per candidate (the boolean plus the
-        accounting kind the caller replays via ``account_verdict``);
-        ``None`` means "unchecked" (broken pool, unrecovered worker death,
-        or per-batch deadline) — the caller must fall back to its own
-        oracle for those.  ``oracle`` is accepted for backwards
-        compatibility and no longer consulted: all oracle accounting now
-        flows through the caller's per-verdict replay.
-        """
-        n = len(suffixes)
-        if n == 0:
-            return []
-        verdicts: List[Optional[WorkerVerdict]] = [None] * n
-        if self.broken or self._seed_blob is None or not self.breaker.allow():
-            return verdicts
-        want_metrics = self.metrics is not NULL_METRICS
-        want_trace = bool(getattr(self.tracer, "enabled", False))
-        # Quarantine pre-filter: candidates already convicted of killing
-        # workers are answered locally with a crash verdict — the parent's
-        # account_verdict replay counts them as oracle.crashes, exactly
-        # like a serial in-process crash.
-        live = list(range(n))
-        if self._quarantine:
-            live = []
-            for i in range(n):
-                digest = self._suffix_digest(suffixes[i])
-                if digest in self._quarantine:
-                    verdicts[i] = WorkerVerdict(
-                        False,
-                        VERDICT_CRASH,
-                        sample="quarantined: candidate reproducibly kills workers",
-                    )
-                    self.metrics.incr("parallel.quarantine.hits")
-                else:
-                    live.append(i)
-            if not live:
-                return verdicts
-        chunk = max(1, -(-len(live) // self.jobs))  # ceil(len / jobs)
-        chunks = [live[i : i + chunk] for i in range(0, len(live), chunk)]
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            executor = self._ensure_executor()
-        except Exception:
-            self._mark_broken()
-            return verdicts
-        futures = []
-        for idxs in chunks:
-            try:
-                futures.append(
-                    self._submit(
-                        executor, suffixes, idxs, deadline_remaining,
-                        want_metrics, want_trace,
-                    )
-                )
-            except BrokenProcessPool:
-                # Fork workers start instantly: a chunk submitted a moment
-                # ago may have already killed its worker, breaking the
-                # executor before the remaining chunks could be submitted.
-                # A supervised death, not infrastructure breakage — the
-                # unsubmitted chunks join the recovery set below.
-                self._on_worker_crash()
-                break
-            except Exception:
-                # The submit path itself failing (pickling error, spawn
-                # failure) is unrecoverable infrastructure breakage.
-                self._mark_broken()
-                return verdicts
-        self.batches += 1
-        batch_id = self.batches
-        self.candidates += n
-        self.metrics.incr("parallel.batches")
-        self.metrics.incr("parallel.candidates", n)
-        hang_timeout = self._hang_timeout(deadline_remaining)
-        # A submit-time death already tore the executor down: salvage what
-        # finished, send everything else (submitted or not) to recovery.
-        died = len(futures) < len(chunks)
-        failed: List[List[int]] = [list(idxs) for idxs in chunks[len(futures):]]
-        for index, (idxs, future) in enumerate(zip(chunks, futures)):
-            with self.tracer.span(
-                "parallel.batch", batch=batch_id, chunk=index
-            ) as sp:
-                result = None
-                if died:
-                    # The executor is already torn down; salvage chunks
-                    # that finished before the death, leave the rest for
-                    # bisection recovery.
-                    result = self._result_now(future)
-                else:
-                    from concurrent.futures import TimeoutError as FuturesTimeout
-
-                    try:
-                        result = future.result(timeout=hang_timeout)
-                    except FuturesTimeout:
-                        self._on_worker_hang()
-                        died = True
-                    except Exception:
-                        self._on_worker_crash()
-                        died = True
-                if result is None:
-                    failed.append(list(idxs))
-                    sp.set("crashed", True)
-                    continue
-                self._absorb(result, idxs, verdicts, batch_id, index, sp)
-        if failed:
-            # One breaker charge per failed batch (not per probe): the
-            # breaker counts incidents, bisection diagnoses them.
-            self.breaker.record_failure()
-            self._recover(failed, suffixes, verdicts, deadline_remaining, batch_id)
-        else:
-            self.breaker.record_success()
-        if self._recycle_pending:
-            # An RSS watchdog fired: recycle the bloated workers now that
-            # every future is consumed.  Not a failure — no breaker charge
-            # and no backoff beyond the respawn itself.
-            self._recycle_pending = False
-            self._teardown_workers()
-        return verdicts
-
-    def _result_now(self, future):
-        """A completed future's result, else ``None`` (never blocks)."""
-        if not future.done():
-            return None
-        try:
-            return future.result(timeout=0)
-        except Exception:
-            return None
-
-    def _absorb(
-        self, result: Dict[str, Any], idxs: Sequence[int],
-        verdicts: List[Optional[WorkerVerdict]], batch_id: int, chunk_index: int,
-        sp=None,
-    ) -> None:
-        """Fold one worker result into the batch: verdicts by original
-        slot, telemetry merged, watchdog kills counted."""
-        for slot, verdict in zip(idxs, result["verdicts"]):
-            verdicts[slot] = verdict
-        if sp is not None:
-            sp.set("pid", result["pid"])
-            sp.set("candidates", len(idxs))
-            sp.set("worker_seconds", round(result["seconds"], 6))
-        timeouts = result.get("watchdog_timeouts", 0)
-        if timeouts:
-            self.watchdog_timeouts += timeouts
-            self.metrics.incr("parallel.watchdog.timeouts", timeouts)
-            self.events.emit(
-                "watchdog_kill", kind="timeout", count=timeouts, batch=batch_id
-            )
-        rss = result.get("rss_exceeded")
-        if rss:
-            self.watchdog_rss += 1
-            self.metrics.incr("parallel.watchdog.rss")
-            self.events.emit(
-                "watchdog_kill", kind="rss", rss_mb=round(rss, 1), batch=batch_id
-            )
-            self._recycle_pending = True
-        if result.get("metrics"):
-            # Worker oracle.* counters are dropped: the searcher replays
-            # that accounting per applied verdict, and merging both would
-            # double-count (or count checks the search never applied).
-            # Histograms and worker-local counters merge freely.
-            self.metrics.merge_snapshot(
-                result["metrics"], skip_counter_prefixes=("oracle.",)
-            )
-        if result.get("trace") and sp is not None:
-            self.tracer.merge_events(
-                result["trace"],
-                base_ts_us=sp.start_ts_us,
-                tid=result["pid"],
-                extra_args={
-                    "batch": batch_id,
-                    "chunk": chunk_index,
-                    "worker_pid": result["pid"],
-                },
-            )
-
-    # ------------------------------------------------------------------
-    # Bisection recovery + quarantine
-    # ------------------------------------------------------------------
-
-    def _recover(
-        self,
-        failed: List[List[int]],
-        suffixes: Sequence[Sequence],
-        verdicts: List[Optional[WorkerVerdict]],
-        deadline_remaining: Optional[float],
-        batch_id: int,
-    ) -> None:
-        """Re-check the chunks that died, bisecting down to the candidates
-        that reproducibly kill workers.
-
-        Each probe is one worker round trip; a failed probe splits the
-        span (or, at size one, counts a poison strike against that
-        candidate).  A strike only accrues on a *fresh* worker — the
-        executor is respawned after every death — so candidates that
-        merely sat on an unlucky crash schedule are absolved on retry,
-        while content-keyed killers reproduce and get quarantined.
-        Candidates still unresolved when the probe budget (or the breaker)
-        stops the recovery stay ``None`` for the caller's serial fallback.
-        """
-        policy = self.supervision
-        probes = 0
-        stack: List[List[int]] = [list(span) for span in failed]
-        while stack:
-            if self.broken or not self.breaker.allow():
-                return
-            if probes >= policy.max_probes:
-                return
-            span = stack.pop(0)
-            probes += 1
-            self.metrics.incr("parallel.quarantine.probes")
-            result = self._probe(suffixes, span, deadline_remaining)
-            if result is not None:
-                self._absorb(result, span, verdicts, batch_id, -1)
-                if len(span) == 1:
-                    self._poison_strikes.pop(
-                        self._suffix_digest(suffixes[span[0]]), None
-                    )
-                continue
-            if self.broken:
-                return
-            if len(span) == 1:
-                slot = span[0]
-                digest = self._suffix_digest(suffixes[slot])
-                strikes = self._poison_strikes.get(digest, 0) + 1
-                self._poison_strikes[digest] = strikes
-                if strikes >= policy.poison_confirmations:
-                    self._quarantine_candidate(digest, slot, strikes, verdicts)
-                else:
-                    stack.insert(0, span)  # retry on the fresh executor
-            else:
-                mid = len(span) // 2
-                stack.insert(0, span[mid:])
-                stack.insert(0, span[:mid])
-
-    def _probe(
-        self,
-        suffixes: Sequence[Sequence],
-        span: Sequence[int],
-        deadline_remaining: Optional[float],
-    ) -> Optional[Dict[str, Any]]:
-        """One bisection round trip; ``None`` means the worker died again
-        (and the executor is already scheduled for respawn)."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        future = None
-        for retry in (False, True):
-            try:
-                executor = self._ensure_executor()
-                future = self._submit(
-                    executor, suffixes, span, deadline_remaining, False, False
-                )
-                break
-            except BrokenProcessPool:
-                # The retained executor broke since the last round trip (a
-                # late-detected death): respawn and retry once so a stale
-                # executor never counts as a strike against the candidate.
-                self._teardown_workers()
-                if retry:
-                    self._mark_broken()
-                    return None
-            except Exception:
-                self._mark_broken()
-                return None
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
-        try:
-            return future.result(timeout=self._hang_timeout(deadline_remaining))
-        except FuturesTimeout:
-            self._on_worker_hang()
-            return None
-        except Exception:
-            self._on_worker_crash()
-            return None
-
-    def _quarantine_candidate(
-        self,
-        digest: str,
-        slot: int,
-        strikes: int,
-        verdicts: List[Optional[WorkerVerdict]],
-    ) -> None:
-        self._quarantine.add(digest)
-        self._poison_strikes.pop(digest, None)
-        self.quarantined += 1
-        self.metrics.incr("parallel.quarantined")
-        self.events.emit("quarantine", digest=digest, strikes=strikes)
-        verdicts[slot] = WorkerVerdict(
-            False,
-            VERDICT_CRASH,
-            sample=f"quarantined: candidate killed {strikes} consecutive workers",
-        )
-
-    def _mark_broken(self) -> None:
-        self.broken = True
-        self.worker_crashes += 1
-        self.metrics.incr("parallel.worker_crashes")
-        self.events.emit("worker_crash", batches=self.batches)
-
-    # ------------------------------------------------------------------
-    # Teardown
-    # ------------------------------------------------------------------
-
-    def shutdown(self) -> None:
-        """Release worker processes promptly (never raises; never blocks on
-        a hung worker — processes are terminated, pending work cancelled)."""
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            terminate_executor(executor)
-
-
-# ---------------------------------------------------------------------------
-# Whole-program batch worker (explain_many / `repro explain`)
-# ---------------------------------------------------------------------------
 
 
 def explain_batch_worker(

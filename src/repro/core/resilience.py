@@ -24,11 +24,6 @@ Pieces:
   which reasons fired (``budget``/``deadline``/``crash``/``fallback``),
   how many oracle crashes and prefix fallbacks occurred, which phases were
   shed, elapsed wall clock, and a bounded sample of crash tracebacks.
-* :class:`RestartPolicy` / :class:`CircuitBreaker` — the supervision
-  contract for the parallel worker pool: how often crashed or hung workers
-  may be respawned (bounded exponential backoff within a rolling window)
-  before the pool trips open and degrades to serial, and how long the
-  cool-down lasts before the breaker half-opens to probe for recovery.
 
 The clock is injectable for deterministic tests.
 """
@@ -106,169 +101,6 @@ class Deadline:
         )
 
 
-#: Circuit-breaker states (``CircuitBreaker.state`` values).
-BREAKER_CLOSED = "closed"
-BREAKER_OPEN = "open"
-BREAKER_HALF_OPEN = "half-open"
-
-
-@dataclass(frozen=True)
-class RestartPolicy:
-    """Supervision knobs for the worker pool.
-
-    A worker death (crash or hang) costs one *restart*: the pool tears the
-    executor down and respawns it after ``backoff_for(n)`` seconds, where
-    ``n`` is the restart ordinal — bounded exponential, jitter-free like
-    :mod:`repro.core.retry`.  ``max_restarts`` failures within a rolling
-    ``window_seconds`` trip the breaker :data:`BREAKER_OPEN`; after
-    ``cooldown_seconds`` it half-opens and the next batch probes whether
-    parallelism can resume.
-
-    ``max_probes`` bounds the bisection work spent re-checking a failed
-    batch (each probe is one worker round trip); ``poison_confirmations``
-    is how many *consecutive* single-candidate failures — each on a fresh
-    worker — are required before a candidate is quarantined as poison.
-    Fresh-worker confirmation absolves candidates that merely sat on an
-    unlucky schedule (e.g. a chaos plan crashing every Nth call) while
-    still catching content-keyed reproducible killers.
-
-    ``hang_timeout_seconds`` caps how long the pool waits on one batch
-    before declaring the worker hung; ``None`` derives the cap from the
-    search deadline when there is one and otherwise waits indefinitely
-    (the pre-supervision behavior).
-    """
-
-    max_restarts: int = 3
-    window_seconds: float = 30.0
-    backoff_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
-    max_backoff_seconds: float = 0.5
-    cooldown_seconds: float = 5.0
-    hang_timeout_seconds: Optional[float] = None
-    max_probes: int = 16
-    poison_confirmations: int = 2
-
-    def __post_init__(self) -> None:
-        if self.max_restarts < 0:
-            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
-        if self.window_seconds <= 0:
-            raise ValueError(
-                f"window_seconds must be > 0, got {self.window_seconds}"
-            )
-        if self.backoff_seconds < 0:
-            raise ValueError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
-            )
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-        if self.cooldown_seconds < 0:
-            raise ValueError(
-                f"cooldown_seconds must be >= 0, got {self.cooldown_seconds}"
-            )
-        if self.hang_timeout_seconds is not None and self.hang_timeout_seconds <= 0:
-            raise ValueError(
-                "hang_timeout_seconds must be > 0 or None, "
-                f"got {self.hang_timeout_seconds}"
-            )
-        if self.max_probes < 1:
-            raise ValueError(f"max_probes must be >= 1, got {self.max_probes}")
-        if self.poison_confirmations < 1:
-            raise ValueError(
-                "poison_confirmations must be >= 1, "
-                f"got {self.poison_confirmations}"
-            )
-
-    def backoff_for(self, restart: int) -> float:
-        """Seconds to wait before restart number ``restart`` (1-based)."""
-        if restart < 1:
-            raise ValueError(f"restart must be >= 1, got {restart}")
-        delay = self.backoff_seconds * (self.backoff_multiplier ** (restart - 1))
-        return min(delay, self.max_backoff_seconds)
-
-
-class CircuitBreaker:
-    """Rolling-window failure counter with open/half-open/closed states.
-
-    Closed is normal operation.  More than ``policy.max_restarts``
-    failures within ``policy.window_seconds`` trip it open: :meth:`allow`
-    answers ``False`` until ``policy.cooldown_seconds`` have passed, then
-    flips to half-open and answers ``True`` so one batch can probe the
-    pool.  A success in half-open closes the breaker and clears history; a
-    failure re-opens it with a fresh cool-down.
-
-    The clock is injectable (same plumbing as :class:`Deadline`) and
-    ``on_transition(old_state, new_state)`` lets the owner wire metrics
-    and events without this class knowing about either.
-    """
-
-    __slots__ = ("policy", "_clock", "_on_transition", "state", "_failures",
-                 "_opened_at")
-
-    def __init__(
-        self,
-        policy: Optional[RestartPolicy] = None,
-        clock: Callable[[], float] = time.monotonic,
-        on_transition: Optional[Callable[[str, str], None]] = None,
-    ):
-        self.policy = policy if policy is not None else RestartPolicy()
-        self._clock = clock
-        self._on_transition = on_transition
-        self.state = BREAKER_CLOSED
-        self._failures: List[float] = []
-        self._opened_at: Optional[float] = None
-
-    @property
-    def recent_failures(self) -> int:
-        return len(self._failures)
-
-    def _set(self, state: str) -> None:
-        if state != self.state:
-            old, self.state = self.state, state
-            if self._on_transition is not None:
-                self._on_transition(old, state)
-
-    def allow(self) -> bool:
-        """May the next batch run in parallel?  Idempotent; an open breaker
-        whose cool-down has elapsed transitions to half-open here."""
-        if self.state == BREAKER_OPEN:
-            if (
-                self._opened_at is not None
-                and self._clock() - self._opened_at >= self.policy.cooldown_seconds
-            ):
-                self._set(BREAKER_HALF_OPEN)
-                return True
-            return False
-        return True
-
-    def record_failure(self) -> str:
-        """Count one worker death; returns the resulting state."""
-        now = self._clock()
-        if self.state == BREAKER_HALF_OPEN:
-            # The recovery probe failed: straight back to open, fresh
-            # cool-down, history kept.
-            self._opened_at = now
-            self._set(BREAKER_OPEN)
-            return self.state
-        self._failures = [
-            t for t in self._failures if now - t <= self.policy.window_seconds
-        ]
-        self._failures.append(now)
-        if len(self._failures) > self.policy.max_restarts:
-            self._opened_at = now
-            self._set(BREAKER_OPEN)
-        return self.state
-
-    def record_success(self) -> None:
-        """A parallel batch completed cleanly: a half-open breaker closes
-        and forgets its failure history."""
-        if self.state == BREAKER_HALF_OPEN:
-            self._failures = []
-            self._opened_at = None
-            self._set(BREAKER_CLOSED)
-
-
 @dataclass
 class DegradationReport:
     """What a search gave up, and why — attached to every outcome.
@@ -288,19 +120,6 @@ class DegradationReport:
     prefix_fallbacks: int = 0
     #: Candidates rejected by the depth pre-check (never typechecked).
     depth_rejections: int = 0
-    #: Parallel worker-process failures (crashes and hang kills).  Each
-    #: costs a supervised respawn; only a restart storm trips the breaker
-    #: and reroutes candidates through the serial oracle.
-    worker_crashes: int = 0
-    #: Worker executors respawned by the supervisor after a death.
-    worker_restarts: int = 0
-    #: Candidates quarantined as reproducible worker killers (each is
-    #: accounted as an ``oracle.crashes`` rejection, exactly as a serial
-    #: in-process crash would be).
-    quarantined: int = 0
-    #: Runaway checks converted to clean crash verdicts by the per
-    #: -candidate wall-clock or per-worker RSS watchdog.
-    watchdog_kills: int = 0
     #: Phase name -> number of times the soft deadline shed it.
     phases_shed: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
@@ -359,14 +178,6 @@ class DegradationReport:
             parts.append(f"prefix_fallbacks={self.prefix_fallbacks}")
         if self.depth_rejections:
             parts.append(f"depth_rejections={self.depth_rejections}")
-        if self.worker_crashes:
-            parts.append(f"worker_crashes={self.worker_crashes}")
-        if self.worker_restarts:
-            parts.append(f"worker_restarts={self.worker_restarts}")
-        if self.quarantined:
-            parts.append(f"quarantined={self.quarantined}")
-        if self.watchdog_kills:
-            parts.append(f"watchdog_kills={self.watchdog_kills}")
         if self.phases_shed:
             shed = ",".join(f"{k}x{v}" for k, v in sorted(self.phases_shed.items()))
             parts.append(f"shed={shed}")

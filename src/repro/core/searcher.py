@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, Iterator, List, Optional, Sequence
 
 from repro.miniml.ast_nodes import (
     Binding,
@@ -53,7 +53,6 @@ from .enumerator import (
     wildcard_for,
 )
 from .oracle import BudgetExceeded, Oracle
-from .parallel import WorkerPool, resolve_jobs
 from .resilience import (
     Deadline,
     DeadlineExceeded,
@@ -62,7 +61,6 @@ from .resilience import (
     REASON_CRASH,
     REASON_DEADLINE,
     REASON_FALLBACK,
-    RestartPolicy,
 )
 
 
@@ -119,38 +117,11 @@ class SearchConfig:
     eager_enumeration: bool = False
     #: User-supplied change generators (the Section 6 open framework).
     custom_rules: Sequence = ()
-    #: Candidate-checking parallelism for the enumeration phase: ``1``
-    #: (default) is the exact serial code path, an int is that many worker
-    #: processes, ``"auto"`` is one per CPU.  Verdicts are applied in
-    #: enumeration order, so serial and parallel runs produce byte-identical
-    #: suggestions and ranks (see :mod:`repro.core.parallel`).
-    jobs: Union[int, str, None] = 1
-    #: Candidates drained from the worklist per pool round (None = the
-    #: pool's default, ``max(16, 8 * jobs)``).
-    parallel_batch_size: Optional[int] = None
     #: Skip the oracle call for candidates whose structural key was already
     #: tested in this ``search_program`` run, replaying the memoized
     #: verdict instead — suggestions are unchanged by construction; only
     #: duplicate checks are saved (``search.dedup_skipped``).
     dedup: bool = True
-    #: Seed pool workers with a :class:`repro.faults.FaultPlan` (workers
-    #: then run a ``ChaosOracle``) — the fault-injection route the chaos
-    #: tests use.  Defaults to the parent oracle's own plan when the
-    #: parent is itself a ``ChaosOracle``.
-    worker_fault_plan: Optional[object] = None
-    #: Worker-pool supervision knobs (restart backoff, circuit breaker,
-    #: bisection/quarantine budgets); ``None`` uses
-    #: :class:`~repro.core.resilience.RestartPolicy` defaults.
-    supervision: Optional[RestartPolicy] = None
-    #: Per-candidate wall-clock watchdog for pool workers (seconds; None =
-    #: off).  A check that exceeds it is converted to a clean crash
-    #: verdict worker-side — this can change answers vs. serial, so it is
-    #: strictly opt-in.
-    candidate_timeout_seconds: Optional[float] = None
-    #: Per-worker RSS ceiling in MiB (None = off).  A worker that crosses
-    #: it after a check converts that check to a crash verdict and the
-    #: pool recycles its processes.  Opt-in, same caveat as above.
-    worker_rss_limit_mb: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.shed_fraction <= 1.0):
@@ -272,12 +243,6 @@ class Searcher:
         self.stats = SearchStats()
         self.degradation = DegradationReport()
         self._deadline: Optional[Deadline] = None
-        #: Per-search parallel state (see :mod:`repro.core.parallel`): the
-        #: worker pool (None on the serial path), the declarations every
-        #: candidate shares with the armed prefix, and the dedup memo
-        #: mapping candidate structural keys to verdicts.
-        self._pool: Optional[WorkerPool] = None
-        self._prefix_decls: Tuple = ()
         #: One structural keyer per search: the dedup memo, the oracle's
         #: cache/store keys, and the declaration outcome table all intern
         #: subtree keys into this single identity memo
@@ -288,6 +253,7 @@ class Searcher:
         self._dedup_keyer: Optional[StructuralKeyer] = (
             self._keyer if self.config.dedup else None
         )
+        #: The dedup memo: candidate structural key -> verdict.
         self._tested: Dict[object, bool] = {}
 
     def _tick(self, phase: str) -> None:
@@ -344,19 +310,6 @@ class Searcher:
         self._deadline = Deadline(
             self.config.deadline_seconds, self.config.shed_fraction
         )
-        if resolve_jobs(self.config.jobs) > 1:
-            # One pool per search; worker processes spawn lazily on the
-            # first batch, so pools that never see one cost nothing.
-            self._pool = WorkerPool(
-                self.config.jobs,
-                batch_size=self.config.parallel_batch_size,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                events=self.events,
-                supervision=self.config.supervision,
-                candidate_timeout=self.config.candidate_timeout_seconds,
-                rss_limit_mb=self.config.worker_rss_limit_mb,
-            )
         with self.tracer.span("search", decls=len(program.decls)) as sp:
             outcome = SearchOutcome(ok=False, program=program, degradation=report)
             try:
@@ -380,22 +333,6 @@ class Searcher:
                     # check candidates incrementally from there.
                     if self.config.incremental:
                         self.oracle.arm_prefix(program, bad)
-                    self._prefix_decls = tuple(program.decls[:bad])
-                    if self._pool is not None:
-                        store = getattr(self.oracle, "store", None)
-                        self._pool.arm(
-                            self._prefix_decls,
-                            incremental=self.config.incremental,
-                            max_depth=self.oracle.max_depth,
-                            fault_plan=self.config.worker_fault_plan
-                            or getattr(self.oracle, "plan", None),
-                            store_path=str(store.path) if store is not None else None,
-                            depprune=self.config.depprune,
-                            table_decls=tuple(program.decls[: bad + 1])
-                            if self.config.depprune and self.config.incremental
-                            else None,
-                            speculate=getattr(self.oracle, "speculate", True),
-                        )
                     # Search within the failing prefix: later declarations are
                     # ignored entirely, as in the paper ("It does not examine
                     # the third top-level binding").
@@ -406,16 +343,12 @@ class Searcher:
                 report.note(REASON_BUDGET)
             except DeadlineExceeded:
                 report.note(REASON_DEADLINE)
-            finally:
-                if self._pool is not None:
-                    self._pool.shutdown()
             outcome.oracle_calls = self.oracle.calls
             outcome.stats = self.stats
             self._finalize_degradation(report)
             interned = self._keyer.interned
             if interned:
                 self.metrics.incr("search.keys.interned", interned)
-            self._pool = None
             if not outcome.ok:
                 self.metrics.incr("search.suggestions", len(outcome.suggestions))
             sp.set("oracle_calls", self.oracle.calls)
@@ -429,14 +362,7 @@ class Searcher:
         report.prefix_fallbacks = getattr(oracle, "prefix_fallbacks", 0)
         report.depth_rejections = getattr(oracle, "depth_rejections", 0)
         report.crash_samples = list(getattr(oracle, "crash_samples", ()))
-        if self._pool is not None:
-            report.worker_crashes = self._pool.worker_crashes
-            report.worker_restarts = self._pool.restarts
-            report.quarantined = self._pool.quarantined
-            report.watchdog_kills = (
-                self._pool.watchdog_timeouts + self._pool.watchdog_rss
-            )
-        if report.oracle_crashes or report.depth_rejections or report.worker_crashes:
+        if report.oracle_crashes or report.depth_rejections:
             report.note(REASON_CRASH)
         if report.prefix_fallbacks:
             report.note(REASON_FALLBACK)
@@ -626,33 +552,22 @@ class Searcher:
             span = self.tracer.span("enumerate")
         with span as sp:
             calls_before = self.oracle.calls
-            if self._pool is not None:
-                tested = self._drain_pooled(root, worklist, results)
-            else:
-                tested = self._drain_serial(root, worklist, results)
+            tested = self._drain(root, worklist, results)
             sp.set("tested", tested)
             sp.set("successes", len(results))
             sp.set("oracle_calls", self.oracle.calls - calls_before)
         return results
 
-    def _drain_serial(
+    def _drain(
         self,
         root: Program,
         worklist: Deque[ChangeNode],
         results: List[Suggestion],
-        limit: Optional[int] = None,
     ) -> int:
-        """The serial worklist loop (the exact pre-parallel code path when
-        ``jobs=1``), plus the per-search dedup memo.
-
-        ``limit`` bounds how many candidates are processed before
-        returning (used by the pooled drain while the circuit breaker is
-        open, so it can re-probe the pool between serial batches)."""
+        """The worklist loop, plus the per-search dedup memo."""
         tested = 0
-        processed = 0
         keyer = self._dedup_keyer
-        while worklist and (limit is None or processed < limit):
-            processed += 1
+        while worklist:
             change_node = worklist.popleft()
             change = change_node.change
             candidate = replace_at(root, change.path, change.replacement)
@@ -670,112 +585,6 @@ class Searcher:
             self._apply_verdict(change_node, change, candidate, verdict, results, worklist)
         return tested
 
-    def _drain_pooled(
-        self,
-        root: Program,
-        worklist: Deque[ChangeNode],
-        results: List[Suggestion],
-    ) -> int:
-        """The parallel worklist loop: pre-check batches in pool workers,
-        apply verdicts in enumeration order.
-
-        Sound because lazy expansions only ever *append* to the FIFO
-        worklist: everything queued right now will be tested no matter how
-        earlier candidates turn out, so checking a whole batch concurrently
-        changes only wall-clock test order — never which (candidate,
-        verdict) pairs the search applies, nor their order.  Every applied
-        verdict is re-accounted against the parent oracle
-        (:meth:`Oracle.account_verdict`), so budgets, call counts, and the
-        dedup memo behave exactly as in a serial run.
-        """
-        tested = 0
-        pool = self._pool
-        keyer = self._dedup_keyer
-        prefix_decls = self._prefix_decls
-        prefix_len = len(prefix_decls)
-        while worklist:
-            if pool.broken:
-                # Permanently degraded: finish this worklist serially.
-                return tested + self._drain_serial(root, worklist, results)
-            if not pool.ready():
-                # Circuit breaker open: check one batch serially, then ask
-                # again — after the cool-down the breaker half-opens and
-                # the next round goes parallel to probe recovery.
-                tested += self._drain_serial(
-                    root, worklist, results, limit=pool.batch_size
-                )
-                continue
-            # Drain one batch off the front of the worklist.
-            batch = []
-            while worklist and len(batch) < pool.batch_size:
-                change_node = worklist.popleft()
-                change = change_node.change
-                candidate = replace_at(root, change.path, change.replacement)
-                batch.append((change_node, change, candidate))
-            # Ship each distinct unchecked candidate once: its declarations
-            # past the shared prefix, correlated by batch slot.
-            suffixes: List[tuple] = []
-            slot_of_key: Dict[object, int] = {}
-            entries = []
-            for change_node, change, candidate in batch:
-                key = keyer(candidate) if keyer is not None else None
-                slot: Optional[int] = None
-                if key is not None and key in self._tested:
-                    pass  # memo replay at apply time; nothing to ship
-                elif key is not None and key in slot_of_key:
-                    slot = slot_of_key[key]
-                elif self._shares_prefix(candidate, prefix_decls, prefix_len):
-                    slot = len(suffixes)
-                    suffixes.append(tuple(candidate.decls[prefix_len:]))
-                    if key is not None:
-                        slot_of_key[key] = slot
-                # else: unshippable (a change edited the prefix — possible
-                # only via custom rules); checked serially at apply time.
-                entries.append((change_node, change, candidate, key, slot))
-            remaining = (
-                self._deadline.remaining() if self._deadline is not None else None
-            )
-            verdicts = (
-                pool.check_suffixes(suffixes, remaining, self.oracle)
-                if suffixes
-                else []
-            )
-            # Apply in enumeration order; any candidate the pool left
-            # unchecked (crash, per-batch deadline) falls back to the
-            # parent oracle right here, in order.
-            for change_node, change, candidate, key, slot in entries:
-                verdict = self._tested.get(key) if key is not None else None
-                if verdict is not None:
-                    self._count_dedup_skip()
-                else:
-                    pooled = verdicts[slot] if slot is not None else None
-                    self._tick("constructive_tests")
-                    self.metrics.incr(f"enum.tested.{change.rule or 'unknown'}")
-                    tested += 1
-                    if pooled is None:
-                        self.metrics.incr("parallel.fallback_checks")
-                        verdict = self._passes(candidate)
-                    else:
-                        verdict = self.oracle.account_verdict(candidate, pooled)
-                    if key is not None:
-                        self._tested[key] = verdict
-                self._apply_verdict(
-                    change_node, change, candidate, verdict, results, worklist
-                )
-        return tested
-
-    @staticmethod
-    def _shares_prefix(candidate: Program, prefix_decls: Tuple, prefix_len: int) -> bool:
-        """Whether a candidate still holds the armed prefix by identity —
-        the invariant that lets only its suffix cross to workers."""
-        decls = candidate.decls
-        if len(decls) <= prefix_len:
-            return False
-        for i in range(prefix_len):
-            if decls[i] is not prefix_decls[i]:
-                return False
-        return True
-
     def _count_dedup_skip(self) -> None:
         self.stats.dedup_skipped += 1
         self.metrics.incr("search.dedup_skipped")
@@ -792,9 +601,9 @@ class Searcher:
         """Record one (candidate, verdict) pair: suggestion + expansions.
 
         This is the only place enumeration outcomes are produced, shared
-        verbatim by the serial, pooled, and memo-replay paths — which is
-        what makes "byte-identical suggestions" a structural property
-        rather than a testing hope.
+        verbatim by checked and memo-replayed candidates — which is what
+        makes "byte-identical suggestions" with dedup on or off a
+        structural property rather than a testing hope.
         """
         if verdict:
             if not change.is_probe:

@@ -108,14 +108,9 @@ def explain(
     metrics=None,
     events=None,
     label: str = "",
-    jobs: Union[int, str, None] = 1,
     dedup: bool = True,
     store=None,
     shed_fraction: float = 0.85,
-    supervision=None,
-    candidate_timeout_seconds: Optional[float] = None,
-    worker_rss_limit_mb: Optional[float] = None,
-    worker_fault_plan=None,
 ) -> ExplainResult:
     """Search for type-error messages for ``source``.
 
@@ -143,24 +138,12 @@ def explain(
     saying exactly what was given up.  Parse errors of ``source`` still
     raise (they are input errors, not search failures).
 
-    ``jobs`` fans candidate checks across worker processes (``"auto"`` =
-    one per CPU; see :mod:`repro.core.parallel`).  The default ``1`` is
-    the exact serial code path; any value produces byte-identical
-    suggestions and ranks, so parallelism is purely a wall-clock knob.
     ``dedup=False`` disables the per-search duplicate-candidate memo (an
     ablation/debugging escape hatch — the memo never changes answers).
-
-    Robustness knobs (see :mod:`repro.core.resilience`):
     ``shed_fraction`` sets the point inside ``deadline_seconds`` at which
     optional phases start shedding (default 0.85 — the historical
-    behaviour); ``supervision`` is a
-    :class:`~repro.core.resilience.RestartPolicy` governing worker
-    respawn backoff, the circuit breaker, and poison-candidate
-    quarantine; ``candidate_timeout_seconds``/``worker_rss_limit_mb``
-    arm the per-candidate wall-clock and per-worker RSS watchdogs that
-    convert runaway checks into clean ``crash`` verdicts.
-    ``worker_fault_plan`` injects a :class:`~repro.faults.FaultPlan`
-    into pooled workers (chaos testing only).
+    behaviour).  The search itself is always serial; to use several
+    processes, explain several programs with :func:`explain_many`.
 
     ``tracer``/``metrics``/``events`` (see :mod:`repro.obs`) switch on
     telemetry: a :class:`~repro.obs.Tracer` records a Perfetto-loadable
@@ -197,9 +180,7 @@ def explain(
             program = parse_program(source)
     else:
         program = source
-    events.emit(
-        "search_started", label=label, decls=len(program.decls), jobs=jobs
-    )
+    events.emit("search_started", label=label, decls=len(program.decls))
     store_obj = None
     owns_store = False
     if store is not None:
@@ -234,13 +215,8 @@ def explain(
         triage_strategy=triage_strategy,
         eager_enumeration=eager_enumeration,
         custom_rules=custom_rules,
-        jobs=jobs,
         dedup=dedup,
         shed_fraction=shed_fraction,
-        supervision=supervision,
-        candidate_timeout_seconds=candidate_timeout_seconds,
-        worker_rss_limit_mb=worker_rss_limit_mb,
-        worker_fault_plan=worker_fault_plan,
     )
     searcher = Searcher(
         oracle=oracle,
@@ -393,10 +369,9 @@ def explain_many(
     ``python -m repro explain --jobs N FILE...``.
 
     Entries come back in input order, one per source, regardless of which
-    worker finished when.  ``jobs`` parallelizes *across programs* (each
-    worker runs a whole serial ``explain`` per task — no nested pools);
-    per-candidate parallelism within a single program is ``explain``'s own
-    ``jobs`` parameter instead.  Remaining keyword arguments are forwarded
+    worker finished when.  ``jobs`` parallelizes *across programs*: each
+    worker process runs a whole serial ``explain`` per task (see
+    :mod:`repro.core.parallel`).  Remaining keyword arguments are forwarded
     to :func:`explain` verbatim; with ``jobs > 1`` they must be picklable
     (in particular ``oracle``/``tracer``/``metrics``/``events`` objects
     cannot cross process boundaries — leave them unset for parallel
@@ -405,9 +380,10 @@ def explain_many(
     :attr:`BatchEntry.metrics` for the caller to merge
     (``MetricsRegistry.merge_snapshot``).
 
-    Fault tolerance matches the candidate pool: a worker-process failure
-    degrades, never raises — affected programs are transparently re-run
-    serially in the parent.
+    Crash isolation is per file: a worker-process failure degrades, never
+    raises — every program whose entry did not come back is re-run
+    serially in the parent, so every entry carries the serial answer
+    either way.
     """
     source_list = list(sources)
     if labels is None:

@@ -20,8 +20,6 @@ from .report import collect, generate_report  # noqa: F401
 from .study import FileOutcome, StudyResult, analyze_file, run_study  # noqa: F401
 from .timing import (  # noqa: F401
     CONFIGURATIONS,
-    ParallelComparison,
     TimingResult,
-    run_parallel_comparison,
     run_timing_study,
 )

@@ -22,11 +22,9 @@ of a single opaque wall-clock number.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
-from repro.core.parallel import resolve_jobs
 from repro.core.seminal import explain
 from repro.corpus.generator import Corpus
 from repro.obs import MetricsRegistry, Tracer
@@ -101,7 +99,7 @@ class TimingResult:
                 out[phase] = registry.histogram(hist_name).total
         return out
 
-    def to_run_report(self, name: str, jobs: int = 1) -> "RunReport":
+    def to_run_report(self, name: str) -> "RunReport":
         """One configuration's registry as a :class:`~repro.obs.RunReport`.
 
         The resulting document is what ``repro report --diff`` consumes, so
@@ -115,7 +113,6 @@ class TimingResult:
         return RunReport.from_run(
             registry,
             label=name,
-            jobs=jobs,
             elapsed_seconds=sum(self.curves.get(name, ())),
         )
 
@@ -151,7 +148,6 @@ def run_timing_study(
     configurations: Optional[Dict[str, dict]] = None,
     max_oracle_calls: Optional[int] = 20000,
     deadline_seconds: Optional[float] = None,
-    jobs: Union[int, str, None] = 1,
 ) -> TimingResult:
     """Time :func:`explain` on every representative under each configuration.
 
@@ -164,12 +160,6 @@ def run_timing_study(
     files that hit it (or the oracle budget) still contribute a time and a
     best-effort outcome, and are counted in ``TimingResult.degraded_runs``
     — the CDF's tail is then the deadline by construction.
-
-    ``jobs`` turns on per-candidate parallel checking inside each search
-    (``"auto"`` = one worker per CPU).  Answers and oracle-call counts are
-    byte-identical either way (see :mod:`repro.core.parallel`), so curves
-    measured at different ``jobs`` are directly comparable — which is what
-    :func:`run_parallel_comparison` does.
     """
     configurations = configurations if configurations is not None else CONFIGURATIONS
     files = corpus.representatives
@@ -187,7 +177,6 @@ def run_timing_study(
                     corpus_file.program,
                     max_oracle_calls=max_oracle_calls,
                     deadline_seconds=deadline_seconds,
-                    jobs=jobs,
                     tracer=tracer,
                     metrics=registry,
                     **kwargs,
@@ -200,83 +189,3 @@ def run_timing_study(
         result.degraded_runs[name] = degraded
         result.metrics[name] = registry
     return result
-
-
-@dataclass
-class ParallelComparison:
-    """Serial-vs-parallel wall time over one corpus slice.
-
-    ``serial_seconds``/``parallel_seconds`` are per-file, in corpus order;
-    the oracle-call lists are recorded for both runs and must be identical
-    (determinism — asserted by the benchmark, reported here for the
-    empirical study's tables).
-    """
-
-    jobs: int = 1
-    serial_seconds: List[float] = field(default_factory=list)
-    parallel_seconds: List[float] = field(default_factory=list)
-    serial_calls: List[int] = field(default_factory=list)
-    parallel_calls: List[int] = field(default_factory=list)
-
-    @property
-    def serial_total(self) -> float:
-        return sum(self.serial_seconds)
-
-    @property
-    def parallel_total(self) -> float:
-        return sum(self.parallel_seconds)
-
-    @property
-    def speedup(self) -> float:
-        """Serial / parallel wall time (>1 means parallel won)."""
-        if self.parallel_total <= 0:
-            return float("inf") if self.serial_total > 0 else 1.0
-        return self.serial_total / self.parallel_total
-
-    @property
-    def calls_match(self) -> bool:
-        return self.serial_calls == self.parallel_calls
-
-    def render(self) -> str:
-        return (
-            f"serial {self.serial_total:.3f}s vs parallel(jobs={self.jobs}) "
-            f"{self.parallel_total:.3f}s over {len(self.serial_seconds)} files "
-            f"-> {self.speedup:.2f}x "
-            f"(oracle calls {'identical' if self.calls_match else 'DIVERGED'})"
-        )
-
-
-def run_parallel_comparison(
-    corpus: Corpus,
-    max_files: Optional[int] = None,
-    jobs: Union[int, str, None] = "auto",
-    max_oracle_calls: Optional[int] = 20000,
-    **explain_kwargs,
-) -> ParallelComparison:
-    """Time every representative serially and again with ``jobs`` workers.
-
-    The serial pass always runs first (so worker warm-up never pollutes
-    it), each file is measured with the monotonic clock, and oracle-call
-    counts are recorded from both passes — equal counts are the cheap
-    proxy for the byte-identical-answers guarantee the benchmark asserts
-    in full.
-    """
-    files = corpus.representatives
-    if max_files is not None:
-        files = files[:max_files]
-    comparison = ParallelComparison(jobs=resolve_jobs(jobs))
-    for pass_jobs, seconds, calls in (
-        (1, comparison.serial_seconds, comparison.serial_calls),
-        (jobs, comparison.parallel_seconds, comparison.parallel_calls),
-    ):
-        for corpus_file in files:
-            start = time.perf_counter()
-            outcome = explain(
-                corpus_file.program,
-                max_oracle_calls=max_oracle_calls,
-                jobs=pass_jobs,
-                **explain_kwargs,
-            )
-            seconds.append(time.perf_counter() - start)
-            calls.append(outcome.oracle_calls)
-    return comparison

@@ -18,19 +18,13 @@ deterministic, seeded schedule —
 * **snapshot poisoning** (``poison_snapshot_after``): once armed, the
   prefix snapshot is wrapped so any use of it explodes, exercising the
   self-healing incremental fallback (``oracle.prefix.fallbacks``);
-* **hangs** (``hang_every``/``hang_seconds``): every Nth check stalls,
-  exercising the pool's hung-worker detection and the per-candidate
-  wall-clock watchdog;
-* **poison candidates** (``poison_digest``/``poison_kind``): any check of
-  the candidate with this structural digest crashes — *reproducibly*, by
-  content rather than schedule — exercising bisection quarantine (see
-  :func:`poison_candidate_plan`);
-* **flaky store I/O** (``store_fail_every``/``store_fail_streak``):
-  :class:`FlakyStore` raises ``OSError`` from the verdict store's segment
-  read/write seams on a deterministic schedule, exercising the
-  ``repro.core.retry`` policy and the degrade-to-cache-miss path;
-* **memory hogging** (``hog_every``/``hog_bytes``): every Nth check leaks
-  a ballast allocation, exercising the per-worker RSS watchdog.
+* **stale declaration tables** (``stale_decl_table``): every Nth check
+  marks the armed outcome table stale, so replays must degrade to real
+  checks;
+* **flaky store I/O** (a :class:`FlakyStore` passed as ``store=``):
+  ``OSError`` from the verdict store's segment read/write seams on a
+  deterministic schedule, exercising the ``repro.core.retry`` policy and
+  the degrade-to-cache-miss path.
 
 Schedules key off the oracle's own call counter, so a given
 ``(plan, program)`` pair replays identically — chaos tests are ordinary
@@ -45,7 +39,6 @@ every failure mode on every corpus program (see ``tests/faults``).
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, fields
@@ -76,12 +69,8 @@ class FaultPlan:
     name: str = "chaos"
     #: Raise on every Nth oracle check (1 = every check).
     crash_every: Optional[int] = None
-    #: Flavour of injected crashes: "runtime" or "recursion" raise an
-    #: exception through the crash-isolation guard; "hard-exit" kills the
-    #: whole process with ``os._exit`` — no guard can catch that, so it is
-    #: only meaningful routed into a parallel pool worker (via
-    #: ``SearchConfig.worker_fault_plan``), where it exercises true
-    #: worker-death degradation.  In-process it would kill the test runner.
+    #: Flavour of injected crashes: "runtime" or "recursion", both raised
+    #: through the crash-isolation guard.
     crash_kind: str = "runtime"
     #: Sleep before every Nth check.
     latency_every: Optional[int] = None
@@ -91,25 +80,6 @@ class FaultPlan:
     corrupt_cache_every: Optional[int] = None
     #: Poison the armed prefix snapshot from the Nth check onward.
     poison_snapshot_after: Optional[int] = None
-    #: Stall (sleep) before every Nth check — a "hung worker" in miniature.
-    hang_every: Optional[int] = None
-    hang_seconds: float = 0.05
-    #: Crash any check of the candidate whose structural digest (see
-    #: :func:`repro.store.fingerprint.key_digest`) matches — content-keyed,
-    #: so it reproduces on retry where schedule crashes do not.
-    poison_digest: Optional[str] = None
-    #: Flavour of the poison crash: "hard-exit" (kill the process; pool
-    #: workers only) or "runtime" (raise through the crash guard).
-    poison_kind: str = "hard-exit"
-    #: Inject an OSError from every Nth verdict-store segment I/O
-    #: operation (via :class:`FlakyStore`), each failure repeating for
-    #: ``store_fail_streak`` consecutive attempts (a streak >= the retry
-    #: policy's attempt budget exhausts the retry and degrades).
-    store_fail_every: Optional[int] = None
-    store_fail_streak: int = 1
-    #: Leak ``hog_bytes`` of ballast before every Nth check.
-    hog_every: Optional[int] = None
-    hog_bytes: int = 1 << 20
     #: Mark the armed declaration outcome table stale on every Nth check:
     #: every replay-time fingerprint verification must then refuse,
     #: degrading replays to real checks — correct answers, never wrong.
@@ -120,10 +90,7 @@ class FaultPlan:
     def active(self) -> bool:
         return any(
             getattr(self, f.name) for f in fields(self)
-            if f.name not in (
-                "name", "crash_kind", "seed", "latency_seconds",
-                "hang_seconds", "poison_kind", "store_fail_streak", "hog_bytes",
-            )
+            if f.name not in ("name", "crash_kind", "seed", "latency_seconds")
         )
 
     def crash_exception(self) -> BaseException:
@@ -151,38 +118,15 @@ def standard_fault_plans() -> Dict[str, FaultPlan]:
         "snapshot-poison": FaultPlan(
             name="snapshot-poison", poison_snapshot_after=1
         ),
-        "worker-hang": FaultPlan(
-            name="worker-hang", hang_every=3, hang_seconds=0.0005
-        ),
-        "flaky-store": FaultPlan(name="flaky-store", store_fail_every=2),
-        "memory-hog": FaultPlan(
-            name="memory-hog", hog_every=4, hog_bytes=1 << 16
-        ),
         "stale-decl-table": FaultPlan(
             name="stale-decl-table", stale_decl_table=1
         ),
     }
 
 
-def poison_candidate_plan(
-    digest: str, *, kind: str = "hard-exit", name: str = "poison-candidate"
-) -> FaultPlan:
-    """A plan that kills any worker checking one specific candidate.
-
-    ``digest`` is the candidate's structural digest
-    (``key_digest(keyer(program))``); matching is by content, so the
-    crash reproduces on every retry — the shape bisection quarantine
-    exists for.  Never added to :func:`standard_fault_plans`: the default
-    "hard-exit" kind run in-process would kill the test runner; route it
-    into pool workers via ``SearchConfig.worker_fault_plan``.
-    """
-    return FaultPlan(name=name, poison_digest=digest, poison_kind=kind)
-
-
 #: Template for :attr:`ChaosOracle.injected` (one key per fault family).
 _INJECTED_ZERO: Dict[str, int] = {
-    "crash": 0, "latency": 0, "cache": 0, "snapshot": 0,
-    "hang": 0, "poison": 0, "hog": 0, "stale": 0,
+    "crash": 0, "latency": 0, "cache": 0, "snapshot": 0, "stale": 0,
 }
 
 
@@ -223,22 +167,12 @@ class ChaosOracle(Oracle):
         self.plan = plan
         self._sleep = sleep
         self._rng = random.Random(plan.seed)
-        self._ballast: list = []
         self.injected: Dict[str, int] = dict(_INJECTED_ZERO)
 
     def reset(self) -> None:
         super().reset()
         self._rng = random.Random(self.plan.seed)
-        self._ballast = []
         self.injected = dict(_INJECTED_ZERO)
-
-    def _poison_match(self, program) -> bool:
-        from repro.store.fingerprint import key_digest
-
-        try:
-            return key_digest(self._key(program)) == self.plan.poison_digest
-        except Exception:
-            return False
 
     def _check_once(self, program):
         # ``check`` has already incremented ``calls``, so the schedule
@@ -248,17 +182,6 @@ class ChaosOracle(Oracle):
         if plan.latency_every and n % plan.latency_every == 0:
             self.injected["latency"] += 1
             self._sleep(plan.latency_seconds)
-        if plan.hang_every and n % plan.hang_every == 0:
-            self.injected["hang"] += 1
-            self._sleep(plan.hang_seconds)
-        if plan.hog_every and n % plan.hog_every == 0:
-            self.injected["hog"] += 1
-            self._ballast.append(bytearray(plan.hog_bytes))
-        if plan.poison_digest is not None and self._poison_match(program):
-            self.injected["poison"] += 1
-            if plan.poison_kind == "hard-exit":
-                os._exit(23)
-            raise ChaosCrash(f"[{plan.name}] injected poison-candidate crash")
         if (
             plan.poison_snapshot_after is not None
             and n >= plan.poison_snapshot_after
@@ -279,8 +202,6 @@ class ChaosOracle(Oracle):
             self._decl_table.stale = True
         if plan.crash_every and n % plan.crash_every == 0:
             self.injected["crash"] += 1
-            if plan.crash_kind == "hard-exit":
-                os._exit(23)
             raise plan.crash_exception()
         result = super()._check_once(program)
         if (
@@ -309,8 +230,7 @@ class ChaosOracle(Oracle):
 
 class FlakyStore(VerdictStore):
     """A :class:`~repro.store.VerdictStore` whose segment I/O fails on a
-    deterministic schedule — the fault route behind the ``flaky-store``
-    plan.
+    deterministic schedule.
 
     Every ``fail_every``-th segment I/O attempt raises ``OSError``, and
     each failure repeats for ``fail_streak - 1`` further attempts: a
@@ -318,7 +238,7 @@ class FlakyStore(VerdictStore):
     or past the retry policy's attempt budget exhausts the retry and
     exercises the degrade path (read → segment skipped, write → verdicts
     recomputed by the next process).  The schedule counts attempts
-    (retries included), so a given (plan, workload, policy) triple
+    (retries included), so a given (schedule, workload, policy) triple
     replays identically.
     """
 

@@ -21,7 +21,7 @@ The paper's efficiency claims (Section 3.2, Figures 5-7) are about oracle
 * :class:`EventLog` — the flight recorder's JSONL lifecycle log
   (``--events``): one schema-versioned line per event (search started /
   finished, phase shed, oracle crash with traceback sample, deadline hit,
-  worker crash, degradation report, final suggestion ranks).
+  degradation report, final suggestion ranks).
 * Exporters (:mod:`repro.obs.export`) — Prometheus text exposition of a
   registry and the :class:`RunReport` run-summary JSON document; both
   deterministic, so golden files and checked-in baselines work.

@@ -3,7 +3,7 @@
 Where the tracer answers *when* (span timelines) and the metrics registry
 answers *how much* (counters/histograms), the event log answers *what
 happened*: a search started, a phase was shed, the oracle crashed (with a
-traceback sample), a deadline fired, a worker died, the final suggestions
+traceback sample), a deadline fired, the final suggestions
 came out ranked 1..n.  The record is append-only JSONL with a stable
 schema version, so a run can be reconstructed — and regression-compared
 via ``python -m repro report`` — long after the process is gone.
@@ -15,11 +15,9 @@ Schema (version :data:`SCHEMA_VERSION`): every line is a JSON object with
 * ``t`` — seconds since the log was opened (monotonic clock, so event
   ordering survives wall-clock adjustments);
 * ``type`` — the event name (``search_started``, ``phase_shed``,
-  ``oracle_crash``, ``degraded``, ``worker_crash``, ``degradation``,
-  ``suggestions``, ``search_finished``, ``metrics``, and the supervision
-  family: ``worker_hang``, ``worker_restart``, ``breaker_open``,
-  ``breaker_half_open``, ``breaker_closed``, ``quarantine``,
-  ``watchdog_kill``, ``store_io_error``, ...);
+  ``oracle_crash``, ``degraded``, ``degradation``, ``suggestions``,
+  ``search_finished``, ``metrics``, ``store``, ``store_io_error``,
+  ``profile``, ...);
 * any event-specific fields.
 
 The first line is always a ``log_started`` header carrying the producing

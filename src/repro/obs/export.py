@@ -219,10 +219,6 @@ def degradation_as_dict(report) -> Dict[str, Any]:
         "oracle_crashes": report.oracle_crashes,
         "prefix_fallbacks": report.prefix_fallbacks,
         "depth_rejections": report.depth_rejections,
-        "worker_crashes": report.worker_crashes,
-        "worker_restarts": getattr(report, "worker_restarts", 0),
-        "quarantined": getattr(report, "quarantined", 0),
-        "watchdog_kills": getattr(report, "watchdog_kills", 0),
         "phases_shed": dict(report.phases_shed),
         "elapsed_seconds": report.elapsed_seconds,
         "deadline_seconds": report.deadline_seconds,

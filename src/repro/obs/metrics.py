@@ -14,22 +14,20 @@ every call and records nothing.
 
 Counter names are dotted families, minted where the count happens: the
 oracle's ``oracle.*`` (calls, cache, prefix reuse, ``oracle.store.*`` for
-retried store I/O), the enumerator/searcher's ``changes.*``/``search.*``,
-and the worker pool's ``parallel.*`` — including the supervision family
-(``parallel.restarts``, ``parallel.worker_hangs``, ``parallel.breaker.*``,
-``parallel.quarantine.*``, ``parallel.watchdog.*``) that
-``repro report``'s supervision table reads back.
+retried store I/O, which ``repro report``'s supervision table reads
+back), and the enumerator/searcher's ``changes.*``/``search.*``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 Number = Union[int, float]
 
 #: Fixed histogram bucket boundaries (seconds-flavoured, Prometheus style).
-#: Shared by every process so bucket counts merge exactly: a worker's
-#: histogram snapshot and the parent's registry bucket identically, and the
+#: Shared by every process so bucket counts merge exactly: a batch
+#: worker's histogram snapshot and the parent's registry bucket
+#: identically, and the
 #: Prometheus exposition (:func:`repro.obs.export.render_prometheus`) is
 #: stable across hosts.  ``+Inf`` is implicit.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
@@ -208,8 +206,8 @@ class Histogram:
         Associative: scalar sums/extremes and per-bucket tallies are
         order-insensitive, and the retained samples concatenate in merge
         order then truncate to the cap — ``((a+b)+c`` and ``a+(b+c)``
-        retain the identical list — the determinism the parallel
-        aggregation relies on.
+        retain the identical list — the determinism batch aggregation
+        relies on.
         """
         if other._count == 0:
             return
@@ -391,8 +389,8 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """A plain-data copy of the whole registry.
 
-        The wire format worker processes ship back to the pool (and the
-        ``metrics`` section of a :class:`~repro.obs.export.RunReport`):
+        The wire format batch workers ship home in each
+        :class:`~repro.core.seminal.BatchEntry` (and the ``metrics`` section of a :class:`~repro.obs.export.RunReport`):
         JSON- and pickle-friendly, no live objects.
         """
         return {
@@ -402,22 +400,9 @@ class MetricsRegistry:
             },
         }
 
-    def merge_snapshot(
-        self, snapshot: Dict[str, Any], *, skip_counter_prefixes: Iterable[str] = ()
-    ) -> None:
-        """Fold a :meth:`snapshot` dict into this registry, in name order.
-
-        ``skip_counter_prefixes`` drops counters the receiver re-accounts
-        itself — the pool uses it to exclude worker-side ``oracle.*``
-        counters, which the parent oracle replays per *applied* verdict so
-        that ``jobs=N`` counter totals stay byte-identical to serial (a
-        worker may check candidates the search never applies, e.g. past a
-        budget-exhaustion point).
-        """
-        prefixes = tuple(skip_counter_prefixes)
+    def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
+        """Fold a :meth:`snapshot` dict into this registry, in name order."""
         for name in sorted(snapshot.get("counters", ())):
-            if prefixes and name.startswith(prefixes):
-                continue
             value = snapshot["counters"][name]
             if value:
                 self.incr(name, value)
@@ -488,7 +473,7 @@ class NullMetrics:
     def snapshot(self) -> Dict[str, Any]:
         return {"counters": {}, "histograms": {}}
 
-    def merge_snapshot(self, snapshot, *, skip_counter_prefixes=()) -> None:
+    def merge_snapshot(self, snapshot) -> None:
         pass
 
 

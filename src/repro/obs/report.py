@@ -5,15 +5,14 @@ Reads one or more RunReport JSON documents and/or JSONL event logs (the
 into one aggregate, and prints the tables the paper's efficiency story is
 told in: per-phase oracle-call and time shares, the incremental-oracle
 breakdown (prefix reuse, cache rates), resilience counts (crashes, sheds,
-worker deaths), and the rank distribution of the final suggestions.
+store I/O retries), and the rank distribution of the final suggestions.
 
 ``--diff BASELINE`` compares the aggregate against a checked-in baseline
 (itself a RunReport, e.g. ``benchmarks/results/report_baseline.json``) and
 exits non-zero when any *cost* counter — oracle calls, full checks,
 crashes, per-phase tests — grew beyond ``--threshold`` (relative, default
-exact).  Counters are deterministic for a given corpus program (parallel
-runs merge to byte-identical totals — see :mod:`repro.core.parallel`), so
-the diff is a real regression gate, not a noise filter; timings are
+exact).  Counters are deterministic for a given corpus program (batch
+runs merge per-file snapshots to the serial totals), so the diff is a real regression gate, not a noise filter; timings are
 summarised but never diffed.
 """
 
@@ -49,8 +48,6 @@ COST_COUNTER_PREFIXES: Tuple[str, ...] = (
     "search.triage_tests",
     "search.shed.",
     "search.degraded",
-    "parallel.worker_crashes",
-    "parallel.fallback_checks",
     "enum.tested.",
 )
 
@@ -84,19 +81,6 @@ class RunAggregate:
     #: Phase -> shed count (from degradation reports / events).
     phases_shed: Dict[str, int] = field(default_factory=dict)
     crash_samples: List[str] = field(default_factory=list)
-    #: Totals from ``degradation`` summaries (events or RunReport files).
-    worker_crashes: int = 0
-    worker_restarts: int = 0
-    quarantined: int = 0
-    watchdog_kills: int = 0
-    #: Tallies of the *per-occurrence* events.  A supervised run records
-    #: each incident twice — once as it happens, once in the end-of-run
-    #: degradation summary — so these are kept apart from the summary
-    #: totals above and reconciled with ``max`` at render time.
-    crash_events: int = 0
-    restart_events: int = 0
-    quarantine_events: int = 0
-    watchdog_events: int = 0
     degraded_runs: int = 0
     elapsed_seconds: float = 0.0
     #: Function -> summed profile row (``--profile`` events), keyed by the
@@ -134,10 +118,6 @@ class RunAggregate:
     def add_degradation(self, deg: Dict[str, Any]) -> None:
         for phase, count in (deg.get("phases_shed") or {}).items():
             self.phases_shed[phase] = self.phases_shed.get(phase, 0) + count
-        self.worker_crashes += deg.get("worker_crashes", 0) or 0
-        self.worker_restarts += deg.get("worker_restarts", 0) or 0
-        self.quarantined += deg.get("quarantined", 0) or 0
-        self.watchdog_kills += deg.get("watchdog_kills", 0) or 0
         self.crash_samples.extend(deg.get("crash_samples") or [])
 
     def add_report(self, report: RunReport, source: str) -> None:
@@ -193,14 +173,6 @@ class RunAggregate:
                 self.add_degradation(event)
             elif kind == "profile":
                 self.add_profile(event.get("hotspots") or [])
-            elif kind in ("worker_crash", "worker_hang"):
-                self.crash_events += 1
-            elif kind == "worker_restart":
-                self.restart_events += 1
-            elif kind == "quarantine":
-                self.quarantine_events += 1
-            elif kind == "watchdog_kill":
-                self.watchdog_events += int(event.get("count", 1) or 1)
             elif kind == "oracle_crash":
                 sample = event.get("error")
                 if sample:
@@ -257,14 +229,6 @@ def aggregate_files(paths: Sequence[str]) -> RunAggregate:
         for phase, count in part.phases_shed.items():
             total.phases_shed[phase] = total.phases_shed.get(phase, 0) + count
         total.crash_samples.extend(part.crash_samples)
-        total.worker_crashes += part.worker_crashes
-        total.worker_restarts += part.worker_restarts
-        total.quarantined += part.quarantined
-        total.watchdog_kills += part.watchdog_kills
-        total.crash_events += part.crash_events
-        total.restart_events += part.restart_events
-        total.quarantine_events += part.quarantine_events
-        total.watchdog_events += part.watchdog_events
         total.elapsed_seconds += part.elapsed_seconds
         for func, row in part.profile_rows.items():
             total.add_profile([dict(row, func=func)])
@@ -439,9 +403,6 @@ def render_aggregate(agg: RunAggregate) -> str:
         ("oracle crashes", agg.value("oracle.crashes")),
         ("depth rejections", agg.value("oracle.depth_rejected")),
         ("prefix fallbacks", agg.value("oracle.prefix.fallbacks")),
-        ("worker crashes",
-         max(agg.worker_crashes, agg.crash_events,
-             agg.value("parallel.worker_crashes"))),
     ]
     shed_total = sum(agg.phases_shed.values())
     if any(v for _, v in crash_rows) or shed_total:
@@ -457,56 +418,16 @@ def render_aggregate(agg: RunAggregate) -> str:
             )
             lines.extend(_table([("phases shed", shed)]))
 
-    restarts = max(agg.worker_restarts, agg.restart_events,
-                   agg.value("parallel.restarts"))
-    quarantined = max(agg.quarantined, agg.quarantine_events,
-                      agg.value("parallel.quarantined"))
-    watchdog = max(
-        agg.watchdog_kills,
-        agg.watchdog_events,
-        agg.value("parallel.watchdog.timeouts") + agg.value("parallel.watchdog.rss"),
-    )
-    hangs = agg.value("parallel.worker_hangs")
-    breaker_opens = agg.value("parallel.breaker.open")
-    breaker_half = agg.value("parallel.breaker.half_open")
-    breaker_closed = agg.value("parallel.breaker.closed")
-    q_hits = agg.value("parallel.quarantine.hits")
-    q_probes = agg.value("parallel.quarantine.probes")
     io_retries = agg.value("oracle.store.retries")
     io_errors = agg.value("oracle.store.io_errors")
-    if any(
-        (restarts, quarantined, watchdog, hangs,
-         breaker_opens, breaker_half, breaker_closed,
-         q_hits, q_probes, io_retries, io_errors)
-    ):
+    if io_retries or io_errors:
         lines.append("")
         lines.append("supervision:")
-        rows = []
-        if restarts:
-            rows.append(("worker restarts", str(restarts)))
-        if hangs:
-            rows.append(("worker hangs", str(hangs)))
-        if breaker_opens or breaker_half or breaker_closed:
-            rows.append(
-                ("breaker open/half/closed",
-                 f"{breaker_opens} / {breaker_half} / {breaker_closed}")
+        lines.extend(
+            _table(
+                [("store io retries / errors", f"{io_retries} / {io_errors}")]
             )
-        if quarantined or q_hits or q_probes:
-            rows.append(("quarantined candidates", str(quarantined)))
-            rows.append(
-                ("quarantine hits / probes", f"{q_hits} / {q_probes}")
-            )
-        if watchdog:
-            rows.append(
-                ("watchdog kills",
-                 f"{watchdog} (timeout={agg.value('parallel.watchdog.timeouts')}"
-                 f" rss={agg.value('parallel.watchdog.rss')})")
-            )
-        if io_retries or io_errors:
-            rows.append(
-                ("store io retries / errors", f"{io_retries} / {io_errors}")
-            )
-        lines.extend(_table(rows))
+        )
 
     if agg.span_seconds:
         span_total = sum(agg.span_seconds.values())
@@ -666,30 +587,12 @@ def aggregate_to_report(agg: RunAggregate) -> RunReport:
         for rank, count in sorted(agg.rank_counts.items())
         for _ in range(count)
     ]
-    crashes = max(agg.worker_crashes, agg.crash_events,
-                  agg.value("parallel.worker_crashes"))
-    restarts = max(agg.worker_restarts, agg.restart_events,
-                   agg.value("parallel.restarts"))
-    quarantined = max(agg.quarantined, agg.quarantine_events,
-                      agg.value("parallel.quarantined"))
-    watchdog = max(
-        agg.watchdog_kills,
-        agg.watchdog_events,
-        agg.value("parallel.watchdog.timeouts") + agg.value("parallel.watchdog.rss"),
-    )
-    if (
-        agg.phases_shed or crashes or agg.crash_samples
-        or restarts or quarantined or watchdog
-    ):
+    if agg.phases_shed or agg.crash_samples:
         report.degradation = {
             "reasons": [],
             "oracle_crashes": agg.value("oracle.crashes"),
             "prefix_fallbacks": agg.value("oracle.prefix.fallbacks"),
             "depth_rejections": agg.value("oracle.depth_rejected"),
-            "worker_crashes": crashes,
-            "worker_restarts": restarts,
-            "quarantined": quarantined,
-            "watchdog_kills": watchdog,
             "phases_shed": dict(agg.phases_shed),
             "elapsed_seconds": agg.elapsed_seconds,
             "deadline_seconds": None,

@@ -52,17 +52,6 @@ class Span:
     def set(self, key: str, value: Any) -> None:
         self.args[key] = value
 
-    @property
-    def start_ts_us(self) -> float:
-        """Start time in the owning tracer's timebase (µs since its epoch).
-
-        The rebase anchor for :meth:`Tracer.merge_events`: a worker's
-        events, whose timestamps are relative to the *worker's* epoch, are
-        shifted by this amount to nest under the parent span that awaited
-        them.
-        """
-        return (self._start_ns - self._tracer._epoch_ns) / 1000.0
-
     def __enter__(self) -> "Span":
         self._tracer._depth += 1
         self._start_ns = time.perf_counter_ns()
@@ -164,37 +153,6 @@ class Tracer:
             if e["ph"] == "X" and (name is None or e["name"] == name)
         ]
 
-    def merge_events(
-        self,
-        events: List[Dict[str, Any]],
-        *,
-        base_ts_us: float = 0.0,
-        tid: Optional[int] = None,
-        extra_args: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Absorb events recorded by another tracer (typically a worker's).
-
-        Each event is copied with its timestamp rebased into this tracer's
-        timebase (``ts += base_ts_us`` — pass the awaiting span's
-        :attr:`Span.start_ts_us` so the foreign events nest under it),
-        optionally re-tracked onto ``tid`` (the worker pid makes each
-        worker its own Perfetto lane), and annotated with ``extra_args``
-        (batch id, worker pid) so re-parented spans stay attributable
-        after the merge.  No-op when event recording is off.
-        """
-        if not self._keep_events or not events:
-            return
-        for event in events:
-            merged = dict(event)
-            merged["ts"] = merged.get("ts", 0.0) + base_ts_us
-            if tid is not None:
-                merged["tid"] = tid
-            if extra_args:
-                args = dict(merged.get("args") or {})
-                args.update(extra_args)
-                merged["args"] = args
-            self._events.append(merged)
-
     def to_chrome_trace(self) -> Dict[str, Any]:
         """The Chrome Trace Event Format object Perfetto loads directly."""
         return {
@@ -224,7 +182,6 @@ class _NullSpan:
     __slots__ = ()
     name = ""
     args: Dict[str, Any] = {}
-    start_ts_us = 0.0
 
     def set(self, key: str, value: Any) -> None:
         pass
@@ -267,9 +224,6 @@ class NullTracer:
 
     def spans(self, name: Optional[str] = None) -> List[Dict[str, Any]]:
         return []
-
-    def merge_events(self, events, *, base_ts_us=0.0, tid=None, extra_args=None) -> None:
-        pass
 
     def reset(self) -> None:
         pass

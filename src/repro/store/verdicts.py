@@ -11,8 +11,8 @@ Each segment is JSON Lines: a header line carrying the schema version and
 the checker fingerprint the segment was written under, then one line per
 verdict.  Writers build a segment in a ``.tmp-*`` file and *publish* it
 with an atomic :func:`os.replace` — readers therefore only ever see whole
-segments, which is what lets concurrent batch runs and pool workers share
-one store directory without locks.  A reader that still encounters a torn
+segments, which is what lets concurrent batch runs and batch workers
+share one store directory without locks.  A reader that still encounters a torn
 or corrupt line (a crashed writer's leftovers, disk corruption, a future
 schema) skips that line or segment and keeps going: the store degrades to
 a smaller cache, it never raises (the :mod:`repro.core.resilience`
@@ -100,11 +100,7 @@ class VerdictStore:
         Store directory (created unless ``read_only``).
     read_only:
         Open for probing only: :meth:`put` and :meth:`flush` become
-        no-ops.  Pool workers open the store this way — the parent
-        performs all writes when it applies verdicts, which keeps a
-        ``jobs=N`` run byte-identical to ``jobs=1`` and guarantees that
-        candidates a worker checked but the search never applied leave
-        no trace on disk.
+        no-ops (``repro cache stats`` inspects a store this way).
     flush_every:
         Publish a segment automatically after this many buffered writes
         (buffered entries are also visible to :meth:`get` immediately,
@@ -269,15 +265,6 @@ class VerdictStore:
             self._hit_segments[entry.segment] = self._clock()
         return entry
 
-    def note_hit(self, prefix_fp: str, structural_key: object) -> None:
-        """Record recency for a hit observed elsewhere (a pool worker
-        probed read-only; the parent replays the hit when applying the
-        verdict so compaction still sees the segment as live)."""
-        entry = self._index.get((prefix_fp, key_digest(structural_key)))
-        self.hits += 1
-        if entry is not None and entry.segment is not None:
-            self._hit_segments[entry.segment] = self._clock()
-
     def put(
         self,
         prefix_fp: str,
@@ -290,8 +277,7 @@ class VerdictStore:
         """Record a verdict; returns True when it was actually enqueued.
 
         Crash/fallback kinds and read-only stores are silently refused —
-        only clean answers are worth remembering, and only the parent
-        process writes.
+        only clean answers are worth remembering.
         """
         if self.read_only or kind not in STORABLE_KINDS:
             return False

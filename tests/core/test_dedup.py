@@ -9,7 +9,9 @@ skip calls (``search.dedup_skipped``).
 
 from __future__ import annotations
 
-from repro.core import explain
+import os
+
+from repro.core import explain, explain_many
 from repro.core.messages import render_suggestion
 from repro.corpus import generate_corpus
 from repro.obs import MetricsRegistry
@@ -92,9 +94,11 @@ def test_memo_is_per_search():
     ]
 
 
-def test_dedup_works_with_parallel():
+def test_dedup_works_in_batch_workers():
     serial = explain(OVERAPPLIED)
-    pooled = explain(OVERAPPLIED, jobs=2)
-    assert _signature(pooled) == _signature(serial)
-    assert pooled.oracle_calls == serial.oracle_calls
-    assert pooled.stats.dedup_skipped == serial.stats.dedup_skipped
+    entry = explain_many([OVERAPPLIED, FIG2], jobs=2)[0]
+    assert entry.worker_pid != os.getpid()
+    assert _signature(entry.result) == _signature(serial)
+    assert entry.oracle_calls == serial.oracle_calls
+    assert entry.result.stats.dedup_skipped == serial.stats.dedup_skipped
+    assert serial.stats.dedup_skipped > 0

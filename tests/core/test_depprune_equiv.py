@@ -2,12 +2,11 @@
 
 The ISSUE's acceptance bar for the declaration outcome table is *byte
 identity* of everything user-visible: for every corpus representative,
-with pruning on vs off, at ``jobs=1`` and ``jobs=4`` — same suggestions,
-same ranks, same ``--stats`` summary, same event log.  Only the
-``oracle.decl.*`` telemetry (and wall time) may differ.  Additionally the
-per-declaration counters themselves must agree between ``jobs=1`` and
-``jobs=4`` when pruning is on: a worker-checked candidate must account
-exactly like a parent-checked one.
+with pruning on vs off — same suggestions, same ranks, same ``--stats``
+summary, same event log.  Only the ``oracle.decl.*`` telemetry (and wall
+time) may differ.  The toggle also reaches the batch workers of
+``explain_many(jobs=N)``: a file searched in a worker prunes, and accounts
+its per-declaration counters, exactly like a serial search.
 """
 
 import io
@@ -15,7 +14,7 @@ import json
 
 import pytest
 
-from repro.core import explain
+from repro.core import explain, explain_many
 from repro.core.messages import render_suggestion
 from repro.corpus import generate_corpus
 from repro.obs.events import EventLog
@@ -77,14 +76,8 @@ def _stable_counters(metrics):
     }
 
 
-def _decl_counters(metrics):
-    return {
-        k: v for k, v in metrics.counters().items() if k.startswith("oracle.decl.")
-    }
-
-
 class TestSerialEquivalence:
-    def test_corpus_on_vs_off_jobs1(self, corpus_files):
+    def test_corpus_on_vs_off(self, corpus_files):
         replayed_total = 0
         for corpus_file in corpus_files:
             on, m_on, ev_on = _run(corpus_file.program)
@@ -98,31 +91,41 @@ class TestSerialEquivalence:
         assert replayed_total > 0
 
 
-class TestPooledEquivalence:
-    """Pool spawns are expensive, so the jobs=4 sweep runs on the largest
-    representatives — the ones whose searches actually dispatch batches."""
+def _decl_counters(counters):
+    return {k: v for k, v in counters.items() if k.startswith("oracle.decl.")}
+
+
+class TestBatchEquivalence:
+    """File-level fan-out on the largest representatives (the ones whose
+    searches replay the most declarations)."""
 
     def _largest(self, corpus_files, n=6):
         return sorted(
             corpus_files, key=lambda c: len(c.program.decls), reverse=True
         )[:n]
 
-    def test_on_vs_off_jobs4(self, corpus_files):
-        for corpus_file in self._largest(corpus_files):
-            on, m_on, ev_on = _run(corpus_file.program, jobs=4)
-            off, m_off, ev_off = _run(corpus_file.program, jobs=4, depprune=False)
-            assert _visible(on) == _visible(off)
-            assert _events(ev_on) == _events(ev_off)
+    def test_on_vs_off_in_batch_workers(self, corpus_files):
+        programs = [c.program for c in self._largest(corpus_files)]
+        on = explain_many(programs, jobs=2, collect_metrics=True)
+        off = explain_many(programs, jobs=2, depprune=False, collect_metrics=True)
+        for e_on, e_off in zip(on, off):
+            assert _visible(e_on.result) == _visible(e_off.result)
+            assert e_off.metrics["counters"].get("oracle.decl.replayed", 0) == 0
+        assert sum(
+            e.metrics["counters"].get("oracle.decl.replayed", 0) for e in on
+        ) > 0
 
-    def test_decl_counters_jobs4_match_jobs1(self, corpus_files):
-        # The tentpole's parallel contract: a worker-checked candidate
-        # accounts its replay/check split exactly like a parent-checked
-        # one, so the oracle.decl.* family is byte-identical across jobs.
-        for corpus_file in self._largest(corpus_files):
-            serial, m1, _ = _run(corpus_file.program)
-            pooled, m4, _ = _run(corpus_file.program, jobs=4)
-            assert _visible(serial) == _visible(pooled)
-            assert _decl_counters(m1) == _decl_counters(m4)
+    def test_decl_counters_in_batch_match_serial(self, corpus_files):
+        largest = self._largest(corpus_files)
+        entries = explain_many(
+            [c.program for c in largest], jobs=2, collect_metrics=True
+        )
+        for corpus_file, entry in zip(largest, entries):
+            serial, metrics, _ = _run(corpus_file.program)
+            assert _visible(entry.result) == _visible(serial)
+            assert _decl_counters(entry.metrics["counters"]) == _decl_counters(
+                metrics.counters()
+            )
 
 
 class TestRebindingCut:

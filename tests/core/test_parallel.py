@@ -1,53 +1,13 @@
-"""Tests for the parallel candidate-checking layer (`repro.core.parallel`).
-
-The contract under test, in order of importance:
-
-* **Determinism** — any ``jobs`` value produces byte-identical results
-  (rendered reports, suggestion order, oracle-call counts, budget
-  behaviour) to the serial default, across the corpus.
-* **Crash isolation** — a dying worker process (including a hard
-  ``os._exit``) degrades the search, never raises, and the answers still
-  match the serial run because unchecked candidates fall back to the
-  parent oracle.
-* **Serial purity** — ``jobs=1`` never constructs a pool: the pre-parallel
-  code path runs verbatim.
-"""
+"""Tests for :func:`repro.core.parallel.resolve_jobs`, the ``jobs`` knob
+behind ``explain_many`` and ``repro explain --jobs``."""
 
 from __future__ import annotations
 
 import os
-import pickle
 
 import pytest
 
-from repro.core import explain, explain_many
-from repro.core.messages import render_suggestion
-from repro.core.parallel import AUTO_JOBS, WorkerPool, resolve_jobs
-from repro.core.searcher import SearchConfig, Searcher
-from repro.corpus import generate_corpus
-from repro.faults import FaultPlan
-from repro.miniml.parser import parse_program
-from repro.obs import MetricsRegistry
-
-FIG2 = """\
-let map2 f aList bList =
-  List.map (fun (a, b) -> f a b) (List.combine aList bList)
-let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]
-"""
-
-ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
-WELL_TYPED = "let f x = x + 1\nlet b = f 2\n"
-PARSE_ERROR = "let let = ("
-
-
-def _signature(result):
-    return (
-        result.ok,
-        result.bad_decl_index,
-        result.oracle_calls,
-        result.render(limit=50),
-        [render_suggestion(s) for s in result.suggestions],
-    )
+from repro.core.parallel import AUTO_JOBS, resolve_jobs
 
 
 class TestResolveJobs:
@@ -66,216 +26,3 @@ class TestResolveJobs:
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             resolve_jobs(bad)
-
-
-class TestWorkerPool:
-    def test_unarmed_pool_answers_unchecked(self):
-        pool = WorkerPool(2)
-        try:
-            assert pool.check_suffixes([("anything",)]) == [None]
-        finally:
-            pool.shutdown()
-
-    def test_empty_batch(self):
-        pool = WorkerPool(2)
-        try:
-            assert pool.check_suffixes([]) == []
-        finally:
-            pool.shutdown()
-
-    def test_checks_real_suffixes(self):
-        good = parse_program(WELL_TYPED)
-        bad = parse_program(ILL_TYPED)
-        pool = WorkerPool(2)
-        try:
-            pool.arm(tuple(good.decls[:1]))
-            verdicts = pool.check_suffixes(
-                [tuple(good.decls[1:]), tuple(bad.decls[1:])]
-            )
-            assert [v.ok for v in verdicts] == [True, False]
-            # Workers arm the incremental prefix, so both checks ride it.
-            assert [v.kind for v in verdicts] == ["reused", "reused"]
-            assert pool.batches == 1
-            assert pool.candidates == 2
-        finally:
-            pool.shutdown()
-
-    def test_broken_pool_short_circuits(self):
-        pool = WorkerPool(2)
-        pool.broken = True
-        try:
-            program = parse_program(WELL_TYPED)
-            pool.arm(tuple(program.decls[:1]))
-            assert pool.check_suffixes([tuple(program.decls[1:])]) == [None]
-        finally:
-            pool.shutdown()
-
-    def test_counts_into_metrics(self):
-        registry = MetricsRegistry()
-        program = parse_program(WELL_TYPED)
-        pool = WorkerPool(2, metrics=registry)
-        try:
-            pool.arm(tuple(program.decls[:1]))
-            pool.check_suffixes([tuple(program.decls[1:])])
-        finally:
-            pool.shutdown()
-        assert registry.value("parallel.batches") == 1
-        assert registry.value("parallel.candidates") == 1
-
-
-class TestDeterminism:
-    def test_fig2_byte_identical(self):
-        serial = explain(FIG2)
-        pooled = explain(FIG2, jobs=2)
-        assert _signature(pooled) == _signature(serial)
-        assert not pooled.degraded
-
-    def test_corpus_byte_identical(self):
-        corpus = generate_corpus(scale=0.15, seed=11)
-        for corpus_file in corpus.representatives:
-            serial = explain(corpus_file.program)
-            pooled = explain(corpus_file.program, jobs=2)
-            assert _signature(pooled) == _signature(serial), (
-                f"parallel diverged on {corpus_file.programmer}/"
-                f"{corpus_file.assignment}"
-            )
-
-    def test_budget_exhaustion_matches_serial(self):
-        serial = explain(FIG2, max_oracle_calls=12)
-        pooled = explain(FIG2, max_oracle_calls=12, jobs=2)
-        assert serial.budget_exhausted
-        assert pooled.budget_exhausted
-        assert _signature(pooled) == _signature(serial)
-
-    def test_no_triage_configuration_matches(self):
-        serial = explain(FIG2, enable_triage=False)
-        pooled = explain(FIG2, enable_triage=False, jobs=2)
-        assert _signature(pooled) == _signature(serial)
-
-    def test_non_incremental_matches(self):
-        serial = explain(FIG2, incremental=False)
-        pooled = explain(FIG2, incremental=False, jobs=2)
-        assert _signature(pooled) == _signature(serial)
-
-    def test_parallel_telemetry_counted(self):
-        registry = MetricsRegistry()
-        explain(FIG2, jobs=2, metrics=registry)
-        assert registry.value("parallel.batches") > 0
-        assert registry.value("parallel.candidates") > 0
-        assert registry.value("parallel.worker_crashes") == 0
-
-
-class TestSerialPurity:
-    def test_jobs_1_never_builds_a_pool(self, monkeypatch):
-        """The default path must be the exact pre-parallel code: if a pool
-        is ever constructed with jobs=1, that's a regression."""
-
-        def boom(*args, **kwargs):  # pragma: no cover - the assertion
-            raise AssertionError("WorkerPool constructed on the serial path")
-
-        import repro.core.searcher as searcher_mod
-
-        monkeypatch.setattr(searcher_mod, "WorkerPool", boom)
-        result = explain(FIG2)  # default jobs=1
-        assert result.suggestions
-
-    def test_pool_is_released_after_search(self):
-        searcher = Searcher(config=SearchConfig(jobs=2))
-        searcher.search_program(parse_program(FIG2))
-        assert searcher._pool is None
-
-
-class TestCrashIsolation:
-    def test_hard_exit_worker_degrades_not_raises(self):
-        """A worker killed outright (os._exit) marks the pool broken; the
-        search finishes serially with byte-identical answers."""
-        serial = Searcher().search_program(parse_program(FIG2))
-        config = SearchConfig(
-            jobs=2,
-            worker_fault_plan=FaultPlan(
-                name="kill-worker", crash_every=3, crash_kind="hard-exit"
-            ),
-        )
-        searcher = Searcher(config=config)
-        outcome = searcher.search_program(parse_program(FIG2))
-        assert outcome.degradation.worker_crashes >= 1
-        assert outcome.degradation.degraded
-        assert [render_suggestion(s) for s in outcome.suggestions] == [
-            render_suggestion(s) for s in serial.suggestions
-        ]
-        assert outcome.oracle_calls == serial.oracle_calls
-
-    def test_soft_worker_crash_stays_isolated(self):
-        """Exception-flavoured faults in workers are absorbed by the worker
-        oracle's own crash guard — the pool stays up, verdicts keep the
-        crash-as-rejection semantics of a serial chaos run."""
-        plan = FaultPlan(name="chaos", crash_every=4)
-        from repro.faults import ChaosOracle
-
-        serial = explain(FIG2, oracle=ChaosOracle(plan))
-        config = SearchConfig(jobs=2, worker_fault_plan=plan)
-        searcher = Searcher(oracle=ChaosOracle(plan), config=config)
-        outcome = searcher.search_program(parse_program(FIG2))
-        assert outcome.degradation.worker_crashes == 0
-
-    def test_worker_crash_metric(self):
-        registry = MetricsRegistry()
-        config = SearchConfig(
-            jobs=2,
-            worker_fault_plan=FaultPlan(
-                name="kill-worker", crash_every=2, crash_kind="hard-exit"
-            ),
-        )
-        searcher = Searcher(config=config, metrics=registry)
-        searcher.search_program(parse_program(FIG2))
-        assert registry.value("parallel.worker_crashes") >= 1
-
-
-class TestExplainMany:
-    SOURCES = [FIG2, WELL_TYPED, PARSE_ERROR, ILL_TYPED]
-    LABELS = ["fig2.ml", "ok.ml", "broken.ml", "bool.ml"]
-
-    def test_serial_batch_order_and_outcomes(self):
-        entries = explain_many(self.SOURCES, self.LABELS)
-        assert [e.label for e in entries] == self.LABELS
-        assert [e.ok for e in entries] == [False, True, False, False]
-        assert entries[2].error is not None
-        assert entries[0].suggestions > 0
-        assert entries[0].result is not None
-
-    def test_parallel_batch_matches_serial(self):
-        serial = explain_many(self.SOURCES, self.LABELS)
-        parallel = explain_many(self.SOURCES, self.LABELS, jobs=2)
-        assert [e.label for e in parallel] == [e.label for e in serial]
-        assert [e.report for e in parallel] == [e.report for e in serial]
-        assert [e.best for e in parallel] == [e.best for e in serial]
-        assert [e.oracle_calls for e in parallel] == [
-            e.oracle_calls for e in serial
-        ]
-
-    def test_parallel_batch_uses_workers(self):
-        entries = explain_many([FIG2, ILL_TYPED], jobs=2)
-        pids = {e.worker_pid for e in entries}
-        assert os.getpid() not in pids
-
-    def test_default_labels(self):
-        entries = explain_many([WELL_TYPED])
-        assert entries[0].label == "program[0]"
-
-    def test_label_count_mismatch(self):
-        with pytest.raises(ValueError):
-            explain_many([WELL_TYPED], ["a", "b"])
-
-    def test_results_are_picklable(self):
-        """Full ExplainResults (including checker errors with node/type
-        payloads) must survive the process boundary."""
-        for source in (FIG2, ILL_TYPED):
-            result = explain(source)
-            clone = pickle.loads(pickle.dumps(result))
-            assert clone.checker_message == result.checker_message
-            assert len(clone.suggestions) == len(result.suggestions)
-
-    def test_parallel_batch_ships_full_results(self):
-        entries = explain_many([ILL_TYPED], jobs=2)
-        assert entries[0].result is not None
-        assert entries[0].result.checker_message

@@ -2,9 +2,10 @@
 
 The tentpole's acceptance bar: everything user-visible is *byte
 identical* with speculation on vs off, composed with every other reuse
-tier — dependency pruning on/off, ``jobs=1`` vs ``jobs=4``, verdict store
-cold vs warm.  Only the ``oracle.trail.*`` telemetry (plus the families
-the composed toggles already own) and wall time may differ.
+tier — dependency pruning on/off, verdict store cold vs warm, serial vs
+the batch workers of ``explain_many(jobs=N)``.  Only the
+``oracle.trail.*`` telemetry (plus the families the composed toggles
+already own) and wall time may differ.
 """
 
 import io
@@ -12,7 +13,7 @@ import json
 
 import pytest
 
-from repro.core import explain
+from repro.core import explain, explain_many
 from repro.core.messages import render_suggestion
 from repro.corpus import generate_corpus
 from repro.obs.events import EventLog
@@ -119,33 +120,36 @@ class TestSerialEquivalence:
             assert _events(ev_on) == _events(ev_off)
 
 
-class TestPooledEquivalence:
-    """jobs=4 on the largest representatives (the ones that dispatch
-    batches): speculation must not perturb the pooled protocol either."""
+class TestBatchEquivalence:
+    """File-level fan-out on the largest representatives: the toggle
+    reaches the batch workers, and a worker speculates exactly like a
+    serial search."""
 
     def _largest(self, corpus_files, n=4):
         return sorted(
             corpus_files, key=lambda c: len(c.program.decls), reverse=True
         )[:n]
 
-    def test_speculate_on_vs_off_jobs4(self, corpus_files):
-        for corpus_file in self._largest(corpus_files):
-            on, _, ev_on = _run(corpus_file.program, jobs=4)
-            off, _, ev_off = _run(corpus_file.program, jobs=4, speculate=False)
-            assert _visible(on) == _visible(off)
-            assert _events(ev_on) == _events(ev_off)
+    def test_speculate_on_vs_off_in_batch_workers(self, corpus_files):
+        programs = [c.program for c in self._largest(corpus_files)]
+        on = explain_many(programs, jobs=2, collect_metrics=True)
+        off = explain_many(programs, jobs=2, speculate=False, collect_metrics=True)
+        for e_on, e_off in zip(on, off):
+            assert _visible(e_on.result) == _visible(e_off.result)
+            assert e_off.metrics["counters"].get("oracle.trail.speculated", 0) == 0
+        assert sum(
+            e.metrics["counters"].get("oracle.trail.speculated", 0) for e in on
+        ) > 0
 
-    def test_jobs4_matches_jobs1_with_speculation(self, corpus_files):
-        def sans_jobs(events):
-            # The search_started event echoes the jobs *configuration*;
-            # everything else must match across pool sizes.
-            return [{k: v for k, v in e.items() if k != "jobs"} for e in events]
-
-        for corpus_file in self._largest(corpus_files):
-            serial, _, ev1 = _run(corpus_file.program)
-            pooled, _, ev4 = _run(corpus_file.program, jobs=4)
-            assert _visible(serial) == _visible(pooled)
-            assert sans_jobs(_events(ev1)) == sans_jobs(_events(ev4))
+    def test_batch_workers_speculate_like_serial(self, corpus_files):
+        largest = self._largest(corpus_files)
+        entries = explain_many(
+            [c.program for c in largest], jobs=2, collect_metrics=True
+        )
+        for corpus_file, entry in zip(largest, entries):
+            serial, metrics, _ = _run(corpus_file.program)
+            assert _visible(entry.result) == _visible(serial)
+            assert entry.metrics["counters"] == metrics.counters()
 
 
 class TestStoreEquivalence:

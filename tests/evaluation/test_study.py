@@ -90,11 +90,6 @@ class TestTimingStudy:
         for times in timing.curves.values():
             assert times == sorted(times)
 
-    def test_jobs_parameter_preserves_calls(self, corpus):
-        serial = run_timing_study(corpus, max_files=3)
-        pooled = run_timing_study(corpus, max_files=3, jobs=2)
-        assert pooled.oracle_calls == serial.oracle_calls
-
     def test_to_run_report_bridge(self, corpus, tmp_path):
         from repro.obs import RunReport
 
@@ -109,19 +104,6 @@ class TestTimingStudy:
         path = tmp_path / "baseline.json"
         report.write(path)
         assert RunReport.load(path).counters == report.counters
-
-
-class TestParallelComparison:
-    def test_serial_vs_parallel_wall_time(self, corpus):
-        from repro.evaluation import run_parallel_comparison
-
-        comparison = run_parallel_comparison(corpus, max_files=3, jobs=2)
-        assert len(comparison.serial_seconds) == 3
-        assert len(comparison.parallel_seconds) == 3
-        assert comparison.calls_match
-        assert comparison.speedup > 0
-        rendered = comparison.render()
-        assert "serial" in rendered and "2" in rendered and "identical" in rendered
 
 
 class TestCdfHelpers:

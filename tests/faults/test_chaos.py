@@ -160,8 +160,7 @@ class TestTransparency:
         oracle = ChaosOracle(FaultPlan())
         explain(corpus_files[0].program, oracle=oracle)
         assert oracle.injected == {
-            "crash": 0, "latency": 0, "cache": 0, "snapshot": 0,
-            "hang": 0, "poison": 0, "hog": 0, "stale": 0,
+            "crash": 0, "latency": 0, "cache": 0, "snapshot": 0, "stale": 0,
         }
 
 

@@ -1,184 +1,22 @@
-"""Acceptance tests for the self-healing pool and retrying store I/O.
+"""Acceptance tests for retrying store I/O.
 
-Two end-to-end robustness claims from the supervision work:
-
-* **Poison-candidate quarantine** — a candidate whose check reproducibly
-  kills workers (content-keyed, so it crashes again on every retry) is
-  isolated by bisection, quarantined, and answered with a clean crash
-  verdict; the search completes with the pool still parallel and the
-  suggestions/ranks byte-identical to a no-fault serial run.
-* **Flaky store I/O** — transient ``OSError`` on verdict-store segment
-  reads/writes is retried and, when persistent, degrades to a cache miss;
-  cold and warm runs stay byte-identical and nothing escapes ``explain``.
+**Flaky store I/O** — transient ``OSError`` on verdict-store segment
+reads/writes is retried and, when persistent, degrades to a cache miss;
+cold and warm runs stay byte-identical and nothing escapes ``explain``.
 """
 
 from __future__ import annotations
 
-import pytest
-
-import repro.core.searcher as searcher_mod
 from repro.core import explain
 from repro.core.messages import render_suggestion
-from repro.core.parallel import WorkerPool
-from repro.core.resilience import BREAKER_OPEN, RestartPolicy
-from repro.core.searcher import SearchConfig, Searcher
-from repro.corpus import generate_corpus
-from repro.faults import FlakyStore, poison_candidate_plan
-from repro.miniml.ast_nodes import Program
-from repro.miniml.parser import parse_program
+from repro.faults import FlakyStore
 from repro.obs import MetricsRegistry
-from repro.store.fingerprint import key_digest
-from repro.tree import StructuralKeyer
 
 FIG2 = """\
 let map2 f aList bList =
   List.map (fun (a, b) -> f a b) (List.combine aList bList)
 let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]
 """
-
-#: Supervision with no real sleeping, so tests stay fast.
-FAST = RestartPolicy(backoff_seconds=0.0, cooldown_seconds=0.0)
-
-
-def _signature(outcome):
-    return (
-        [render_suggestion(s) for s in outcome.suggestions],
-        outcome.oracle_calls,
-    )
-
-
-class RecordingPool(WorkerPool):
-    """A WorkerPool that records every candidate shipped to workers (so a
-    test can pick one to poison) and exposes the live instances."""
-
-    shipped = []
-    instances = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        RecordingPool.instances.append(self)
-
-    def arm(self, prefix_decls, **kwargs):
-        self._recorded_prefix = tuple(prefix_decls)
-        super().arm(prefix_decls, **kwargs)
-
-    def check_suffixes(self, suffixes, *args, **kwargs):
-        for suffix in suffixes:
-            RecordingPool.shipped.append(
-                (self._recorded_prefix, tuple(suffix))
-            )
-        return super().check_suffixes(suffixes, *args, **kwargs)
-
-
-def _parse(source):
-    return parse_program(source) if isinstance(source, str) else source
-
-
-def _pooled_candidate_digests(source, monkeypatch, jobs: int = 2):
-    """Digests (in ship order) of every candidate a pooled search checks."""
-    RecordingPool.shipped = []
-    RecordingPool.instances = []
-    monkeypatch.setattr(searcher_mod, "WorkerPool", RecordingPool)
-    searcher = Searcher(config=SearchConfig(jobs=jobs, supervision=FAST))
-    searcher.search_program(_parse(source))
-    keyer = StructuralKeyer()
-    digests = []
-    for prefix, suffix in RecordingPool.shipped:
-        program = Program(list(prefix) + list(suffix))
-        digests.append(key_digest(keyer(program)))
-    return digests
-
-
-class TestPoisonQuarantine:
-    def _run_poisoned(self, source, digest, monkeypatch, jobs=4):
-        RecordingPool.shipped = []
-        RecordingPool.instances = []
-        monkeypatch.setattr(searcher_mod, "WorkerPool", RecordingPool)
-        registry = MetricsRegistry()
-        config = SearchConfig(
-            jobs=jobs,
-            worker_fault_plan=poison_candidate_plan(digest),
-            supervision=FAST,
-        )
-        searcher = Searcher(config=config, metrics=registry)
-        outcome = searcher.search_program(_parse(source))
-        assert len(RecordingPool.instances) == 1
-        return outcome, registry, RecordingPool.instances[0]
-
-    def test_poisoned_candidate_is_quarantined_and_answers_match(
-        self, monkeypatch
-    ):
-        serial = Searcher().search_program(parse_program(FIG2))
-        digests = _pooled_candidate_digests(FIG2, monkeypatch)
-        assert digests, "the pooled search must ship candidates"
-        outcome, registry, pool = self._run_poisoned(
-            FIG2, digests[0], monkeypatch
-        )
-        # Byte-identical to the no-fault serial run: the quarantine crash
-        # verdict replays through account_verdict exactly like a serial
-        # in-process crash of the same candidate.
-        assert _signature(outcome) == _signature(serial)
-        assert outcome.degradation.quarantined == 1
-        assert registry.value("parallel.quarantined") == 1
-        assert registry.value("parallel.quarantine.probes") >= 2
-        # The pool survived: not permanently open, never marked broken.
-        assert not pool.broken
-        assert pool.breaker.state != BREAKER_OPEN
-        assert pool.ready()
-
-    def test_requarantine_is_cached_across_batches(self, monkeypatch):
-        """A candidate shipped twice (dedup off) hits the quarantine set
-        the second time — no more worker kills, just a local verdict."""
-        serial_config = SearchConfig(dedup=False)
-        serial = Searcher(config=serial_config).search_program(
-            parse_program(FIG2)
-        )
-        RecordingPool.shipped = []
-        RecordingPool.instances = []
-        monkeypatch.setattr(searcher_mod, "WorkerPool", RecordingPool)
-        probe = Searcher(config=SearchConfig(jobs=2, dedup=False, supervision=FAST))
-        probe.search_program(parse_program(FIG2))
-        keyer = StructuralKeyer()
-        digests = [
-            key_digest(keyer(Program(list(p) + list(s))))
-            for p, s in RecordingPool.shipped
-        ]
-        repeated = [d for d in digests if digests.count(d) > 1]
-        if not repeated:
-            pytest.skip("no candidate shipped twice under this corpus shape")
-        registry = MetricsRegistry()
-        config = SearchConfig(
-            jobs=2,
-            dedup=False,
-            worker_fault_plan=poison_candidate_plan(repeated[0]),
-            supervision=FAST,
-        )
-        RecordingPool.instances = []
-        outcome = Searcher(config=config, metrics=registry).search_program(
-            parse_program(FIG2)
-        )
-        assert _signature(outcome) == _signature(serial)
-        assert registry.value("parallel.quarantined") == 1
-        assert registry.value("parallel.quarantine.hits") >= 1
-
-    def test_corpus_representatives_survive_poison(self, monkeypatch):
-        """The acceptance sweep, bounded: for a few corpus representatives
-        poison the first pooled candidate and require byte-identity with
-        the serial no-fault run plus a surviving parallel pool."""
-        corpus = generate_corpus(scale=0.1, seed=7).representatives
-        for corpus_file in corpus[:3]:
-            source = corpus_file.program
-            serial = Searcher().search_program(_parse(source))
-            digests = _pooled_candidate_digests(source, monkeypatch)
-            if not digests:
-                continue  # trivial program: nothing ever pooled
-            outcome, registry, pool = self._run_poisoned(
-                source, digests[0], monkeypatch
-            )
-            assert _signature(outcome) == _signature(serial)
-            assert registry.value("parallel.quarantined") == 1
-            assert not pool.broken
-            assert pool.breaker.state != BREAKER_OPEN
 
 
 class TestFlakyStoreIO:

@@ -1,46 +1,34 @@
-"""Flight-recorder integration: cross-process aggregation, trace
-re-parenting, and lifecycle events from real searches.
+"""Flight-recorder integration: cross-process aggregation and lifecycle
+events from real searches.
 
 The acceptance bar for the telemetry aggregation is *counter identity*:
-for every corpus program, the merged metrics of a ``jobs=N`` run must be
-byte-identical to the serial run on every counter the serial path
-produces (``oracle.*``, ``search.*``, ``enum.*``); only the
-parallel-bookkeeping ``parallel.*`` counters may differ (they do not
-exist serially).  Workers may legitimately check candidates the search
-never applies, so this only holds because the pool discards worker-side
-``oracle.*`` counts and the parent oracle re-accounts each *applied*
-verdict — see ``Oracle.account_verdict`` and ``WorkerPool.check_suffixes``.
+for every corpus program, the metrics snapshot a batch worker ships home
+with its :class:`~repro.core.seminal.BatchEntry` must be byte-identical to
+the registry of a serial ``explain`` of the same program.
 """
 
 import io
-import json
+import os
 
 import pytest
 
-from repro.core.seminal import explain
+from repro.core.seminal import explain, explain_many
 from repro.corpus import generate_corpus
 from repro.faults import ChaosOracle, standard_fault_plans
-from repro.obs import EventLog, MetricsRegistry, Tracer, events_of, read_events
+from repro.obs import EventLog, MetricsRegistry, events_of, read_events
 
 CORPUS = generate_corpus(scale=0.15, seed=11)
 
 
-def serial_comparable(registry: MetricsRegistry) -> dict:
-    """The counters the serial path produces (``parallel.*`` excluded)."""
-    return {
-        name: value
-        for name, value in registry.counters().items()
-        if not name.startswith("parallel.")
-    }
+@pytest.fixture(scope="module")
+def batch_entries():
+    """One two-worker batch over every corpus representative, each entry
+    carrying the metrics snapshot of the worker that searched it."""
+    programs = [f.program for f in CORPUS.representatives]
+    return explain_many(programs, jobs=2, collect_metrics=True)
 
 
-def run_with_metrics(program: str, jobs: int) -> tuple:
-    registry = MetricsRegistry()
-    outcome = explain(program, jobs=jobs, metrics=registry)
-    return outcome, registry
-
-
-class TestParallelCounterIdentity:
+class TestBatchCounterIdentity:
     @pytest.mark.parametrize(
         "index", range(len(CORPUS.representatives)),
         ids=[
@@ -48,75 +36,22 @@ class TestParallelCounterIdentity:
             for i, f in enumerate(CORPUS.representatives)
         ],
     )
-    def test_jobs4_counters_byte_identical_to_serial(self, index):
-        program = CORPUS.representatives[index].program
-        serial_outcome, serial_reg = run_with_metrics(program, jobs=1)
-        pooled_outcome, pooled_reg = run_with_metrics(program, jobs=4)
-        assert serial_comparable(pooled_reg) == serial_comparable(serial_reg)
-        assert pooled_outcome.oracle_calls == serial_outcome.oracle_calls
-
-    def test_jobs2_metric_dicts_identical_on_corpus_program(self):
-        """The regression test for the historical under-counting bug:
-        worker-side oracle activity must neither vanish from nor
-        double-count into the merged registry."""
-        program = CORPUS.representatives[0].program
-        _, serial_reg = run_with_metrics(program, jobs=1)
-        _, pooled_reg = run_with_metrics(program, jobs=2)
-        serial = serial_comparable(serial_reg)
-        pooled = serial_comparable(pooled_reg)
-        assert pooled == serial
-        # The dict is non-trivial — the assertion above compared real work.
-        assert serial["oracle.calls"] > 0
-        assert any(k.startswith("search.") for k in serial)
-        assert any(k.startswith("enum.") for k in serial)
-
-    def test_parallel_only_counters_exist_in_pooled_run(self):
-        program = CORPUS.representatives[0].program
-        _, pooled_reg = run_with_metrics(program, jobs=2)
-        assert pooled_reg.value("parallel.batches") > 0
-        assert pooled_reg.value("parallel.candidates") > 0
-
-
-class TestTraceReparenting:
-    def test_worker_spans_reparented_under_parallel_batch(self):
+    def test_batch_counters_byte_identical_to_serial(self, batch_entries, index):
         registry = MetricsRegistry()
-        tracer = Tracer(metrics=registry, keep_events=True)
-        program = CORPUS.representatives[0].program
-        explain(program, jobs=2, metrics=registry, tracer=tracer)
+        outcome = explain(CORPUS.representatives[index].program, metrics=registry)
+        entry = batch_entries[index]
+        assert entry.metrics["counters"] == registry.counters()
+        assert entry.oracle_calls == outcome.oracle_calls
 
-        trace = json.loads(tracer.to_json())
-        events = trace["traceEvents"]
-        batches = [e for e in events if e["name"] == "parallel.batch"]
-        workers = [e for e in events if e["name"].startswith("worker.")]
-        assert batches, "no parallel.batch spans in a jobs=2 trace"
-        assert workers, "no worker spans shipped back from the pool"
-
-        batch_ids = {e["args"]["batch"] for e in batches}
-        own_pid = {e["pid"] for e in batches}.pop()
-        for worker_event in workers:
-            args = worker_event["args"]
-            # Every worker span is annotated with the parent batch it was
-            # re-parented under, and that batch span really exists.
-            assert args["batch"] in batch_ids
-            assert args["worker_pid"] == worker_event["tid"]
-            assert worker_event["pid"] == own_pid
-            parent = next(
-                e for e in batches if e["args"]["batch"] == args["batch"]
-            )
-            # Re-based timestamps: the worker span starts at or after its
-            # parent batch span's start.
-            assert worker_event["ts"] >= parent["ts"]
-
-    def test_worker_check_durations_merge_into_metrics(self):
-        registry = MetricsRegistry()
-        tracer = Tracer(metrics=registry, keep_events=True)
-        explain(
-            CORPUS.representatives[0].program,
-            jobs=2,
-            metrics=registry,
-            tracer=tracer,
-        )
-        assert registry.values_of("span.worker.check.seconds")
+    def test_worker_snapshots_compare_real_work(self, batch_entries):
+        # The dicts are non-trivial — the assertions above compared real
+        # work, shipped home from worker processes.
+        assert os.getpid() not in {e.worker_pid for e in batch_entries}
+        for entry in batch_entries:
+            counters = entry.metrics["counters"]
+            assert counters.get("oracle.calls")
+            assert any(k.startswith("search.") for k in counters)
+            assert any(k.startswith("enum.") for k in counters)
 
 
 class TestLifecycleEvents:
@@ -156,13 +91,6 @@ FAULT_PLAN_EXPECTATIONS = {
     "snapshot-poison": ("degraded", {}),
     "latency": ("degraded", {"deadline_seconds": 1e-9}),
     "cache-corruption": ("degraded", {"deadline_seconds": 1e-9}),
-    # The supervision-era plans target pool workers / the verdict store;
-    # run in-process with neither, their injections are harmless, so the
-    # tiny-deadline trick applies (their real coverage is the supervision
-    # and self-heal suites, which assert restarts/quarantine/io counters).
-    "worker-hang": ("degraded", {"deadline_seconds": 1e-9}),
-    "flaky-store": ("degraded", {"deadline_seconds": 1e-9}),
-    "memory-hog": ("degraded", {"deadline_seconds": 1e-9}),
     # Staling the decl outcome table is deliberately event-silent (the
     # depprune on/off event logs must stay byte-identical); it surfaces
     # through the oracle.decl.degraded counter instead, asserted by the

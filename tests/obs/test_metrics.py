@@ -225,18 +225,6 @@ class TestSnapshotTransport:
         snap = reg.snapshot()
         assert json.loads(json.dumps(snap)) == snap
 
-    def test_merge_snapshot_skips_prefixes(self):
-        reg = MetricsRegistry()
-        reg.incr("oracle.calls", 9)
-        reg.incr("enum.tested.removal", 2)
-        reg.observe("span.worker.check.seconds", 0.1)
-        parent = MetricsRegistry()
-        parent.merge_snapshot(reg.snapshot(), skip_counter_prefixes=("oracle.",))
-        assert parent.value("oracle.calls") == 0
-        assert parent.value("enum.tested.removal") == 2
-        # Histograms are never skipped — timing merges freely.
-        assert parent.values_of("span.worker.check.seconds") == [0.1]
-
     def test_merge_snapshot_is_deterministic_order(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         snap = {"counters": {"z": 1, "a": 2}, "histograms": {"h": [1.0]}}

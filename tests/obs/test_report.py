@@ -35,7 +35,7 @@ def sample_event_log(path):
         path,
         [
             event_line(0, "log_started", pid=1, wall_time=0.0),
-            event_line(1, "search_started", label="a.ml", decls=5, jobs=2),
+            event_line(1, "search_started", label="a.ml", decls=5),
             event_line(2, "oracle_crash", error="Boom in infer"),
             event_line(3, "phase_shed", phase="triage"),
             event_line(
@@ -43,7 +43,6 @@ def sample_event_log(path):
                 "degradation",
                 reasons=["deadline"],
                 phases_shed={"triage": 3},
-                worker_crashes=0,
                 crash_samples=["Boom in infer"],
             ),
             event_line(
@@ -141,50 +140,12 @@ class TestAggregation:
         assert "75.0%" in text
         assert "invalidated" in text
 
-    def test_supervision_incidents_not_double_counted(self, tmp_path):
-        """A supervised run logs each incident twice — per-occurrence
-        events as they happen, plus the end-of-run degradation summary
-        (and the metrics counters carry them a third time).  The
-        aggregate must reconcile the three views, not sum them."""
-        path = tmp_path / "sup.jsonl"
-        write_event_log(
-            path,
-            [
-                event_line(0, "log_started", pid=1, wall_time=0.0),
-                event_line(1, "worker_crash", error="boom"),
-                event_line(2, "worker_restart", worker=0),
-                event_line(3, "worker_crash", error="boom"),
-                event_line(4, "worker_restart", worker=1),
-                event_line(5, "quarantine", digest="abc"),
-                event_line(
-                    6,
-                    "degradation",
-                    reasons=[],
-                    worker_crashes=2,
-                    worker_restarts=2,
-                    quarantined=1,
-                    watchdog_kills=0,
-                ),
-                event_line(
-                    7,
-                    "metrics",
-                    counters={
-                        "parallel.worker_crashes": 2,
-                        "parallel.restarts": 2,
-                        "parallel.quarantined": 1,
-                    },
-                ),
-                event_line(8, "log_closed", events=8),
-            ],
-        )
-        agg = load_any(str(path))
+    def test_store_io_incidents_fill_the_supervision_table(self):
+        agg = RunAggregate()
+        agg.add_counters({"oracle.store.retries": 3, "oracle.store.io_errors": 1})
         text = render_aggregate(agg)
-        assert "worker restarts           2" in text
-        assert "worker crashes" in text and "quarantined candidates    1" in text
-        report = aggregate_to_report(agg)
-        assert report.degradation["worker_crashes"] == 2
-        assert report.degradation["worker_restarts"] == 2
-        assert report.degradation["quarantined"] == 1
+        assert "supervision:" in text
+        assert "store io retries / errors  3 / 1" in text
 
     def test_unknown_event_schema_propagates(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -2,9 +2,8 @@
 
 The store's publication discipline (build in ``.tmp-*``, publish with one
 atomic rename) means a reader can only ever observe whole segments.  These
-tests kill a writing process for real — ``os._exit`` via the fault
-harness's ``crash_kind="hard-exit"``, the kill no ``except`` can catch —
-and then assert the recovery story: the next reader opens cleanly, serves
+tests kill a writing process for real — ``os._exit``, the kill no
+``except`` can catch — and then assert the recovery story: the next reader opens cleanly, serves
 whatever was published, ignores the dead writer's leftovers, and the next
 run backfills the verdicts the crash lost.
 """
@@ -19,22 +18,29 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
 
-#: Runs in a child process: checks programs against a chaos oracle that
+#: Runs in a child process: checks programs against an oracle that
 #: hard-exits the whole process on the Nth call, with the verdict store
 #: publishing a segment per verdict (flush_every=1) so earlier answers
 #: are already on disk when the kill lands.
 WRITER_SCRIPT = """
+import os
 import sys
 from repro.core.oracle import Oracle
-from repro.faults import ChaosOracle, FaultPlan
 from repro.miniml.parser import parse_program
 from repro.store import VerdictStore
 
 store_dir, crash_every = sys.argv[1], int(sys.argv[2])
+
+
+class KillingOracle(Oracle):
+    def _check_once(self, program):
+        if self.calls % crash_every == 0:
+            os._exit(23)
+        return super()._check_once(program)
+
+
 store = VerdictStore(store_dir, flush_every=1)
-plan = FaultPlan(name="kill", crash_every=crash_every,
-                 crash_kind="hard-exit")
-oracle = ChaosOracle(plan, store=store)
+oracle = KillingOracle(store=store)
 programs = [
     "let a = 1 + 2",
     "let b = true && false",

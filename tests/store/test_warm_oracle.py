@@ -101,11 +101,11 @@ class TestExplainStoreDeterminism:
         assert metrics.value("oracle.calls") \
             < metrics.value("oracle.store.hits")
 
-    def test_pooled_warm_matches_serial(self, tmp_path):
+    def test_warm_matches_serial(self, tmp_path):
         serial = explain(FIG2)
         explain(FIG2, store=tmp_path / "s")  # seed the store
-        pooled = explain(FIG2, store=tmp_path / "s", jobs=2)
-        assert _signature(pooled) == _signature(serial)
+        warm = explain(FIG2, store=tmp_path / "s")
+        assert _signature(warm) == _signature(serial)
 
     def test_fix_all_accepts_store(self, tmp_path):
         cold = fix_all(ILL_TYPED, store=tmp_path / "s")

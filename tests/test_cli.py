@@ -277,21 +277,15 @@ class TestRobustnessFlags:
         assert exc.value.code == 2
         assert "--shed-fraction" in capsys.readouterr().err
 
-    def test_candidate_timeout_accepted(self, ml_file, capsys):
-        assert main([str(ml_file), "--candidate-timeout", "30"]) == 1
-        assert "Try replacing" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("flag", ["--candidate-timeout", "--worker-rss-mb"])
-    @pytest.mark.parametrize("bad", ["0", "-1", "junk"])
-    def test_positive_float_flags_reject_nonpositive(self, ml_file, flag, bad, capsys):
+    @pytest.mark.parametrize(
+        "flag", ["--jobs", "--candidate-timeout", "--worker-rss-mb"]
+    )
+    def test_single_file_search_has_no_worker_flags(self, ml_file, flag, capsys):
+        # One search always runs serially; only `repro explain` fans out.
         with pytest.raises(SystemExit) as exc:
-            main([str(ml_file), flag, bad])
+            main([str(ml_file), flag, "2"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
-
-    def test_worker_rss_flag_accepted_serially(self, ml_file, capsys):
-        # Serial runs have no pool; the knob parses and is simply unused.
-        assert main([str(ml_file), "--worker-rss-mb", "512"]) == 1
 
     def test_help_documents_interruption(self, capsys):
         with pytest.raises(SystemExit):

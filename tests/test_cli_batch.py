@@ -101,6 +101,26 @@ class TestExplainSubcommand:
         with pytest.raises(SystemExit):
             main(["explain", str(batch_dir / "ok.ml"), "--jobs", "zero"])
 
+    @pytest.mark.parametrize("bad", ["0", "-1", "1.5"])
+    def test_jobs_rejects_non_positive_counts(self, batch_dir, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", str(batch_dir / "ok.ml"), "--jobs", bad])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_auto_matches_serial(self, batch_dir, capsys):
+        main(["explain", "--dir", str(batch_dir), "--verbose"])
+        serial_out = capsys.readouterr().out
+        code = main(["explain", "--dir", str(batch_dir), "--verbose",
+                     "--jobs", "auto"])
+        auto_out = capsys.readouterr().out
+        assert code == 1
+        # The table includes per-file wall times; compare everything else.
+        strip = lambda text: [
+            line.split("0.")[0] for line in text.splitlines()
+        ]
+        assert strip(auto_out) == strip(serial_out)
+
     def test_duplicate_file_listed_once(self, batch_dir, capsys):
         bad = str(batch_dir / "bad.ml")
         code = main(["explain", bad, bad])
@@ -132,14 +152,6 @@ class TestExplainSubcommand:
 
 
 class TestSingleFileJobs:
-    def test_jobs_flag_byte_identical_output(self, batch_dir, capsys):
-        serial_code = main([str(batch_dir / "bad.ml")])
-        serial_out = capsys.readouterr().out
-        parallel_code = main([str(batch_dir / "bad.ml"), "--jobs", "2"])
-        parallel_out = capsys.readouterr().out
-        assert parallel_code == serial_code == 1
-        assert parallel_out == serial_out
-
     def test_metrics_flag_prints_merged_telemetry(self, batch_dir, capsys):
         code = main(["explain", "--dir", str(batch_dir), "--metrics"])
         err = capsys.readouterr().err
