@@ -158,20 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(answers are byte-identical either way; "
                              "maintain with `python -m repro cache`) "
                              "(MiniML only)")
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="disable prefix-reuse incremental typechecking: "
-                             "re-infer every candidate from the empty "
-                             "environment (escape hatch / benchmarking)")
-    parser.add_argument("--no-depprune", action="store_true",
-                        help="disable dependency-pruned re-checking (the "
-                             "per-declaration outcome table); answers are "
-                             "identical either way (benchmarking)")
-    parser.add_argument("--no-speculate", action="store_true",
-                        help="disable trail-based speculative inference "
-                             "(check candidates against per-check copies "
-                             "instead of the live armed state with undo); "
-                             "answers are identical either way "
-                             "(benchmarking)")
     parser.add_argument("--profile", action="store_true",
                         help="run the search under cProfile and print the "
                              "top hotspots; with --events the profile "
@@ -207,13 +193,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
                         help="suggestions per program in --verbose reports")
     parser.add_argument("--no-triage", action="store_true",
                         help="disable triage in every search")
-    parser.add_argument("--no-incremental", action="store_true",
-                        help="disable prefix-reuse incremental typechecking")
-    parser.add_argument("--no-depprune", action="store_true",
-                        help="disable dependency-pruned re-checking (the "
-                             "per-declaration outcome table)")
-    parser.add_argument("--no-speculate", action="store_true",
-                        help="disable trail-based speculative inference")
     parser.add_argument("--profile", action="store_true",
                         help="run the whole batch under cProfile and print "
                              "the top hotspots; with --events the profile "
@@ -399,9 +378,6 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
         oracle = Oracle(
             max_calls=args.max_calls,
             cache=True,
-            incremental=not args.no_incremental,
-            depprune=not args.no_depprune,
-            speculate=not args.no_speculate,
             metrics=metrics if metrics is not NULL_METRICS else None,
         )
     telemetry_kwargs = dict(
@@ -414,9 +390,6 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
         result = fix_all(
             source,
             enable_triage=not args.no_triage,
-            incremental=not args.no_incremental,
-            depprune=not args.no_depprune,
-            speculate=not args.no_speculate,
             max_oracle_calls=args.max_calls,
             deadline_seconds=args.deadline,
             **telemetry_kwargs,
@@ -439,9 +412,6 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
     result = explain(
         source,
         enable_triage=not args.no_triage,
-        incremental=not args.no_incremental,
-        depprune=not args.no_depprune,
-        speculate=not args.no_speculate,
         max_oracle_calls=args.max_calls,
         deadline_seconds=args.deadline,
         dedup=not args.no_dedup,
@@ -481,23 +451,17 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
               file=sys.stderr)
         reused = metrics.value("oracle.prefix.reused")
         full = metrics.value("oracle.full_checks")
-        incr_note = (" (disabled with --no-incremental)"
-                     if args.no_incremental else "")
-        print(f"oracle prefix reuse: {reused} incremental, {full} full checks"
-              f"{incr_note}", file=sys.stderr)
+        print(f"oracle prefix reuse: {reused} incremental, {full} full checks",
+              file=sys.stderr)
         replayed = metrics.value("oracle.decl.replayed")
         checked = metrics.value("oracle.decl.checked")
         skipped = metrics.value("oracle.decl.skipped")
-        dep_note = (" (disabled with --no-depprune)"
-                    if args.no_depprune else "")
         print(f"oracle decl reuse: {replayed} replayed, {checked} checked, "
-              f"{skipped} prefix-skipped{dep_note}", file=sys.stderr)
+              f"{skipped} prefix-skipped", file=sys.stderr)
         speculated = metrics.value("oracle.trail.speculated")
         rolled = metrics.value("oracle.trail.rolled_back")
-        spec_note = (" (disabled with --no-speculate)"
-                     if args.no_speculate else "")
         print(f"oracle trail speculation: {speculated} speculated, "
-              f"{rolled} entries rolled back{spec_note}", file=sys.stderr)
+              f"{rolled} entries rolled back", file=sys.stderr)
     _emit_telemetry(args, tracer, metrics)
     _write_run_report(args, metrics, result, time.perf_counter() - start)
     _close_events(args, events, metrics)
@@ -602,9 +566,6 @@ def _run_batch(argv: Sequence[str]) -> int:
         jobs=args.jobs,
         top=args.top,
         enable_triage=not args.no_triage,
-        incremental=not args.no_incremental,
-        depprune=not args.no_depprune,
-        speculate=not args.no_speculate,
         max_oracle_calls=args.max_calls,
         deadline_seconds=args.deadline,
         shed_fraction=args.shed_fraction,
@@ -657,16 +618,12 @@ def _run_batch(argv: Sequence[str]) -> int:
             replayed = merged.value("oracle.decl.replayed")
             checked = merged.value("oracle.decl.checked")
             skipped = merged.value("oracle.decl.skipped")
-            dep_note = (" (disabled with --no-depprune)"
-                        if args.no_depprune else "")
             print(f"oracle decl reuse: {replayed} replayed, {checked} checked, "
-                  f"{skipped} prefix-skipped{dep_note}", file=sys.stderr)
+                  f"{skipped} prefix-skipped", file=sys.stderr)
             speculated = merged.value("oracle.trail.speculated")
             rolled = merged.value("oracle.trail.rolled_back")
-            spec_note = (" (disabled with --no-speculate)"
-                         if args.no_speculate else "")
             print(f"oracle trail speculation: {speculated} speculated, "
-                  f"{rolled} entries rolled back{spec_note}", file=sys.stderr)
+                  f"{rolled} entries rolled back", file=sys.stderr)
         if args.metrics:
             print(merged.render_table(title="batch telemetry"), file=sys.stderr)
         if args.events:

@@ -78,8 +78,9 @@ class DeclOutcome:
     #: by earlier declarations of the same program — base-env names cannot
     #: change between baseline and candidate).
     env_fp: Dict[str, str] = field(default_factory=dict)
-    #: Value names bound here whose recorded scheme kept free type
-    #: variables (the value restriction's weak bindings).
+    #: Value names bound here whose scheme had free type variables when
+    #: bound (the value restriction's weak bindings), even if a later
+    #: declaration of the baseline pinned them.
     weak_names: FrozenSet[str] = field(default_factory=frozenset)
     #: The recorded checker error, when this declaration failed (the
     #: baseline pass stops here; no later entries exist).
@@ -91,10 +92,10 @@ class DeclTable:
     """Per-declaration outcome table for one armed baseline program.
 
     ``free_vars`` collects the free type variables of all weak recorded
-    schemes so a replay pass can copy them consistently (the
-    ``instantiate_values`` discipline: one fresh mapping per pass, shared
-    across entries, so entangled schemes stay entangled and the recorded
-    table is never mutated by a candidate's unifications).
+    schemes.  A replay pass binds the recorded schemes live; when this is
+    non-empty it runs under an undo trail, so a candidate's unifications
+    with those variables are rolled back and the recorded table is never
+    mutated (see :func:`repro.miniml.infer.replay_decl_table`).
     """
 
     entries: List[DeclOutcome] = field(default_factory=list)

@@ -10,16 +10,27 @@ behind exactly that interface, adding:
 * an optional budget so pathological searches terminate,
 * an optional memo cache keyed on structural keys (off by default to match
   the paper; benchmarks can enable it for the ablation study), and
-* **prefix reuse**: after the searcher localizes the first failing
-  declaration, it arms a :class:`~repro.miniml.infer.PrefixSnapshot` via
-  :meth:`Oracle.arm_prefix`; every subsequent candidate that shares the
-  passing prefix (which is all of them — the searcher only mutates the
-  failing declaration) is then checked incrementally, inferring only the
-  declarations after the snapshot point.  A candidate that *does* edit the
-  prefix invalidates the snapshot and falls back to a full check, so the
-  answers are identical either way.  ``cross_check=True`` re-runs every
-  incremental answer from scratch and raises :class:`IncrementalMismatch`
-  on disagreement — the assertion mode the equivalence tests exercise.
+* **reuse** (the default MiniML checker only; a custom ``typecheck`` is
+  always called from scratch).  A check is answered by one of two routes,
+  with a from-scratch check as the single fallback:
+
+  - the *prefix snapshot*: after the searcher localizes the first failing
+    declaration, it arms a :class:`~repro.miniml.infer.SpeculativeState`
+    via :meth:`Oracle.arm_prefix`; every later candidate that shares the
+    passing prefix (which is all of them — the searcher only mutates the
+    failing declaration) infers only the declarations after the snapshot
+    point, against the live armed state, with an undo trail rolling the
+    state back afterwards;
+  - the *declaration outcome table*: armed before the initial check
+    (:meth:`Oracle.arm_decl_table`), it answers every other check —
+    chiefly localization's prefixes — by replaying recorded schemes for
+    declarations a change cannot affect.
+
+  A candidate that edits the prefix invalidates the snapshot and takes
+  the table or a from-scratch check, so the answers are identical either
+  way.  ``cross_check=True`` re-runs every reused answer from scratch and
+  raises :class:`IncrementalMismatch` on disagreement — the assertion
+  mode the equivalence tests exercise.
 
 Fault tolerance (the resilience layer, see :mod:`repro.core.resilience`):
 the oracle is the trust boundary between the search and an arbitrary
@@ -37,21 +48,24 @@ them kill the search:
   *before* inference via an identity-memoized iterative
   :class:`~repro.tree.DepthProbe`, so deep trees can never trip Python's
   recursion limit inside the checker in the first place.
-* **Self-healing incremental mode** — a crash on the prefix-reuse fast
-  path (e.g. a poisoned snapshot) disarms the snapshot, counts
-  ``oracle.prefix.fallbacks``, and transparently re-runs the candidate
-  from scratch; the cross-check assertion mode still raises, so tests
-  keep their strict equivalence oracle.
+* **Self-healing reuse** — any exception from the snapshot route (a
+  poisoned snapshot, a :class:`~repro.miniml.infer.TrailIntegrityError`)
+  disarms the snapshot, counts ``oracle.prefix.fallbacks``, and
+  transparently answers the candidate from the decl table or from
+  scratch; a failure inside the table route drops the table
+  (``oracle.decl.fallbacks``) the same way.  The cross-check assertion
+  mode still raises, so tests keep their strict equivalence oracle.
 
 Telemetry: an oracle holding a :class:`~repro.obs.MetricsRegistry` counts
 ``oracle.calls`` (and the ``.ok``/``.fail`` split), ``oracle.cache.hits``/
 ``oracle.cache.misses``, ``oracle.budget_exceeded``, the prefix-reuse set
 ``oracle.prefix.armed``/``oracle.prefix.reused``/
 ``oracle.prefix.invalidated``/``oracle.prefix.fallbacks``/
-``oracle.full_checks``, and the resilience pair ``oracle.crashes``/
-``oracle.depth_rejected``.  The default is the no-op
-:data:`~repro.obs.NULL_METRICS`, so the hot path never branches on
-whether telemetry is on.
+``oracle.full_checks``, the trail pair ``oracle.trail.speculated``/
+``oracle.trail.rolled_back``, the ``oracle.decl.*`` table accounting, and
+the resilience pair ``oracle.crashes``/``oracle.depth_rejected``.  The
+default is the no-op :data:`~repro.obs.NULL_METRICS`, so the hot path
+never branches on whether telemetry is on.
 """
 
 from __future__ import annotations
@@ -63,15 +77,11 @@ from typing import Callable, Dict, List, Optional, Protocol, Union
 from repro.miniml.errors import MiniMLTypeError
 from repro.miniml.infer import (
     CheckResult,
-    PrefixSnapshot,
-    SpeculativeState,
-    TrailIntegrityError,
     record_decl_table,
     replay_decl_table,
     snapshot_prefix,
     typecheck_program,
 )
-from repro.miniml.types import Trail, set_trail
 from repro.obs import NULL_EVENTS, NULL_METRICS
 from repro.store.fingerprint import NO_PREFIX_FP, prefix_fingerprint
 from repro.store.verdicts import STORABLE_KINDS
@@ -84,7 +94,7 @@ AUTO_DEPTH = "auto"
 #: verdict store persists (:data:`~repro.store.verdicts.STORABLE_KINDS`)
 #: so a store hit replays the exact counters the original check bumped.
 VERDICT_FULL = "full"                      #: from-scratch check
-VERDICT_REUSED = "reused"                  #: incremental prefix-reuse path
+VERDICT_REUSED = "reused"                  #: prefix snapshot route
 VERDICT_INVALIDATED = "invalidated"        #: snapshot invalidated, then full
 
 
@@ -108,8 +118,9 @@ class BudgetExceeded(Exception):
 
 
 class IncrementalMismatch(AssertionError):
-    """An incremental (prefix-reuse) answer diverged from the from-scratch
-    answer — a soundness bug, surfaced only in ``cross_check`` mode."""
+    """A reused (snapshot or decl-table) answer diverged from the
+    from-scratch answer — a soundness bug, surfaced only in ``cross_check``
+    mode."""
 
 
 class TypecheckFn(Protocol):
@@ -144,7 +155,9 @@ class Oracle:
     ----------
     typecheck:
         The underlying checker.  Defaults to MiniML's
-        :func:`~repro.miniml.infer.typecheck_program`.
+        :func:`~repro.miniml.infer.typecheck_program`, which turns reuse
+        on (the snapshot and table routes); any custom checker is called
+        from scratch for every check.
     max_calls:
         Hard budget; exceeding it raises :class:`BudgetExceeded`, which the
         searcher catches to return the suggestions found so far.
@@ -164,19 +177,10 @@ class Oracle:
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to count into (default: the
         shared no-op registry).
-    incremental:
-        Allow prefix reuse (on by default; :meth:`arm_prefix` becomes a
-        no-op when off — the CLI's ``--no-incremental``).
     cross_check:
-        Re-check every prefix-reused answer from scratch and raise
+        Re-check every reused answer from scratch and raise
         :class:`IncrementalMismatch` if the answers differ.  Test/debug
         mode: it deliberately pays the full cost it normally saves.
-    snapshot_fn:
-        ``(program, n_decls) -> PrefixSnapshot | None`` used by
-        :meth:`arm_prefix`.  Defaults to MiniML's
-        :func:`~repro.miniml.infer.snapshot_prefix` when ``typecheck`` is
-        the default; a custom ``typecheck`` must bring its own snapshot
-        function (and accept a ``prefix=`` keyword) to opt into reuse.
     max_depth:
         Reject candidates whose AST depth exceeds this before invoking the
         checker (``oracle.depth_rejected``; never counted as a call).  The
@@ -187,27 +191,6 @@ class Oracle:
         instead of rejecting the candidate.  Debug/test mode.
     crash_sample_limit:
         How many crash tracebacks to retain in :attr:`crash_samples`.
-    depprune:
-        Enable the declaration outcome table (dependency-pruned
-        re-checking — the second reuse tier behind prefix snapshots; see
-        :meth:`arm_decl_table`).  On by default; requires ``incremental``
-        and a substrate with record/replay support (the MiniML default).
-        Turning it off never changes answers, only ``oracle.decl.*``
-        telemetry and wall time.
-    speculate:
-        Enable trail-based speculative checking (the third reuse tier, in
-        front of the copying prefix path).  When a snapshot is armed, a
-        :class:`~repro.miniml.infer.SpeculativeState` is built once —
-        paying the table/value copies a single time — and each matching
-        candidate's suffix is then checked against that *live* state, with
-        every destructive write recorded on an undo trail and rolled back
-        afterwards (``oracle.trail.speculated`` / ``.rolled_back``).  Any
-        exception on the speculative path — including a
-        :class:`~repro.miniml.infer.TrailIntegrityError` — degrades the
-        check to the copying path (``oracle.trail.fallbacks``) without
-        changing the answer.  On by default; requires ``incremental`` and
-        the MiniML substrate.  Turning it off never changes answers, only
-        the ``oracle.trail.*`` telemetry and wall time.
     """
 
     def __init__(
@@ -217,17 +200,13 @@ class Oracle:
         cache: bool = False,
         key_fn: Optional[Callable] = None,
         metrics=None,
-        incremental: bool = True,
         cross_check: bool = False,
-        snapshot_fn: Optional[Callable] = None,
         render: Optional[Callable] = None,
         max_depth: Union[int, str, None] = AUTO_DEPTH,
         strict: bool = False,
         crash_sample_limit: int = 5,
         events=None,
         store=None,
-        depprune: bool = True,
-        speculate: bool = True,
     ):
         self._typecheck = typecheck if typecheck is not None else typecheck_program
         self.max_calls = max_calls
@@ -265,41 +244,13 @@ class Oracle:
             self._key = self._keyer
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.events = events if events is not None else NULL_EVENTS
-        self.incremental = incremental
         self.cross_check = cross_check
-        if snapshot_fn is not None:
-            self._snapshot_fn: Optional[Callable] = snapshot_fn
-        else:
-            self._snapshot_fn = snapshot_prefix if typecheck is None else None
+        #: Reuse is on exactly when the checker is MiniML's own: only it
+        #: has a snapshot and a decl table to reuse.
+        self._reuse = typecheck is None
         self._snapshot = None
-        #: Dependency-pruned re-checking (the second reuse tier, behind
-        #: prefix snapshots).  Like snapshots, the record/replay functions
-        #: default to the MiniML substrate only when ``typecheck`` is the
-        #: default — a custom checker opts out automatically.
-        self.depprune = depprune
-        self._decl_record_fn: Optional[Callable] = (
-            record_decl_table if typecheck is None else None
-        )
-        self._decl_replay_fn: Optional[Callable] = (
-            replay_decl_table if typecheck is None else None
-        )
         self._decl_table = None
         self._decl_pending = None
-        #: Trail-based speculation (the third reuse tier).  Only the
-        #: MiniML substrate knows how to build a live armed state from a
-        #: PrefixSnapshot; a custom checker opts out automatically.
-        self.speculate = speculate
-        self._spec_supported = typecheck is None
-        self._spec_state: Optional[SpeculativeState] = None
-        #: Shared undo trail for the speculative decl-table replay (the
-        #: same push/pop discipline the snapshot tier uses, applied to the
-        #: table's recorded weak schemes).
-        self._trail: Optional[Trail] = (
-            Trail() if (speculate and self._spec_supported) else None
-        )
-        self.trail_speculated = 0
-        self.trail_rolled_back = 0
-        self.trail_fallbacks = 0
         #: Bumped whenever the prefix state changes (armed / invalidated /
         #: healed / reset): part of the memo key, so cached verdicts are
         #: scoped to the snapshot regime they were computed under.
@@ -466,16 +417,15 @@ class Oracle:
         the first failing declaration: everything before it passed, and
         every candidate the search generates shares those declarations by
         identity.  Returns True when a snapshot was armed; no-op (False)
-        when incremental reuse is off, the substrate does not support it,
-        the prefix is empty, the prefix unexpectedly fails to check, or
-        the snapshot function itself crashes (counted as an isolated
-        crash — a broken snapshot must not kill the search).
+        for a custom checker, an empty prefix, a prefix that unexpectedly
+        fails to check, or a crash while snapshotting (counted as an
+        isolated crash — a broken snapshot must not kill the search).
         """
         self._drop_snapshot()
-        if not self.incremental or self._snapshot_fn is None or n_decls <= 0:
+        if not self._reuse or n_decls <= 0:
             return False
         try:
-            snapshot = self._snapshot_fn(program, n_decls)
+            snapshot = snapshot_prefix(program, n_decls)
         except Exception as err:
             if self.strict:
                 raise
@@ -495,21 +445,6 @@ class Oracle:
                 # disable the disk tier for this regime rather than risk
                 # serving another regime's verdicts.
                 self._prefix_fp = None
-        if (
-            self.speculate
-            and self._spec_supported
-            and isinstance(snapshot, PrefixSnapshot)
-        ):
-            try:
-                self._spec_state = SpeculativeState(snapshot)
-            except Exception:
-                if self.strict:
-                    raise
-                # Arming the live state is an optimization; failing to
-                # build it degrades every check to the copying path.
-                self._spec_state = None
-                self.trail_fallbacks += 1
-                self.metrics.incr("oracle.trail.fallbacks")
         self.metrics.incr("oracle.prefix.armed")
         return True
 
@@ -517,7 +452,6 @@ class Oracle:
         if self._snapshot is not None:
             self._snapshot = None
             self._prefix_gen += 1
-        self._spec_state = None
         self._prefix_fp = NO_PREFIX_FP
 
     # ------------------------------------------------------------------
@@ -538,17 +472,11 @@ class Oracle:
         search was going to pay anyway.  Once recorded, every full-path
         check replays unaffected declarations from the table and really
         re-infers only the changed ones and their dependents.  No-op
-        (False) when dependency pruning or incremental reuse is off, or
-        the substrate has no record/replay functions.
+        (False) for a custom checker.
         """
         self._decl_table = None
         self._decl_pending = None
-        if (
-            not self.depprune
-            or not self.incremental
-            or self._decl_record_fn is None
-            or self._decl_replay_fn is None
-        ):
+        if not self._reuse:
             return False
         self._decl_pending = program
         return True
@@ -556,11 +484,6 @@ class Oracle:
     def _drop_decl_table(self) -> None:
         self._decl_table = None
         self._decl_pending = None
-
-    def _decl_key_fn(self):
-        # The table interns declaration keys into the same keyer the cache
-        # uses; with a custom key_fn the substrate default applies.
-        return self._keyer
 
     def _decl_tier(self, program) -> Optional[CheckResult]:
         """Serve a full-path check from the declaration outcome table.
@@ -578,8 +501,8 @@ class Oracle:
             if self._decl_table is None:
                 baseline = self._decl_pending
                 self._decl_pending = None
-                table, base_result = self._decl_record_fn(
-                    baseline, key_fn=self._decl_key_fn()
+                table, base_result = record_decl_table(
+                    baseline, key_fn=self._keyer
                 )
                 if table is None:
                     # Recording failed soundly (e.g. recursion blowup):
@@ -592,24 +515,18 @@ class Oracle:
                 # The recording pass inferred the baseline's declarations
                 # on behalf of this check; attribute that cost here.
                 extra_checked = base_result.decls_checked
-            if self._trail is not None and self._decl_table.free_vars:
-                # Speculative replay: skip the per-pass weak-scheme
-                # substitution and undo any links the check applies.  Any
-                # failure inside degrades through the outer handler (the
-                # table may be stale either way); the trail fallback is
-                # counted so the degradation is visible.
-                try:
-                    result = self._spec_replay(program)
-                except Exception:
-                    if self.strict:
-                        raise
-                    self.trail_fallbacks += 1
-                    self.metrics.incr("oracle.trail.fallbacks")
-                    raise
-            else:
-                result = self._decl_replay_fn(
-                    program, self._decl_table, key_fn=self._decl_key_fn()
-                )
+            # The table interns declaration keys into the same keyer the
+            # cache uses; with a custom key_fn the substrate default applies.
+            result = replay_decl_table(
+                program,
+                self._decl_table,
+                key_fn=self._keyer,
+                freeze_errors=self._store_active or self.cross_check,
+            )
+            if self._decl_table.free_vars:
+                # Replayed against the table's live weak schemes, under a
+                # trail the replay rolled back itself.
+                self._account_trail(result)
             if extra_checked:
                 result.decls_checked += extra_checked
             return result
@@ -620,61 +537,11 @@ class Oracle:
             self.metrics.incr("oracle.decl.fallbacks")
             return None
 
-    def _spec_replay(self, program) -> CheckResult:
-        """Replay the decl table against its *live* weak schemes.
-
-        The copying replay path pays one ``_substitute`` walk per recorded
-        scheme per check to keep the table's weak type variables pristine
-        (the ``instantiate_values`` discipline).  With a trail armed we can
-        skip the copy entirely: the check unifies against the recorded
-        variables in place, and ``undo`` restores their links and levels
-        before the next check observes them.  Sound for the same reason
-        the snapshot tier's speculation is — within one pass, a fresh copy
-        and a live-then-undone original are observationally identical, and
-        :func:`~repro.core.depgraph.plan_replay`'s value-restriction
-        clique escalation already forces a real re-check of every
-        declaration entangled with a weak scheme whenever one could be
-        constrained differently.
-
-        Errors that outlive the rollback (store persistence,
-        cross-checking) are frozen *before* undo un-unifies the types they
-        reference.  Any integrity violation raises — the caller counts the
-        trail fallback and lets :meth:`_decl_tier`'s outer handler drop
-        the (possibly corrupt) table and degrade to a plain full check.
-        """
-        trail = self._trail
-        mark = trail.mark()
-        previous = set_trail(trail)
-        try:
-            result = self._decl_replay_fn(
-                program,
-                self._decl_table,
-                key_fn=self._decl_key_fn(),
-                weak_copy=False,
-            )
-            if result.error is not None and (self._store_active or self.cross_check):
-                result.error.freeze()
-        except BaseException as unexpected:
-            set_trail(previous)
-            try:
-                trail.undo(mark)
-            except BaseException as undo_err:
-                raise TrailIntegrityError(
-                    "speculative replay rollback failed; armed table corrupt"
-                ) from undo_err
-            raise unexpected
-        set_trail(previous)
-        if trail.mark() < mark:
-            raise TrailIntegrityError(
-                "trail shrank below the pre-replay mark; armed table corrupt"
-            )
-        undone = trail.undo(mark)
-        self.trail_speculated += 1
-        self.trail_rolled_back += undone
+    def _account_trail(self, result) -> None:
+        """Count one check answered against shared live state under a trail."""
         self.metrics.incr("oracle.trail.speculated")
-        if undone:
-            self.metrics.incr("oracle.trail.rolled_back", undone)
-        return result
+        if result.rolled_back:
+            self.metrics.incr("oracle.trail.rolled_back", result.rolled_back)
 
     def _account_decls(self, result) -> None:
         """Fold one check's per-declaration accounting into the counters."""
@@ -700,55 +567,28 @@ class Oracle:
         snapshot = self._snapshot
         if snapshot is not None:
             if snapshot.matches(program):
-                spec = self._spec_state
-                if spec is not None and spec.snapshot is snapshot:
-                    # Third tier: check the suffix against the live armed
-                    # state and roll the trail back.  Errors that outlive
-                    # the rollback (store persistence, cross-checking) are
-                    # rendered *before* undo un-unifies the types they
-                    # reference.
-                    rolled_before = spec.rolled_back
-                    try:
-                        result = spec.check(
-                            program,
-                            freeze_errors=self._store_active or self.cross_check,
-                        )
-                    except Exception:
-                        if self.strict:
-                            raise
-                        # Trail-integrity violation or an unexpected crash
-                        # on the speculative path: discard the live state
-                        # and degrade to the copying path — which answers
-                        # (or crashes into the prefix self-healing) exactly
-                        # as it would with speculation off.
-                        self._spec_state = None
-                        self.trail_fallbacks += 1
-                        self.metrics.incr("oracle.trail.fallbacks")
-                    else:
-                        rolled = spec.rolled_back - rolled_before
-                        self.trail_speculated += 1
-                        self.trail_rolled_back += rolled
-                        self.metrics.incr("oracle.trail.speculated")
-                        if rolled:
-                            self.metrics.incr("oracle.trail.rolled_back", rolled)
-                        self.prefix_reused += 1
-                        self.metrics.incr("oracle.prefix.reused")
-                        if self.cross_check:
-                            self._assert_equivalent(program, result)
-                        return result
+                # Check the suffix against the live armed state and roll
+                # the trail back.  Errors that outlive the rollback (store
+                # persistence, cross-checking) are rendered *before* undo
+                # un-unifies the types they reference.
                 try:
-                    result = self._typecheck(program, prefix=snapshot)
+                    result = snapshot.check(
+                        program,
+                        freeze_errors=self._store_active or self.cross_check,
+                    )
                 except Exception as err:
                     if self.strict:
                         raise
-                    # Self-healing: a crash on the incremental fast path
-                    # (poisoned snapshot, latent prefix-reuse bug) disarms
-                    # reuse and falls through to a from-scratch check.
+                    # Self-healing: a crash on the snapshot route (poisoned
+                    # snapshot, trail-integrity violation, latent reuse
+                    # bug) disarms it; the table or a from-scratch check
+                    # answers instead.
                     self._drop_snapshot()
                     self.prefix_fallbacks += 1
                     self.metrics.incr("oracle.prefix.fallbacks")
                     self._record_crash(err)
                 else:
+                    self._account_trail(result)
                     self.prefix_reused += 1
                     self.metrics.incr("oracle.prefix.reused")
                     if self.cross_check:
@@ -767,7 +607,7 @@ class Oracle:
             # Table-served answers are full checks for every existing
             # counter (calls, full_checks, store kinds): the pruning shows
             # up only in the oracle.decl.* family, so suggestions, ranks,
-            # and --stats stay byte-identical with pruning on or off.
+            # and --stats are byte-identical to a from-scratch oracle's.
             self.full_checks += 1
             self.metrics.incr("oracle.full_checks")
             if self.cross_check:
@@ -780,18 +620,18 @@ class Oracle:
         return self._typecheck(program)
 
     def _assert_equivalent(
-        self, program, incremental: CheckResult,
+        self, program, reused: CheckResult,
         metric: str = "oracle.prefix.crosschecked",
     ) -> None:
-        """Cross-check an incremental answer against a from-scratch run."""
+        """Cross-check a reused answer against a from-scratch run."""
         self.metrics.incr(metric)
         full = self._typecheck(program)
-        if incremental.ok != full.ok or (
-            not full.ok and _error_text(incremental) != _error_text(full)
+        if reused.ok != full.ok or (
+            not full.ok and _error_text(reused) != _error_text(full)
         ):
             raise IncrementalMismatch(
                 "incremental oracle diverged from from-scratch answer:\n"
-                f"  incremental: ok={incremental.ok} error={_error_text(incremental)!r}\n"
+                f"  incremental: ok={reused.ok} error={_error_text(reused)!r}\n"
                 f"  from-scratch: ok={full.ok} error={_error_text(full)!r}"
             )
 
@@ -928,12 +768,6 @@ class Oracle:
         self.decls_degraded = 0
         self.crash_samples = []
         self._snapshot = None
-        self._spec_state = None
-        self.trail_speculated = 0
-        self.trail_rolled_back = 0
-        self.trail_fallbacks = 0
-        if self._trail is not None:
-            self._trail.clear()
         self._decl_table = None
         self._decl_pending = None
         self._prefix_gen = 0

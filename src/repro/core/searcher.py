@@ -86,25 +86,6 @@ class SearchConfig:
     shed_fraction: float = 0.85
     enable_triage: bool = True
     enable_adaptation: bool = True
-    #: Arm the oracle's prefix snapshot after localization so candidates
-    #: (which only ever mutate the failing declaration) skip re-inferring
-    #: the passing prefix.  Answer-preserving; off = from-scratch per call.
-    incremental: bool = True
-    #: Arm the oracle's declaration outcome table before the initial check
-    #: (the second reuse tier, behind prefix snapshots): full-path checks —
-    #: chiefly the O(n²) localization prefixes — replay recorded schemes
-    #: for unaffected declarations and really re-infer only changed ones
-    #: and their dependents.  Answer-preserving by construction (replays
-    #: are fingerprint-verified and degrade to real checks); requires
-    #: ``incremental``.
-    depprune: bool = True
-    #: Trail-based speculative inference (the third reuse tier, in front
-    #: of the copying prefix path): candidates are checked against the
-    #: *live* armed environment and every destructive write is rolled
-    #: back via an undo trail, skipping the per-check table/value copies
-    #: entirely.  Answer-preserving (any trail-integrity violation
-    #: degrades to the copying path); requires ``incremental``.
-    speculate: bool = True
     triage_threshold: int = 5
     max_triage_depth: int = 3
     disabled_rules: Sequence[str] = ()
@@ -222,7 +203,6 @@ class Searcher:
         self.oracle = oracle or Oracle(
             max_calls=self.config.max_oracle_calls,
             metrics=self.metrics,
-            speculate=self.config.speculate,
         )
         # Adopt a caller-supplied oracle into this search's registry unless
         # it was already wired to one of its own (same for the event log).
@@ -317,9 +297,9 @@ class Searcher:
                 # check: recording piggybacks on that check's full pass, so
                 # every later full-path check (localization prefixes above
                 # all) replays unaffected declarations instead of
-                # re-inferring them.
-                if self.config.depprune and self.config.incremental:
-                    self.oracle.arm_decl_table(program)
+                # re-inferring them.  Arming is a no-op for a custom
+                # checker, as is arming the prefix below.
+                self.oracle.arm_decl_table(program)
                 first = self.oracle.check(program)
                 if first.ok:
                     outcome.ok = True
@@ -331,8 +311,7 @@ class Searcher:
                     # every candidate below only mutates that declaration — so
                     # snapshot the prefix environment once and let the oracle
                     # check candidates incrementally from there.
-                    if self.config.incremental:
-                        self.oracle.arm_prefix(program, bad)
+                    self.oracle.arm_prefix(program, bad)
                     # Search within the failing prefix: later declarations are
                     # ignored entirely, as in the paper ("It does not examine
                     # the third top-level binding").

@@ -93,9 +93,6 @@ def explain(
     *,
     enable_triage: bool = True,
     enable_adaptation: bool = True,
-    incremental: bool = True,
-    depprune: bool = True,
-    speculate: bool = True,
     max_oracle_calls: Optional[int] = 20000,
     deadline_seconds: Optional[float] = None,
     triage_threshold: int = 5,
@@ -117,18 +114,11 @@ def explain(
     Parameters mirror the knobs the paper evaluates: ``enable_triage=False``
     reproduces the "without triage" configuration of Section 3, and
     ``disabled_rules`` supports the Figure 7 constructive-change ablation.
-    ``incremental=False`` disables the prefix-reuse oracle (every candidate
-    is re-inferred from the empty environment — the pre-optimization
-    behaviour, kept as an escape hatch and for benchmarking the win).
-    ``depprune=False`` disables the declaration outcome table (the second
-    reuse tier: full-path checks replay recorded schemes for declarations a
-    change cannot affect) — answers are identical either way; only the
-    ``oracle.decl.*`` telemetry and wall time differ.
-    ``speculate=False`` disables trail-based speculative inference (the
-    third reuse tier: candidates checked against the live armed state with
-    undo-trail rollback instead of per-check environment copies) — again
-    answer-preserving; only ``oracle.trail.*`` telemetry and wall time
-    differ.
+    The default oracle reuses work across checks (a prefix snapshot and a
+    declaration outcome table, see :class:`~repro.core.oracle.Oracle`);
+    answers are byte-identical to ``oracle=Oracle(typecheck=...)`` around
+    plain :func:`~repro.miniml.infer.typecheck_program`, which checks
+    every candidate from scratch.
 
     The call is best-effort by contract (see :mod:`repro.core.resilience`):
     running out of the oracle budget or the optional wall-clock
@@ -195,9 +185,6 @@ def explain(
             oracle = Oracle(
                 max_calls=max_oracle_calls,
                 metrics=registry,
-                incremental=incremental,
-                depprune=depprune,
-                speculate=speculate,
                 store=store_obj,
             )
         else:
@@ -207,9 +194,6 @@ def explain(
         deadline_seconds=deadline_seconds,
         enable_triage=enable_triage,
         enable_adaptation=enable_adaptation,
-        incremental=incremental,
-        depprune=depprune,
-        speculate=speculate,
         triage_threshold=triage_threshold,
         disabled_rules=disabled_rules,
         triage_strategy=triage_strategy,

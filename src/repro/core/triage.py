@@ -21,8 +21,8 @@ removed), then patterns (arms removed), then arm bodies.
 Prefix reuse: every context and candidate triage builds derives from the
 searcher's root via :func:`repro.tree.replace_at` at paths *inside* the
 failing declaration, so the top-level declarations before it are shared by
-identity and the oracle's armed :class:`~repro.miniml.infer.PrefixSnapshot`
-keeps matching — triage rounds ride the incremental fast path for free.
+identity and the oracle's armed :class:`~repro.miniml.infer.SpeculativeState`
+keeps matching — triage rounds ride the prefix snapshot route for free.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ deterministic, seeded schedule —
   well-formed;
 * **snapshot poisoning** (``poison_snapshot_after``): once armed, the
   prefix snapshot is wrapped so any use of it explodes, exercising the
-  self-healing incremental fallback (``oracle.prefix.fallbacks``);
+  oracle's self-healing snapshot fallback (``oracle.prefix.fallbacks``);
 * **stale declaration tables** (``stale_decl_table``): every Nth check
   marks the armed outcome table stale, so replays must degrade to real
   checks;
@@ -132,8 +132,8 @@ _INJECTED_ZERO: Dict[str, int] = {
 
 class _PoisonedSnapshot:
     """Wraps a real snapshot: still *matches* candidates (so the oracle
-    takes the incremental path) but explodes the moment inference touches
-    any of its state — exactly the shape of a corrupted-snapshot bug."""
+    takes the snapshot route) but explodes the moment the oracle checks
+    against it — exactly the shape of a corrupted-snapshot bug."""
 
     __slots__ = ("_inner",)
 

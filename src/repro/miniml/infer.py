@@ -22,7 +22,7 @@ The checker knows nothing about SEMINAL: the search wildcard is a plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from .ast_nodes import (
     Binding,
@@ -100,7 +100,6 @@ from .types import (
     TVar,
     Trail,
     Type,
-    _substitute,
     free_type_vars,
     generalize,
     instantiate,
@@ -145,6 +144,9 @@ class CheckResult:
     decls_replayed: int = 0
     decls_skipped: int = 0
     decls_degraded: int = 0
+    #: Trail entries undone after a check against shared live state (the
+    #: ``oracle.trail.rolled_back`` telemetry; see :func:`_trailed`).
+    rolled_back: int = 0
 
     def __bool__(self) -> bool:
         return self.ok
@@ -772,153 +774,21 @@ class Inferencer:
         raise TypeMismatchError(e, actual, expected, quoted=QUOTE_NODE)
 
 
-class PrefixSnapshot:
-    """The generalized typing state after the first ``n_decls`` declarations.
-
-    The SEMINAL searcher, once it has localized the first failing top-level
-    declaration, only ever mutates *that* declaration: every candidate it
-    tests shares the passing prefix ``decls[:k]`` by object identity (the
-    functional :func:`repro.tree.replace_at` rebuilds only the spine).  The
-    typing environment those declarations produce is therefore identical
-    across thousands of oracle calls, and re-inferring it each time is pure
-    waste.  A snapshot captures that environment once so each call checks
-    only ``decls[k:]`` on top of it.
-
-    Soundness relies on two properties:
-
-    * **Identity matching** — :meth:`matches` accepts a program only when
-      its first ``n_decls`` declarations *are* (``is``) the snapshotted
-      ones, so a candidate that edits the prefix can never be checked
-      against a stale environment.
-    * **Free-variable isolation** — the value restriction can leave
-      un-generalized unification variables in top-level schemes (e.g.
-      ``let r = ref []`` gives ``r : '_a list ref``).  Checking a suffix
-      may *link* those variables, and the mutation would otherwise leak
-      into the next oracle call through the shared snapshot.  When any
-      such variable exists, :meth:`instantiate_values` hands each check a
-      fresh isomorphic copy (one fresh variable per free variable, sharing
-      preserved) — exactly what re-inferring the prefix from scratch would
-      produce.  In the common all-generalized case the copy is skipped.
-    """
-
-    __slots__ = (
-        "decls",
-        "base",
-        "constructors",
-        "fields",
-        "type_arities",
-        "values",
-        "top_level",
-        "free_vars",
-    )
-
-    def __init__(
-        self,
-        decls,
-        base: TypeEnv,
-        constructors,
-        fields,
-        type_arities,
-        values: Dict[str, Scheme],
-        top_level: Dict[str, Scheme],
-        free_vars,
-    ):
-        self.decls = tuple(decls)
-        self.base = base
-        self.constructors = constructors
-        self.fields = fields
-        self.type_arities = type_arities
-        self.values = values
-        self.top_level = top_level
-        self.free_vars = tuple(free_vars)
-
-    @property
-    def n_decls(self) -> int:
-        return len(self.decls)
-
-    def matches(self, program: Program) -> bool:
-        """Whether ``program`` starts with exactly the snapshotted prefix
-        (by object identity — the searcher shares unchanged declarations)."""
-        decls = program.decls
-        if len(decls) < len(self.decls):
-            return False
-        for mine, theirs in zip(self.decls, decls):
-            if mine is not theirs:
-                return False
-        return True
-
-    def instantiate_values(self) -> tuple[Dict[str, Scheme], Dict[str, Scheme]]:
-        """``(values, top_level)`` dicts safe to hand to one inference pass."""
-        if not self.free_vars:
-            return dict(self.values), dict(self.top_level)
-        mapping: Dict[TVar, TVar] = {v: TVar(v.level) for v in self.free_vars}
-        values = {
-            name: Scheme(s.vars, _substitute(s.body, mapping))
-            for name, s in self.values.items()
-        }
-        top_level = {name: values.get(name, s) for name, s in self.top_level.items()}
-        return values, top_level
-
-
-def snapshot_prefix(
-    program: Program, upto: int, env: Optional[TypeEnv] = None
-) -> Optional[PrefixSnapshot]:
-    """Type-check ``program.decls[:upto]`` and snapshot the resulting state.
-
-    Returns ``None`` when the prefix is ill-typed (a snapshot of a failing
-    prefix would be meaningless) or empty.  The snapshot can then be passed
-    to :func:`typecheck_program` via ``prefix=`` to check candidate programs
-    that share the prefix without re-inferring it.
-    """
-    if upto <= 0:
-        return None
-    base = env if env is not None else _default_base()
-    inferencer = Inferencer(base)
-    child = inferencer.root_env.child()
-    top_level: Dict[str, Scheme] = {}
-    try:
-        for decl in program.decls[:upto]:
-            inferencer.check_decl(child, decl, top_level)
-    except (MiniMLTypeError, RecursionError):
-        return None
-    values = dict(child.values)
-    free_vars: List[TVar] = []
-    seen: set = set()
-    for scheme in values.values():
-        quantified = {id(v) for v in scheme.vars}
-        for v in free_type_vars(scheme.body):
-            if id(v) not in quantified and id(v) not in seen:
-                seen.add(id(v))
-                free_vars.append(v)
-    return PrefixSnapshot(
-        program.decls[:upto],
-        base,
-        inferencer.root_env.constructors,
-        inferencer.root_env.fields,
-        inferencer.root_env.type_arities,
-        values,
-        top_level,
-        free_vars,
-    )
-
-
-def _typecheck_from_prefix(
-    program: Program, prefix: PrefixSnapshot, record_types: bool = False
+def _check_decls(
+    inferencer: Inferencer,
+    env: TypeEnv,
+    decls,
+    top_level: Dict[str, Scheme],
+    skipped: int = 0,
 ) -> CheckResult:
-    """Check ``program.decls[prefix.n_decls:]`` on top of the snapshot."""
-    inferencer = Inferencer(prefix.base, record_types=record_types)
-    root = inferencer.root_env
-    # The snapshot owns its table dicts; fork-style copies keep suffix
-    # ``type``/``exception`` declarations from polluting later calls.
-    root.constructors = dict(prefix.constructors)
-    root.fields = dict(prefix.fields)
-    root.type_arities = dict(prefix.type_arities)
-    env = root.child()
-    values, top_level = prefix.instantiate_values()
-    env.values.update(values)
-    skipped = prefix.n_decls
+    """Check ``decls`` in order on ``env``; never raises.
+
+    A program nested past the interpreter's recursion headroom is reported
+    as ill-typed (with a dedicated error) instead of crashing the caller
+    mid-inference.
+    """
     try:
-        for decl in program.decls[prefix.n_decls :]:
+        for decl in decls:
             inferencer.check_decl(env, decl, top_level)
     except MiniMLTypeError as err:
         return CheckResult(
@@ -948,17 +818,63 @@ class TrailIntegrityError(RuntimeError):
     """The speculative undo could not restore the armed state exactly.
 
     Raised when rolling the trail back fails (or the trail was tampered
-    with mid-check).  The armed :class:`SpeculativeState` must be
-    considered corrupt: the oracle discards both it and its snapshot and
-    degrades to the copying path.
+    with mid-check).  The armed :class:`SpeculativeState` or outcome table
+    must be considered corrupt: the oracle discards it and answers the
+    check from scratch.
     """
+
+
+def _undo(trail: Trail, mark: int) -> int:
+    try:
+        return trail.undo(mark)
+    except BaseException as undo_err:
+        raise TrailIntegrityError(
+            "speculative rollback failed; armed state corrupt"
+        ) from undo_err
+
+
+def _trailed(
+    trail: Trail, run: Callable[[], CheckResult], freeze_errors: bool
+) -> CheckResult:
+    """Run one check with ``trail`` installed, then undo every write it made.
+
+    The SMT push/pop discipline: the check unifies against shared, live
+    typing state, and the rollback leaves that state bit-identical for the
+    next check.  The result's ``rolled_back`` counts the entries undone.
+    When ``freeze_errors`` is set, a failing result's message is rendered
+    *before* rollback, since the types it renders from are about to be
+    un-unified.
+
+    Raises :class:`TrailIntegrityError` when the state could not be
+    restored; any other exception escapes *after* a successful rollback,
+    so the state stays reusable.
+    """
+    mark = trail.mark()
+    previous = set_trail(trail)
+    try:
+        result = run()
+        if freeze_errors and result.error is not None:
+            result.error.freeze()
+    except BaseException:
+        # Not a type error: chaos injection, a checker bug, a poisoned
+        # state.  Restore the armed state before letting it escape.
+        set_trail(previous)
+        _undo(trail, mark)
+        raise
+    set_trail(previous)
+    if trail.mark() < mark:
+        raise TrailIntegrityError(
+            "trail shrank below the pre-check mark; armed state corrupt"
+        )
+    result.rolled_back = _undo(trail, mark)
+    return result
 
 
 def _speculative_inferencer(root: TypeEnv) -> Inferencer:
     """A per-check :class:`Inferencer` over an existing root environment.
 
     Bypasses ``__init__`` so the armed tables are *not* re-copied — that
-    copy is exactly the constant factor the speculative path removes.
+    copy is exactly the constant factor the armed state removes.
     """
     inferencer = Inferencer.__new__(Inferencer)
     inferencer.root_env = root
@@ -970,180 +886,140 @@ def _speculative_inferencer(root: TypeEnv) -> Inferencer:
 
 
 class SpeculativeState:
-    """Live armed typing state for trail-based speculative suffix checks.
+    """The live typing state after the first ``n_decls`` declarations.
 
-    The copying fast path (:func:`_typecheck_from_prefix`) still pays a
-    per-check constant factor: three table ``dict()`` copies, a values
-    copy, and — whenever the value restriction left weak variables — a
-    full substitution walk over every prefix scheme.  This class pays all
-    of that **once**, at arm time, and then checks each candidate's suffix
-    directly against the live state: every destructive write during the
-    check is recorded on a :class:`~repro.miniml.types.Trail` and rolled
-    back afterwards, SMT push/pop style, leaving the armed state
-    bit-identical for the next candidate.
+    The SEMINAL searcher, once it has localized the first failing top-level
+    declaration, only ever mutates *that* declaration: every candidate it
+    tests shares the passing prefix ``decls[:k]`` by object identity (the
+    functional :func:`repro.tree.replace_at` rebuilds only the spine).  The
+    typing environment those declarations produce is therefore identical
+    across thousands of oracle calls, and re-inferring it each time is pure
+    waste.  :func:`snapshot_prefix` infers it once; :meth:`check` then
+    infers only ``decls[k:]`` on top of it.
 
-    Weak (un-generalized) variables need no special casing here: a suffix
-    check may link them, and :meth:`check` undoes the link — the same
-    observable behaviour as the copying path's fresh-copy-per-check.
+    Soundness relies on two properties:
+
+    * **Identity matching** — :meth:`matches` accepts a program only when
+      its first ``n_decls`` declarations *are* (``is``) the snapshotted
+      ones, so a candidate that edits the prefix can never be checked
+      against a stale environment.
+    * **Trail rollback** — a suffix check runs against the *live* state,
+      and the value restriction can leave un-generalized unification
+      variables in its schemes (``let r = ref []`` gives
+      ``r : '_a list ref``).  Every link a check applies to them, and
+      every table write of a suffix ``type``/``exception`` declaration,
+      is recorded on a :class:`~repro.miniml.types.Trail` and rolled back
+      afterwards, SMT push/pop style, so nothing leaks into the next
+      oracle call — exactly what re-inferring the prefix from scratch
+      would produce.
     """
 
-    __slots__ = ("snapshot", "root", "values_env", "trail", "checks", "rolled_back")
+    __slots__ = ("decls", "top_level", "root", "values_env", "trail")
 
-    def __init__(self, snapshot: PrefixSnapshot):
-        self.snapshot = snapshot
-        root = snapshot.base.fork()
-        # The snapshot owns its table dicts; copy once (not per check).
-        root.constructors = dict(snapshot.constructors)
-        root.fields = dict(snapshot.fields)
-        root.type_arities = dict(snapshot.type_arities)
+    def __init__(
+        self,
+        decls,
+        root: TypeEnv,
+        values_env: TypeEnv,
+        top_level: Dict[str, Scheme],
+    ):
+        self.decls = tuple(decls)
+        #: The private root environment (its tables are this state's own).
         self.root = root
-        # Prefix value bindings, bound once and *live* (no instantiation):
-        # suffix unifications against weak variables are undone by the trail.
-        values_env = TypeEnv(dict(snapshot.values), parent=root)
+        #: The prefix's value bindings, bound *live* (no instantiation).
         self.values_env = values_env
+        self.top_level = top_level
         self.trail = Trail()
-        #: Telemetry mirrors of the oracle's ``oracle.trail.*`` counters.
-        self.checks = 0
-        self.rolled_back = 0
 
-    def check(self, program: Program, freeze_errors: bool = False) -> CheckResult:
+    @property
+    def n_decls(self) -> int:
+        return len(self.decls)
+
+    def matches(self, program: Program) -> bool:
+        """Whether ``program`` starts with exactly the snapshotted prefix
+        (by object identity — the searcher shares unchanged declarations)."""
+        decls = program.decls
+        if len(decls) < len(self.decls):
+            return False
+        for mine, theirs in zip(self.decls, decls):
+            if mine is not theirs:
+                return False
+        return True
+
+    def check(self, program: Program, freeze_errors: bool = True) -> CheckResult:
         """Check ``program``'s suffix against the live armed state.
 
-        The caller must have verified ``snapshot.matches(program)``.  When
-        ``freeze_errors`` is set, a failing result's message is rendered
-        *before* rollback (required whenever the error outlives this call —
-        persistence, cross-checking — because the types it would render
-        from are about to be un-unified).
-
-        Raises :class:`TrailIntegrityError` when the armed state could not
-        be restored; any other exception escapes *after* a successful
-        rollback, so the state stays reusable.
+        The caller must have verified :meth:`matches`.  ``freeze_errors``
+        renders a failing result's message before rollback (see
+        :func:`_trailed`); the oracle turns it off when the error dies with
+        the check.  Raises :class:`TrailIntegrityError` when the armed
+        state could not be restored.
         """
-        snapshot = self.snapshot
-        trail = self.trail
-        mark = trail.mark()
-        inferencer = _speculative_inferencer(self.root)
-        env = self.values_env.child()
-        top_level: Dict[str, Scheme] = dict(snapshot.top_level)
-        skipped = snapshot.n_decls
-        previous = set_trail(trail)
-        try:
-            try:
-                for decl in program.decls[skipped:]:
-                    inferencer.check_decl(env, decl, top_level)
-            except MiniMLTypeError as err:
-                if freeze_errors:
-                    err.freeze()
-                result = CheckResult(
-                    ok=False,
-                    error=err,
-                    decls_checked=inferencer.decls_checked,
-                    decls_skipped=skipped,
-                )
-            except RecursionError:
-                result = CheckResult(
-                    ok=False,
-                    error=NestingTooDeepError(),
-                    decls_checked=inferencer.decls_checked,
-                    decls_skipped=skipped,
-                )
-            else:
-                result = CheckResult(
-                    ok=True,
-                    top_level=top_level,
-                    decls_checked=inferencer.decls_checked,
-                    decls_skipped=skipped,
-                )
-        except BaseException as unexpected:
-            # Not a type error: chaos injection, a checker bug, a poisoned
-            # snapshot.  Restore the armed state before letting it escape;
-            # if even that fails the state is corrupt.
-            set_trail(previous)
-            try:
-                self.rolled_back += trail.undo(mark)
-            except BaseException as undo_err:
-                raise TrailIntegrityError(
-                    "speculative rollback failed; armed state corrupt"
-                ) from undo_err
-            raise unexpected
-        set_trail(previous)
-        if trail.mark() < mark:
-            raise TrailIntegrityError(
-                "trail shrank below the pre-check mark; armed state corrupt"
-            )
-        try:
-            self.rolled_back += trail.undo(mark)
-        except BaseException as undo_err:
-            raise TrailIntegrityError(
-                "speculative rollback failed; armed state corrupt"
-            ) from undo_err
-        self.checks += 1
-        return result
+        skipped = self.n_decls
+        return _trailed(
+            self.trail,
+            lambda: _check_decls(
+                _speculative_inferencer(self.root),
+                self.values_env.child(),
+                program.decls[skipped:],
+                dict(self.top_level),
+                skipped,
+            ),
+            freeze_errors,
+        )
 
 
-def typecheck_speculative(
-    program: Program, state: SpeculativeState, freeze_errors: bool = False
-) -> CheckResult:
-    """Module-level convenience wrapper around :meth:`SpeculativeState.check`."""
-    return state.check(program, freeze_errors=freeze_errors)
+def snapshot_prefix(
+    program: Program, upto: int, env: Optional[TypeEnv] = None
+) -> Optional[SpeculativeState]:
+    """Type-check ``program.decls[:upto]`` and arm the resulting state.
+
+    Returns ``None`` when the prefix is ill-typed (a snapshot of a failing
+    prefix would be meaningless) or empty.  The returned state checks
+    candidate programs that share the prefix without re-inferring it.
+    """
+    if upto <= 0:
+        return None
+    inferencer = Inferencer(env)
+    values_env = inferencer.root_env.child()
+    top_level: Dict[str, Scheme] = {}
+    try:
+        for decl in program.decls[:upto]:
+            inferencer.check_decl(values_env, decl, top_level)
+    except (MiniMLTypeError, RecursionError):
+        return None
+    return SpeculativeState(
+        program.decls[:upto], inferencer.root_env, values_env, top_level
+    )
 
 
 def typecheck_program(
     program: Program,
     env: Optional[TypeEnv] = None,
     record_types: bool = False,
-    prefix: Optional[PrefixSnapshot] = None,
 ) -> CheckResult:
     """Type-check a whole program; never raises, returns a :class:`CheckResult`.
 
-    This is the function the SEMINAL oracle wraps.  A fresh environment is
-    built per call (cheap relative to inference) so repeated oracle calls on
-    mutated ASTs cannot interfere through shared unification state.
-
-    When ``prefix`` is a :class:`PrefixSnapshot` whose declarations lead
-    ``program`` (by identity), only the declarations after the snapshot
-    point are inferred — the incremental fast path.  A non-matching prefix
-    falls back to the full from-scratch check, so the answer is the same
-    either way.
+    This is the function the SEMINAL oracle wraps, and the from-scratch
+    reference every reuse route must agree with.  A fresh environment is
+    built per call (cheap relative to inference) so repeated oracle calls
+    on mutated ASTs cannot interfere through shared unification state.
     """
-    if prefix is not None and prefix.matches(program):
-        return _typecheck_from_prefix(program, prefix, record_types=record_types)
     inferencer = Inferencer(env, record_types=record_types)
-    try:
-        top_level = inferencer.check_program(program)
-    except MiniMLTypeError as err:
-        return CheckResult(
-            ok=False,
-            error=err,
-            node_types=inferencer.node_types,
-            decls_checked=inferencer.decls_checked,
-        )
-    except RecursionError:
-        # Graceful rejection: a program nested past the interpreter's
-        # recursion headroom is reported as ill-typed (with a dedicated
-        # error) instead of crashing the caller mid-inference.
-        return CheckResult(
-            ok=False,
-            error=NestingTooDeepError(),
-            decls_checked=inferencer.decls_checked,
-        )
-    return CheckResult(
-        ok=True,
-        top_level=top_level,
-        node_types=inferencer.node_types,
-        decls_checked=inferencer.decls_checked,
+    return _check_decls(
+        inferencer, inferencer.root_env.child(), program.decls, {}
     )
 
 
 # ---------------------------------------------------------------------------
 # Declaration outcome tables: the record/replay passes behind the oracle's
-# second reuse tier (dependency-pruned re-checking).  Planning lives in
+# table route (dependency-pruned re-checking).  Planning lives in
 # :mod:`repro.core.depgraph`; def/use extraction in :mod:`repro.miniml.deps`.
 # ---------------------------------------------------------------------------
 
 
 def _scheme_fingerprint(scheme: Scheme) -> str:
-    """A canonical rendering of a scheme, stable under free-variable copying.
+    """A canonical rendering of a scheme, stable under type-variable renaming.
 
     Variables are named by first appearance — quantified ones as ``q<n>``,
     free (value-restriction weak) ones as ``w<n>`` — so two alpha-equivalent
@@ -1212,6 +1088,8 @@ def record_decl_table(program: Program, env: Optional[TypeEnv] = None, key_fn=No
     recorded by reference and fingerprinted *after* the pass completes, so
     value-restriction weak variables carry their end-of-pass constraints —
     the same state a from-scratch check of the identical program reaches.
+    Which bindings are weak is decided as each is bound, before any later
+    declaration pins its variables (see ``DeclOutcome.weak_names``).
     """
     from repro.core.depgraph import DeclOutcome, DeclTable
     from .deps import NS_VALUE, decl_use_def
@@ -1227,6 +1105,8 @@ def record_decl_table(program: Program, env: Optional[TypeEnv] = None, key_fn=No
     used_slices: List[Dict[str, Scheme]] = []
     bound_so_far: set = set()
     result: Optional[CheckResult] = None
+    free_vars: List[TVar] = []
+    seen_vars: set = set()
 
     for decl in program.decls:
         use_def = decl_use_def(decl)
@@ -1249,6 +1129,20 @@ def record_decl_table(program: Program, env: Optional[TypeEnv] = None, key_fn=No
                 top_level.update(bound)
                 entry.bindings = dict(bound)
                 bound_so_far.update(bound)
+                # Weakness is judged as bound: a later declaration (even
+                # the failing one, part-way) may pin the variable, and
+                # the end-of-pass scheme would then carry a constraint a
+                # candidate that edits that declaration no longer makes.
+                weak: List[str] = []
+                for name, scheme in bound.items():
+                    weak_vars = _scheme_weak_vars(scheme)
+                    if weak_vars:
+                        weak.append(name)
+                        for v in weak_vars:
+                            if id(v) not in seen_vars:
+                                seen_vars.add(id(v))
+                                free_vars.append(v)
+                entry.weak_names = frozenset(weak)
             else:
                 inferencer.check_decl(child, decl, top_level)
         except MiniMLTypeError as err:
@@ -1276,21 +1170,10 @@ def record_decl_table(program: Program, env: Optional[TypeEnv] = None, key_fn=No
         )
 
     # Fingerprint everything at end-of-pass, when unification has settled.
-    free_vars: List[TVar] = []
-    seen_vars: set = set()
     for entry, used in zip(entries, used_slices):
         entry.env_fp = {name: _scheme_fingerprint(s) for name, s in used.items()}
-        weak: List[str] = []
         for name, scheme in entry.bindings.items():
             entry.scheme_fp[name] = _scheme_fingerprint(scheme)
-            weak_vars = _scheme_weak_vars(scheme)
-            if weak_vars:
-                weak.append(name)
-                for v in weak_vars:
-                    if id(v) not in seen_vars:
-                        seen_vars.add(id(v))
-                        free_vars.append(v)
-        entry.weak_names = frozenset(weak)
     return DeclTable(entries=entries, free_vars=tuple(free_vars)), result
 
 
@@ -1299,26 +1182,33 @@ def replay_decl_table(
     table,
     env: Optional[TypeEnv] = None,
     key_fn=None,
-    weak_copy: bool = True,
+    freeze_errors: bool = True,
 ) -> CheckResult:
     """Check ``program`` against a recorded outcome table.
 
     Declarations the planner proves unaffected by the candidate's changes
-    replay their recorded schemes (value-restriction weak variables are
-    copied consistently across the whole pass, the ``instantiate_values``
-    discipline); changed declarations and their dependents are really
-    re-inferred.  A replayed declaration whose used-names environment
-    slice no longer matches the recorded fingerprints — which a sound plan
-    never produces, but a stale or corrupted table can — degrades itself
-    and everything after it to real checks, so the answer is never wrong.
+    replay their recorded schemes; changed declarations and their
+    dependents are really re-inferred.  A replayed declaration whose
+    used-names environment slice no longer matches the recorded
+    fingerprints — which a sound plan never produces, but a stale or
+    corrupted table can — degrades itself and everything after it to real
+    checks, so the answer is never wrong.
 
-    ``weak_copy=False`` skips the per-pass substitution of the table's
-    weak variables and binds the recorded schemes *live*.  Only sound when
-    the caller brackets the pass with an active :class:`~.types.Trail`
-    mark/undo (the oracle's speculative replay tier): any link a check
-    applies to a recorded weak variable is rolled back before the next
-    pass sees the table.
+    Recorded schemes are bound *live*.  When the value restriction left
+    weak variables in them (``table.free_vars``), the pass runs under its
+    own :class:`~.types.Trail` and every link it applies to those
+    variables is undone before returning (see :func:`_trailed`, which
+    ``freeze_errors`` is passed to), so the table comes back pristine for
+    the next pass.
     """
+    if table.free_vars:
+        return _trailed(
+            Trail(), lambda: _replay(program, table, env, key_fn), freeze_errors
+        )
+    return _replay(program, table, env, key_fn)
+
+
+def _replay(program: Program, table, env: Optional[TypeEnv], key_fn) -> CheckResult:
     from repro.core.depgraph import PLAN_REPLAY, plan_replay
     from .deps import decl_use_def
 
@@ -1332,7 +1222,6 @@ def replay_decl_table(
     if (
         not table.stale
         and len(decls) <= len(entries)
-        and not (weak_copy and table.free_vars)
         and table.self_consistent
         and all(skeys[i] == entries[i].skey for i in range(len(decls)))
     ):
@@ -1341,8 +1230,7 @@ def replay_decl_table(
         # butter), so the plan is trivially all-replay and the verdict is
         # already in the table — no environment, no inferencer, and the
         # per-entry fingerprint verification collapses to the table's
-        # (cached) internal consistency.  Skipped when the pass must copy
-        # weak schemes: the slow loop owns that substitution discipline.
+        # (cached) internal consistency.
         fast_top: Dict[str, Scheme] = {}
         fast_replayed = 0
         for i in range(len(decls)):
@@ -1368,11 +1256,6 @@ def replay_decl_table(
     inferencer = Inferencer(base)
     child = inferencer.root_env.child()
     top_level: Dict[str, Scheme] = {}
-    mapping: Optional[Dict[TVar, TVar]] = (
-        {v: TVar(v.level) for v in table.free_vars}
-        if (weak_copy and table.free_vars)
-        else None
-    )
     #: Canonical schemes of program-bound names as of the current position.
     current_fp: Dict[str, str] = {}
     replayed = degraded = 0
@@ -1401,8 +1284,6 @@ def replay_decl_table(
                 return CheckResult(ok=False, error=entry.error, **counts())
             if isinstance(decl, DLet):
                 for name, scheme in entry.bindings.items():
-                    if mapping is not None:
-                        scheme = Scheme(scheme.vars, _substitute(scheme.body, mapping))
                     child.bind(name, scheme)
                     top_level[name] = scheme
                     current_fp[name] = entry.scheme_fp[name]

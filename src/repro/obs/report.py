@@ -37,7 +37,6 @@ COST_COUNTER_PREFIXES: Tuple[str, ...] = (
     "oracle.depth_rejected",
     "oracle.prefix.fallbacks",
     "oracle.prefix.invalidated",
-    "oracle.trail.fallbacks",
     "oracle.budget_exceeded",
     "oracle.cache.misses",
     "oracle.decl.checked",
@@ -348,14 +347,11 @@ def render_aggregate(agg: RunAggregate) -> str:
         if reuse is not None:
             rows.append(("prefix-reuse rate", f"{100.0 * reuse:.1f}%"))
         t_spec = agg.value("oracle.trail.speculated")
-        t_fallbacks = agg.value("oracle.trail.fallbacks")
-        if t_spec or t_fallbacks:
+        if t_spec:
             rows.append(("trail speculated", str(t_spec)))
             rows.append(
                 ("trail rolled back", str(agg.value("oracle.trail.rolled_back")))
             )
-            if t_fallbacks:
-                rows.append(("trail fallbacks", str(t_fallbacks)))
         hits, misses = agg.value("oracle.cache.hits"), agg.value("oracle.cache.misses")
         if hits or misses:
             rows.append(("cache hits / misses", f"{hits} / {misses}"))

@@ -9,7 +9,7 @@ A stored verdict is only reusable when three things are unchanged:
   library silently invalidates every stale verdict on the next run;
 * **the incremental regime** — :func:`prefix_fingerprint` hashes the
   structural keys of the declarations an armed
-  :class:`~repro.miniml.infer.PrefixSnapshot` covers (or the
+  :class:`~repro.miniml.infer.SpeculativeState` covers (or the
   :data:`NO_PREFIX_FP` sentinel when no snapshot is armed).  This is the
   cross-process analogue of the oracle's in-memory ``_prefix_gen`` tag:
   a verdict computed under prefix reuse is only served to a check asked

@@ -14,6 +14,7 @@ from repro.core.messages import render_suggestion
 from repro.corpus import generate_corpus
 from repro.miniml import parse_program
 from repro.miniml.infer import (
+    _scheme_fingerprint,
     record_decl_table,
     replay_decl_table,
     typecheck_program,
@@ -122,6 +123,61 @@ class TestReplay:
                 replay_decl_table(candidate, table),
                 typecheck_program(candidate),
             )
+
+    def test_weak_replay_leaves_table_fingerprints_unchanged(self):
+        # `cell` stays weak in the recorded baseline.  The planner normally
+        # re-infers a weak binding's declaration whenever a checked
+        # declaration touches it; clear the table's weak names so the
+        # recorded scheme itself is bound live and pinned, leaving the
+        # replay's trail as the only thing that keeps the table pristine.
+        # A failing candidate pins `cell` to int before failing, a passing
+        # one pins it to bool.
+        src = "let cell = ref []\nlet x = 0\nlet y = 0"
+        baseline = parse_program(src)
+        table, rec = record_decl_table(baseline)
+        assert rec.ok and table is not None and table.free_vars
+        for entry in table.entries:
+            entry.weak_names = frozenset()
+
+        def fingerprints():
+            return [
+                {name: _scheme_fingerprint(s) for name, s in e.bindings.items()}
+                for e in table.entries
+            ]
+
+        before = fingerprints()
+        mk = lambda x, y: type(baseline)(  # noqa: E731
+            [baseline.decls[0], parse_program(x).decls[0], parse_program(y).decls[0]]
+        )
+        failing = mk("let x = cell := [1]", 'let y = cell := ["s"]')
+        passing = mk("let x = cell := [true]", "let y = 0")
+        for candidate, ok in ((failing, False), (passing, True)):
+            replayed = replay_decl_table(candidate, table)
+            _assert_same(replayed, typecheck_program(candidate))
+            assert replayed.ok is ok
+            assert replayed.decls_replayed >= 1  # `cell`, bound live
+            assert fingerprints() == before
+
+    @pytest.mark.parametrize(
+        "baseline_src,edited",
+        [
+            # Pinned by a later passing declaration the candidate edits.
+            ("let r = ref []\nlet a = r := [1]\nlet b = 2", 'let a = r := ["s"]'),
+            # Pinned part-way by the failing declaration itself.
+            ('let r = ref []\nlet a = (r := ["s"]); 1 + true', "let a = (r := [1]); 1 + 2"),
+        ],
+    )
+    def test_weak_binding_pinned_later_is_rechecked(self, baseline_src, edited):
+        # `r` is weak when bound; the end-of-pass scheme carries the pin of
+        # a later declaration, which the candidate no longer makes.
+        baseline = parse_program(baseline_src)
+        table, _ = record_decl_table(baseline)
+        decls = list(baseline.decls)
+        decls[1] = parse_program(edited).decls[0]
+        candidate = type(baseline)(decls)
+        replayed = replay_decl_table(candidate, table)
+        assert typecheck_program(candidate).ok
+        _assert_same(replayed, typecheck_program(candidate))
 
 
 class TestDegradation:

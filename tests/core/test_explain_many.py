@@ -187,11 +187,6 @@ class TestDeterminism:
         entry = explain_many([FIG2, ILL_TYPED], jobs=2, enable_triage=False)[0]
         assert _signature(entry.result) == _signature(serial)
 
-    def test_non_incremental_matches(self):
-        serial = explain(FIG2, incremental=False)
-        entry = explain_many([FIG2, ILL_TYPED], jobs=2, incremental=False)[0]
-        assert _signature(entry.result) == _signature(serial)
-
 
 class TestCrashIsolation:
     SOURCES = TestExplainMany.SOURCES

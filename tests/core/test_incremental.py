@@ -1,8 +1,9 @@
 """Prefix-reuse incremental typechecking: snapshot API and equivalence.
 
 The optimization's contract is *semantic transparency*: for any program
-whose first ``k`` declarations type-check, inference seeded from a
-:class:`~repro.miniml.infer.PrefixSnapshot` of those ``k`` declarations
+whose first ``k`` declarations type-check, checking its suffix against the
+:class:`~repro.miniml.infer.SpeculativeState` armed by
+:func:`~repro.miniml.infer.snapshot_prefix` for those ``k`` declarations
 must return the same verdict — and on failure, the same rendered error —
 as inference from the empty environment.  These tests exercise the
 contract directly at the infer layer, then property-style over generated
@@ -81,7 +82,7 @@ class TestEquivalence:
         for k in splits:
             snapshot = snapshot_prefix(program, k)
             assert snapshot is not None
-            fast = typecheck_program(program, prefix=snapshot)
+            fast = snapshot.check(program)
             assert fast.ok == full.ok
             if not full.ok:
                 assert fast.error.render() == full.error.render()
@@ -89,7 +90,7 @@ class TestEquivalence:
     def test_well_typed_suffix_agrees(self):
         program = parse_program("let f x = x + 1\nlet g = f 2\nlet h = g + 3")
         snapshot = snapshot_prefix(program, 1)
-        assert typecheck_program(program, prefix=snapshot).ok
+        assert snapshot.check(program).ok
 
     def test_snapshot_is_reusable_across_candidates(self):
         # One snapshot, many suffixes — the point of the optimization.
@@ -99,15 +100,15 @@ class TestEquivalence:
             candidate = Program(
                 [base.decls[0], parse_program(suffix).decls[0]]
             )
-            fast = typecheck_program(candidate, prefix=snapshot)
+            fast = snapshot.check(candidate)
             assert fast.ok == typecheck_program(candidate).ok
 
 
 class TestFreeVariableIsolation:
     """The value restriction leaves un-generalized type variables in
     top-level schemes (``let r = ref []`` : ``'_a list ref``).  Suffix
-    inference unifies through them, so each incremental check must get a
-    fresh isomorphic copy — links must never leak across oracle calls."""
+    inference unifies through them, so each incremental check must roll its
+    links back — they must never leak across oracle calls."""
 
     def test_monomorphic_ref_does_not_leak_between_checks(self):
         base = parse_program("let r = ref []\nlet u = r := [1]")
@@ -119,9 +120,9 @@ class TestFreeVariableIsolation:
         )
         # Both suffixes pin '_a differently; with shared state the second
         # (and the re-run of the first) would spuriously fail.
-        assert typecheck_program(int_use, prefix=snapshot).ok
-        assert typecheck_program(bool_use, prefix=snapshot).ok
-        assert typecheck_program(int_use, prefix=snapshot).ok
+        assert snapshot.check(int_use).ok
+        assert snapshot.check(bool_use).ok
+        assert snapshot.check(int_use).ok
 
     def test_conflict_within_one_suffix_still_detected(self):
         program = parse_program(
@@ -129,7 +130,7 @@ class TestFreeVariableIsolation:
         )
         snapshot = snapshot_prefix(program, 1)
         full = typecheck_program(program)
-        fast = typecheck_program(program, prefix=snapshot)
+        fast = snapshot.check(program)
         assert not full.ok
         assert fast.ok == full.ok
         assert fast.error.render() == full.error.render()
@@ -137,9 +138,9 @@ class TestFreeVariableIsolation:
 
 class TestCorpusAgreement:
     """Property-style: over generated corpus programs, a search with the
-    incremental oracle (cross-check mode on) and a search with it disabled
-    must agree bit-for-bit — same verdict, same oracle-call count, same
-    rendered suggestions in the same order."""
+    incremental oracle (cross-check mode on) and a search with the
+    from-scratch reference oracle must agree bit-for-bit — same verdict,
+    same oracle-call count, same rendered suggestions in the same order."""
 
     @pytest.fixture(scope="class")
     def corpus_programs(self):
@@ -155,7 +156,7 @@ class TestCorpusAgreement:
 
     def test_search_results_identical(self, corpus_programs):
         for program in corpus_programs:
-            baseline = explain(program, incremental=False)
+            baseline = explain(program, oracle=Oracle(typecheck=typecheck_program))
             checked = explain(program, oracle=Oracle(cross_check=True))
             assert checked.ok == baseline.ok
             assert checked.oracle_calls == baseline.oracle_calls

@@ -5,6 +5,7 @@ import pytest
 from repro.core.oracle import BudgetExceeded, IncrementalMismatch, Oracle
 from repro.miniml import parse_program
 from repro.miniml.ast_nodes import Program
+from repro.miniml.infer import SpeculativeState, typecheck_program
 from repro.obs import MetricsRegistry
 
 
@@ -186,7 +187,7 @@ class TestPrefixReuse:
         assert oracle.full_checks == 2
 
     def test_same_answer_with_and_without_prefix(self, two_decl_bad):
-        full = Oracle(incremental=False).check(two_decl_bad)
+        full = Oracle(typecheck=typecheck_program).check(two_decl_bad)
         incremental = Oracle()
         incremental.arm_prefix(two_decl_bad, 1)
         fast = incremental.check(two_decl_bad)
@@ -207,8 +208,11 @@ class TestPrefixReuse:
         oracle.passes(two_decl_bad)
         assert oracle.full_checks == 1
 
-    def test_arm_noop_when_incremental_off(self, two_decl_bad):
-        oracle = Oracle(incremental=False)
+    def test_arm_noop_for_the_reference_checker(self, two_decl_bad):
+        # Handing the oracle the default checker explicitly makes it the
+        # from-scratch reference: neither reuse route arms.
+        oracle = Oracle(typecheck=typecheck_program)
+        assert not oracle.arm_decl_table(two_decl_bad)
         assert not oracle.arm_prefix(two_decl_bad, 1)
         oracle.passes(two_decl_bad)
         assert oracle.full_checks == 1
@@ -239,23 +243,18 @@ class TestCrossCheck:
         assert not oracle.passes(two_decl_bad)
         assert registry.value("oracle.prefix.crosschecked") == 1
 
-    def test_divergence_raises(self, two_decl_bad):
-        # A checker that answers "ok" on the incremental path but "fail"
-        # from scratch must be caught by the assertion mode.
+    def test_divergence_raises(self, two_decl_bad, monkeypatch):
+        # A snapshot that answers "ok" on the incremental path while the
+        # from-scratch check says "fail" must be caught by the assertion
+        # mode.
         from repro.miniml.infer import CheckResult
 
-        class AlwaysMatches:
-            def matches(self, program):
-                return True
-
-        def two_faced(program, prefix=None):
-            return CheckResult(ok=prefix is not None)
-
-        oracle = Oracle(
-            typecheck=two_faced,
-            snapshot_fn=lambda program, n_decls: AlwaysMatches(),
-            cross_check=True,
+        monkeypatch.setattr(
+            SpeculativeState,
+            "check",
+            lambda self, program, freeze_errors=True: CheckResult(ok=True),
         )
+        oracle = Oracle(cross_check=True)
         assert oracle.arm_prefix(two_decl_bad, 1)
         with pytest.raises(IncrementalMismatch):
             oracle.check(two_decl_bad)

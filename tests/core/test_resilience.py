@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import repro.core.oracle as oracle_module
 from repro.core import (
     BudgetExceeded,
     Deadline,
@@ -24,8 +25,15 @@ from repro.core import (
     Searcher,
     explain,
 )
-from repro.miniml.infer import CheckResult
+from repro.miniml.infer import (
+    CheckResult,
+    SpeculativeState,
+    TrailIntegrityError,
+    typecheck_program,
+)
 from repro.miniml.parser import parse_program
+from repro.obs import MetricsRegistry
+from repro.store import VerdictStore
 
 
 class FakeClock:
@@ -148,7 +156,7 @@ class TestDegradationReport:
 def _crashy_typecheck(crash_on):
     """A checker that raises on programs whose id is in ``crash_on``."""
 
-    def typecheck(program, prefix=None):
+    def typecheck(program):
         if id(program) in crash_on:
             raise RuntimeError("checker exploded")
         return CheckResult(ok=True)
@@ -173,7 +181,7 @@ class TestCrashIsolation:
             oracle.check(program)
 
     def test_crash_samples_are_bounded(self):
-        def always_crash(program, prefix=None):
+        def always_crash(program):
             raise ValueError("boom")
 
         oracle = Oracle(typecheck=always_crash, crash_sample_limit=2)
@@ -189,7 +197,7 @@ class TestCrashIsolation:
             oracle.check(parse_program("let x = 1"))
 
     def test_recursion_error_is_isolated(self):
-        def deep_crash(program, prefix=None):
+        def deep_crash(program):
             raise RecursionError("maximum recursion depth exceeded")
 
         oracle = Oracle(typecheck=deep_crash)
@@ -197,7 +205,7 @@ class TestCrashIsolation:
         assert oracle.crashes == 1
 
     def test_reset_clears_crash_accounting(self):
-        def always_crash(program, prefix=None):
+        def always_crash(program):
             raise ValueError("boom")
 
         oracle = Oracle(typecheck=always_crash)
@@ -222,19 +230,24 @@ class _ExplodingSnapshot:
         raise RuntimeError(f"poisoned snapshot: {name}")
 
 
+def _poison_snapshots(monkeypatch):
+    """Make the oracle arm an :class:`_ExplodingSnapshot`: it matches every
+    candidate, so the poison fires exactly on the snapshot route."""
+    monkeypatch.setattr(
+        oracle_module, "snapshot_prefix", lambda program, n: _ExplodingSnapshot()
+    )
+
+
 class TestSelfHealing:
-    def _oracle_with_poisoned_snapshot(self, **kwargs):
-        # The real typecheck_program only touches the snapshot when given
-        # one, so the poison fires exactly on the incremental fast path.
-        oracle = Oracle(
-            snapshot_fn=lambda program, n: _ExplodingSnapshot(), **kwargs
-        )
+    def _oracle_with_poisoned_snapshot(self, monkeypatch, **kwargs):
+        _poison_snapshots(monkeypatch)
+        oracle = Oracle(**kwargs)
         program = parse_program(TWO_DECLS)
         assert oracle.arm_prefix(program, 1)
         return oracle, program
 
-    def test_poisoned_snapshot_falls_back_to_full_check(self):
-        oracle, program = self._oracle_with_poisoned_snapshot()
+    def test_poisoned_snapshot_falls_back_to_full_check(self, monkeypatch):
+        oracle, program = self._oracle_with_poisoned_snapshot(monkeypatch)
         result = oracle.check(program)
         # The from-scratch answer, not a crash: y = x + true is ill-typed.
         assert result.ok is False
@@ -243,45 +256,69 @@ class TestSelfHealing:
         assert oracle.crashes == 1
         assert not oracle.prefix_armed  # healed away, not retried forever
 
-    def test_fallback_happens_once_then_stays_full(self):
-        oracle, program = self._oracle_with_poisoned_snapshot()
+    def test_fallback_happens_once_then_stays_full(self, monkeypatch):
+        oracle, program = self._oracle_with_poisoned_snapshot(monkeypatch)
         oracle.check(program)
         oracle.check(program)
         assert oracle.prefix_fallbacks == 1
         assert oracle.full_checks == 2
 
-    def test_strict_mode_propagates_snapshot_crash(self):
-        oracle, program = self._oracle_with_poisoned_snapshot(strict=True)
+    def test_strict_mode_propagates_snapshot_crash(self, monkeypatch):
+        oracle, program = self._oracle_with_poisoned_snapshot(
+            monkeypatch, strict=True
+        )
         with pytest.raises(RuntimeError):
             oracle.check(program)
 
-    def test_crashing_snapshot_fn_is_isolated(self):
+    def test_trail_integrity_error_heals_to_reference_answer(
+        self, monkeypatch, tmp_path
+    ):
+        # A trail that cannot restore the armed state: the snapshot is
+        # dropped, the fallback is counted once, the degraded answer is
+        # never persisted, and the answer is the from-scratch one.
+        def corrupt(self, program, freeze_errors=True):
+            raise TrailIntegrityError("speculative rollback failed")
+
+        monkeypatch.setattr(SpeculativeState, "check", corrupt)
+        program = parse_program(TWO_DECLS)
+        metrics = MetricsRegistry()
+        with VerdictStore(tmp_path / "store") as store:
+            oracle = Oracle(metrics=metrics, store=store)
+            assert oracle.arm_prefix(program, 1)
+            result = oracle.check(program)
+            assert oracle.store_writes == 0
+            assert metrics.value("oracle.store.writes") == 0
+            assert not oracle.prefix_armed
+            # Healed: the next check takes the from-scratch path directly.
+            oracle.check(program)
+        reference = typecheck_program(program)
+        assert result.ok is reference.ok is False
+        assert result.error.render() == reference.error.render()
+        assert metrics.value("oracle.prefix.fallbacks") == 1
+        assert metrics.value("oracle.crashes") == 1
+        assert "TrailIntegrityError" in oracle.crash_samples[0]
+
+    def test_crashing_snapshot_prefix_is_isolated(self, monkeypatch):
         def bad_snapshot(program, n):
             raise RuntimeError("snapshot bug")
 
-        oracle = Oracle(snapshot_fn=bad_snapshot)
+        monkeypatch.setattr(oracle_module, "snapshot_prefix", bad_snapshot)
+        oracle = Oracle()
         program = parse_program(TWO_DECLS)
         assert oracle.arm_prefix(program, 1) is False
         assert oracle.crashes == 1
         assert not oracle.prefix_armed
 
-    def test_cross_check_mismatch_still_raises(self):
+    def test_cross_check_mismatch_still_raises(self, monkeypatch):
         # The assertion mode must survive the crash guard: a divergence is
-        # a soundness bug, not a fault to degrade through.
-        class LyingSnapshot:
-            def matches(self, program):
-                return True
-
-        def lying_typecheck(program, prefix=None):
-            if prefix is not None:
-                return CheckResult(ok=True)  # incremental says yes
-            return CheckResult(ok=False)  # from-scratch says no
-
-        oracle = Oracle(
-            typecheck=lying_typecheck,
-            snapshot_fn=lambda program, n: LyingSnapshot(),
-            cross_check=True,
+        # a soundness bug, not a fault to degrade through.  The snapshot
+        # says yes; from scratch, TWO_DECLS is ill-typed.
+        monkeypatch.setattr(
+            SpeculativeState,
+            "check",
+            lambda self, program, freeze_errors=True: CheckResult(ok=True),
         )
+        oracle = Oracle(cross_check=True)
         program = parse_program(TWO_DECLS)
         assert oracle.arm_prefix(program, 1)
         with pytest.raises(IncrementalMismatch):
@@ -307,12 +344,11 @@ class TestPrefixGenerationMemoKeys:
         oracle.check(program)
         assert oracle.cache_misses == 2
 
-    def test_healed_snapshot_never_serves_stale_verdict(self):
+    def test_healed_snapshot_never_serves_stale_verdict(self, monkeypatch):
         # A check that heals the snapshot mid-call computed its result
         # from scratch — it must be cached under the *new* generation.
-        oracle = Oracle(
-            cache=True, snapshot_fn=lambda program, n: _ExplodingSnapshot()
-        )
+        _poison_snapshots(monkeypatch)
+        oracle = Oracle(cache=True)
         program = parse_program(TWO_DECLS)
         oracle.arm_prefix(program, 1)
         gen_at_lookup = oracle._prefix_gen
@@ -450,12 +486,10 @@ class TestExplainDegradation:
         calls = {"n": 0}
         real = Oracle()._typecheck
 
-        def flaky(program, prefix=None):
+        def flaky(program):
             calls["n"] += 1
             if calls["n"] % 5 == 0:
                 raise RuntimeError("flaky checker")
-            if prefix is not None:
-                return real(program, prefix=prefix)
             return real(program)
 
         result = explain(TWO_DECLS, oracle=Oracle(typecheck=flaky))

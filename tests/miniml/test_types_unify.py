@@ -24,6 +24,7 @@ from repro.miniml.types import (
     types_to_strings,
 )
 from repro.miniml.unify import UnifyError, occurs_in, unifiable, unify
+from repro.tree import DepthProbe, HCKey, StructuralKeyer
 
 
 class TestConstruction:
@@ -233,3 +234,18 @@ class TestUnifyProperties:
     @given(ground_types())
     def test_printing_deterministic(self, t):
         assert type_to_string(t) == type_to_string(t)
+
+
+def test_type_nodes_are_slotted():
+    # The hot-path objects the checker and keyer allocate per check carry
+    # no per-instance __dict__.
+    for instance in (
+        TVar(0),
+        TCon("int"),
+        TArrow(TCon("int"), TCon("int")),
+        TTuple([TCon("int"), TCon("bool")]),
+        HCKey(("probe",)),
+        StructuralKeyer(),
+        DepthProbe(),
+    ):
+        assert not hasattr(instance, "__dict__"), type(instance).__name__

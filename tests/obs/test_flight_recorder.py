@@ -92,9 +92,10 @@ FAULT_PLAN_EXPECTATIONS = {
     "latency": ("degraded", {"deadline_seconds": 1e-9}),
     "cache-corruption": ("degraded", {"deadline_seconds": 1e-9}),
     # Staling the decl outcome table is deliberately event-silent (the
-    # depprune on/off event logs must stay byte-identical); it surfaces
-    # through the oracle.decl.degraded counter instead, asserted by the
-    # chaos suite.  Here the tiny-deadline trick applies as above.
+    # event log must stay byte-identical to the from-scratch reference's);
+    # it surfaces through the oracle.decl.degraded counter instead,
+    # asserted by the chaos suite.  Here the tiny-deadline trick applies
+    # as above.
     "stale-decl-table": ("degraded", {"deadline_seconds": 1e-9}),
 }
 
