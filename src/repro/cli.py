@@ -16,8 +16,7 @@ extension) selects the MiniCpp front end.
 
 Observability (see :mod:`repro.obs`): ``--trace out.json`` records a
 Perfetto-loadable span trace of the whole search, ``--metrics`` prints the
-full counter/histogram table, ``--cache`` turns on the oracle memo cache
-(whose hit/miss counts then show up under ``--stats``/``--metrics``).
+full counter/histogram table.
 The flight recorder adds ``--events out.jsonl`` (one schema-versioned JSON
 line per lifecycle event) and ``--report out.json`` (the RunReport summary
 document); ``python -m repro report FILE... [--diff BASELINE]`` reads
@@ -148,9 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the RunReport summary JSON (metrics + "
                              "degradation + timing; diffable via "
                              "`repro report --diff`) (MiniML only)")
-    parser.add_argument("--cache", action="store_true",
-                        help="memoize oracle results by structural key "
-                             "(hit/miss counts appear under --stats)")
     parser.add_argument("--store", metavar="PATH", default=None,
                         help="persistent cross-run verdict store directory: "
                              "warm-start the oracle from verdicts persisted "
@@ -364,8 +360,7 @@ def _note_degradation(result) -> None:
 def _run_miniml(source: str, args: argparse.Namespace) -> int:
     import time
 
-    from repro.core import Oracle, explain, fix_all
-    from repro.obs import NULL_METRICS
+    from repro.core import explain, fix_all
 
     if args.checker_only and not args.fix:
         return _checker_only_miniml(source)
@@ -373,15 +368,8 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
     tracer, metrics = _telemetry(args)
     events = _event_log(args)
     start = time.perf_counter()
-    oracle = None
-    if args.cache:
-        oracle = Oracle(
-            max_calls=args.max_calls,
-            cache=True,
-            metrics=metrics if metrics is not NULL_METRICS else None,
-        )
     telemetry_kwargs = dict(
-        tracer=tracer, metrics=metrics, oracle=oracle, store=args.store,
+        tracer=tracer, metrics=metrics, store=args.store,
         shed_fraction=args.shed_fraction,
     )
 
@@ -444,11 +432,6 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
             print(result.stats.summary(), file=sys.stderr)
         if result.degradation is not None:
             print(result.degradation.summary(), file=sys.stderr)
-        hits = metrics.value("oracle.cache.hits")
-        misses = metrics.value("oracle.cache.misses")
-        cache_note = "" if args.cache else " (cache disabled; enable with --cache)"
-        print(f"oracle cache: {hits} hits, {misses} misses{cache_note}",
-              file=sys.stderr)
         reused = metrics.value("oracle.prefix.reused")
         full = metrics.value("oracle.full_checks")
         print(f"oracle prefix reuse: {reused} incremental, {full} full checks",

@@ -7,9 +7,7 @@ behind exactly that interface, adding:
 
 * call counting (the paper's efficiency metric — Section 2.2's lazy change
   collections exist precisely to "reduce calls to the type-checker"),
-* an optional budget so pathological searches terminate,
-* an optional memo cache keyed on structural keys (off by default to match
-  the paper; benchmarks can enable it for the ablation study), and
+* an optional budget so pathological searches terminate, and
 * **reuse** (the default MiniML checker only; a custom ``typecheck`` is
   always called from scratch).  A check is answered by one of two routes,
   with a from-scratch check as the single fallback:
@@ -45,9 +43,9 @@ them kill the search:
   degradation report.  ``strict=True`` disables the guard for debugging.
 * **Depth pre-check** — candidates whose AST depth exceeds ``max_depth``
   (default: derived from the interpreter's recursion limit) are rejected
-  *before* inference via an identity-memoized iterative
-  :class:`~repro.tree.DepthProbe`, so deep trees can never trip Python's
-  recursion limit inside the checker in the first place.
+  *before* inference by a :class:`~repro.tree.DepthProbe`, which reads the
+  depth off the candidate's structural key, so deep trees can never trip
+  Python's recursion limit inside the checker in the first place.
 * **Self-healing reuse** — any exception from the snapshot route (a
   poisoned snapshot, a :class:`~repro.miniml.infer.TrailIntegrityError`)
   disarms the snapshot, counts ``oracle.prefix.fallbacks``, and
@@ -57,22 +55,22 @@ them kill the search:
   mode still raises, so tests keep their strict equivalence oracle.
 
 Telemetry: an oracle holding a :class:`~repro.obs.MetricsRegistry` counts
-``oracle.calls`` (and the ``.ok``/``.fail`` split), ``oracle.cache.hits``/
-``oracle.cache.misses``, ``oracle.budget_exceeded``, the prefix-reuse set
-``oracle.prefix.armed``/``oracle.prefix.reused``/
-``oracle.prefix.invalidated``/``oracle.prefix.fallbacks``/
-``oracle.full_checks``, the trail pair ``oracle.trail.speculated``/
-``oracle.trail.rolled_back``, the ``oracle.decl.*`` table accounting, and
-the resilience pair ``oracle.crashes``/``oracle.depth_rejected``.  The
-default is the no-op :data:`~repro.obs.NULL_METRICS`, so the hot path
-never branches on whether telemetry is on.
+``oracle.calls`` (and the ``.ok``/``.fail`` split),
+``oracle.budget_exceeded``, the prefix-reuse set ``oracle.prefix.armed``/
+``oracle.prefix.reused``/``oracle.prefix.invalidated``/
+``oracle.prefix.fallbacks``/``oracle.full_checks``, the trail pair
+``oracle.trail.speculated``/``oracle.trail.rolled_back``, the
+``oracle.decl.*`` table accounting, and the resilience pair
+``oracle.crashes``/``oracle.depth_rejected``.  The default is the no-op
+:data:`~repro.obs.NULL_METRICS`, so the hot path never branches on
+whether telemetry is on.
 """
 
 from __future__ import annotations
 
 import sys
 import traceback
-from typing import Callable, Dict, List, Optional, Protocol, Union
+from typing import List, Optional, Protocol, Union
 
 from repro.miniml.errors import MiniMLTypeError
 from repro.miniml.infer import (
@@ -161,19 +159,6 @@ class Oracle:
     max_calls:
         Hard budget; exceeding it raises :class:`BudgetExceeded`, which the
         searcher catches to return the suggestions found so far.
-    cache:
-        Memoize results by structural key.  Sound because the checker is
-        deterministic and ignores spans/synthetic flags; keys are built by
-        an identity-memoizing :class:`~repro.tree.StructuralKeyer`, so a
-        candidate differing from the root program in one declaration keys
-        in time proportional to that declaration, not the whole program.
-        Entries are additionally tagged with the prefix *generation* (a
-        counter bumped every time a snapshot is armed, invalidated, or
-        healed away), so a verdict computed under a snapshot that later
-        proves poisoned or stale can never be served again.
-    key_fn:
-        Override the cache-key function (language specific).  ``render`` is
-        accepted as a deprecated alias.
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to count into (default: the
         shared no-op registry).
@@ -197,11 +182,8 @@ class Oracle:
         self,
         typecheck: Optional[TypecheckFn] = None,
         max_calls: Optional[int] = None,
-        cache: bool = False,
-        key_fn: Optional[Callable] = None,
         metrics=None,
         cross_check: bool = False,
-        render: Optional[Callable] = None,
         max_depth: Union[int, str, None] = AUTO_DEPTH,
         strict: bool = False,
         crash_sample_limit: int = 5,
@@ -211,37 +193,24 @@ class Oracle:
         self._typecheck = typecheck if typecheck is not None else typecheck_program
         self.max_calls = max_calls
         self.calls = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.full_checks = 0
         self.prefix_reused = 0
         self.prefix_invalidated = 0
         self.prefix_fallbacks = 0
         self.crashes = 0
         self.depth_rejections = 0
-        #: Per-declaration accounting (the dependency-pruning telemetry):
-        #: declarations really inferred / replayed from the outcome table /
-        #: skipped via prefix snapshots / degraded from replay to check.
-        self.decls_checked = 0
-        self.decls_replayed = 0
-        self.decls_skipped = 0
-        self.decls_degraded = 0
         self.crash_samples: List[str] = []
         self.crash_sample_limit = crash_sample_limit
         self.strict = strict
         if max_depth == AUTO_DEPTH:
             max_depth = default_max_depth()
         self.max_depth: Optional[int] = max_depth
-        self._depth_probe = DepthProbe() if max_depth is not None else None
-        self._cache: Optional[Dict[object, CheckResult]] = {} if cache else None
-        self._keyer: Optional[StructuralKeyer] = None
-        if key_fn is not None:
-            self._key = key_fn
-        elif render is not None:  # pre-structural-key API
-            self._key = render
-        else:
-            self._keyer = StructuralKeyer()
-            self._key = self._keyer
+        #: Structural keys for the store, the decl table and the depth
+        #: guard; a searcher replaces it with its own (:meth:`adopt_keyer`).
+        self._keyer = StructuralKeyer()
+        self._depth_probe = (
+            DepthProbe(self._keyer) if max_depth is not None else None
+        )
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.events = events if events is not None else NULL_EVENTS
         self.cross_check = cross_check
@@ -251,12 +220,8 @@ class Oracle:
         self._snapshot = None
         self._decl_table = None
         self._decl_pending = None
-        #: Bumped whenever the prefix state changes (armed / invalidated /
-        #: healed / reset): part of the memo key, so cached verdicts are
-        #: scoped to the snapshot regime they were computed under.
-        self._prefix_gen = 0
-        #: Content-addressed analogue of ``_prefix_gen`` for the disk
-        #: tier: the fingerprint of the armed snapshot's declarations, or
+        #: The snapshot regime a stored verdict belongs to: the
+        #: fingerprint of the armed snapshot's declarations, or
         #: :data:`~repro.store.fingerprint.NO_PREFIX_FP` when unarmed.
         #: ``None`` disables the store for the current regime (e.g. the
         #: snapshot could not be fingerprinted).
@@ -284,14 +249,14 @@ class Oracle:
         self.events.emit("oracle_crash", error=sample)
 
     # ------------------------------------------------------------------
-    # The persistent verdict store (disk tier behind the memo)
+    # The persistent verdict store (the disk tier)
     # ------------------------------------------------------------------
 
     def attach_store(self, store) -> None:
         """Attach a :class:`~repro.store.VerdictStore` as the disk tier.
 
-        Probe order per check: memory memo → store → real check (the
-        verdict is written back to the store on the way out).  Store hits
+        Probe order per check: store → real check (the verdict is
+        written back to the store on the way out).  Store hits
         still count toward ``self.calls`` (the budget and ``--stats``
         accounting, which must be byte-identical warm or cold) but *not*
         toward the ``oracle.calls`` metric, which counts real checker
@@ -391,20 +356,17 @@ class Oracle:
     # Prefix reuse
     # ------------------------------------------------------------------
 
-    def adopt_keyer(self, keyer) -> bool:
+    def adopt_keyer(self, keyer: StructuralKeyer) -> None:
         """Share a search-owned :class:`~repro.tree.StructuralKeyer`.
 
-        The searcher builds one keyer per search (dedup, oracle cache, and
-        the declaration outcome table all intern into it — the
-        ``search.keys.interned`` metric); adopting replaces the oracle's
-        private default keyer.  No-op (False) when a custom ``key_fn`` was
-        supplied — overriding it could change cache semantics.
+        The searcher builds one keyer per search (dedup, the depth guard,
+        store keys and the declaration outcome table all intern into it —
+        the ``search.keys.interned`` metric); adopting replaces the
+        oracle's private default keyer.
         """
-        if self._keyer is None:
-            return False
         self._keyer = keyer
-        self._key = keyer
-        return True
+        if self._depth_probe is not None:
+            self._depth_probe.keyer = keyer
 
     @property
     def prefix_armed(self) -> bool:
@@ -434,14 +396,13 @@ class Oracle:
         if snapshot is None:
             return False
         self._snapshot = snapshot
-        self._prefix_gen += 1
         if self.store is not None:
             try:
                 self._prefix_fp = prefix_fingerprint(
-                    self._key(decl) for decl in snapshot.decls
+                    self._keyer(decl) for decl in snapshot.decls
                 )
             except Exception:
-                # Unfingerprintable snapshot (custom key_fn, odd decls):
+                # Unfingerprintable snapshot (a decl too deep to key):
                 # disable the disk tier for this regime rather than risk
                 # serving another regime's verdicts.
                 self._prefix_fp = None
@@ -449,9 +410,7 @@ class Oracle:
         return True
 
     def _drop_snapshot(self) -> None:
-        if self._snapshot is not None:
-            self._snapshot = None
-            self._prefix_gen += 1
+        self._snapshot = None
         self._prefix_fp = NO_PREFIX_FP
 
     # ------------------------------------------------------------------
@@ -515,8 +474,7 @@ class Oracle:
                 # The recording pass inferred the baseline's declarations
                 # on behalf of this check; attribute that cost here.
                 extra_checked = base_result.decls_checked
-            # The table interns declaration keys into the same keyer the
-            # cache uses; with a custom key_fn the substrate default applies.
+            # The table interns declaration keys into the shared keyer.
             result = replay_decl_table(
                 program,
                 self._decl_table,
@@ -544,22 +502,18 @@ class Oracle:
             self.metrics.incr("oracle.trail.rolled_back", result.rolled_back)
 
     def _account_decls(self, result) -> None:
-        """Fold one check's per-declaration accounting into the counters."""
+        """Fold one check's per-declaration accounting into the metrics."""
         checked = getattr(result, "decls_checked", 0)
         replayed = getattr(result, "decls_replayed", 0)
         skipped = getattr(result, "decls_skipped", 0)
         degraded = getattr(result, "decls_degraded", 0)
         if checked:
-            self.decls_checked += checked
             self.metrics.incr("oracle.decl.checked", checked)
         if replayed:
-            self.decls_replayed += replayed
             self.metrics.incr("oracle.decl.replayed", replayed)
         if skipped:
-            self.decls_skipped += skipped
             self.metrics.incr("oracle.decl.skipped", skipped)
         if degraded:
-            self.decls_degraded += degraded
             self.metrics.incr("oracle.decl.degraded", degraded)
 
     def _check_once(self, program) -> CheckResult:
@@ -640,15 +594,13 @@ class Oracle:
     # ------------------------------------------------------------------
 
     def check(self, program) -> CheckResult:
-        """Run the type-checker, honouring budget, cache, and crash guard.
+        """Run the type-checker, honouring budget, store, and crash guard.
 
         Accounting order matters: the depth pre-check comes first (a
-        too-deep candidate is rejected for free, before keying or checking
-        could recurse into it); a cache hit is then free and served even
-        when the budget is spent; the budget gate comes next, so a call
-        that raises :class:`BudgetExceeded` was never a cache miss
-        (nothing was checked) and counts toward neither ``calls`` nor
-        ``cache_misses``.  Finally, unless ``strict``, any unexpected
+        too-deep candidate is rejected for free, before checking could
+        recurse into it); the budget gate comes next, so a call that
+        raises :class:`BudgetExceeded` checked nothing and does not count
+        toward ``calls``.  Finally, unless ``strict``, any unexpected
         exception from the checker is isolated: the candidate is rejected
         (``ok=False``) and the crash is counted instead of propagated.
         Only :class:`BudgetExceeded` and the ``cross_check`` assertion
@@ -673,29 +625,17 @@ class Oracle:
             self.depth_rejections += 1
             self.metrics.incr("oracle.depth_rejected")
             return CheckResult(ok=False)
-        skey = None
-        if self._cache is not None:
-            skey = self._key(program)
-            hit = self._cache.get((self._prefix_gen, skey))
-            if hit is not None:
-                self.cache_hits += 1
-                self.metrics.incr("oracle.cache.hits")
-                return hit
         if self.max_calls is not None and self.calls >= self.max_calls:
             self.metrics.incr("oracle.budget_exceeded")
             raise BudgetExceeded(self.max_calls)
-        if self._cache is not None:
-            self.cache_misses += 1
-            self.metrics.incr("oracle.cache.misses")
         self.calls += 1
-        store_fp = None
+        store_fp = skey = None
         if self._store_active:
-            # Disk tier: probed after the memo and *after* the budget
-            # gate and call counting — a store hit spends budget exactly
-            # like a real check, so the budget-exhaustion point (and the
-            # whole downstream search) is identical warm or cold.
-            if skey is None:
-                skey = self._key(program)
+            # Disk tier: probed *after* the budget gate and call counting
+            # — a store hit spends budget exactly like a real check, so
+            # the budget-exhaustion point (and the whole downstream
+            # search) is identical warm or cold.
+            skey = self._keyer(program)
             store_fp = self._prefix_fp
             try:
                 stored = self.store.get(store_fp, skey)
@@ -709,10 +649,7 @@ class Oracle:
                 self.store_hits += 1
                 self.metrics.incr("oracle.store.hits")
                 self._replay_stored_kind(stored.kind)
-                result = self._stored_result(stored)
-                if self._cache is not None:
-                    self._cache[(self._prefix_gen, skey)] = result
-                return result
+                return self._stored_result(stored)
             self.store_misses += 1
             self.metrics.incr("oracle.store.misses")
         before = (
@@ -735,11 +672,6 @@ class Oracle:
         self.metrics.incr("oracle.calls.ok" if result.ok else "oracle.calls.fail")
         if store_fp is not None:
             self._store_write(store_fp, skey, result, before)
-        if self._cache is not None:
-            # Re-tag with the *current* generation: if the check itself
-            # invalidated or healed away the snapshot, the result was
-            # computed from scratch and belongs to the new regime.
-            self._cache[(self._prefix_gen, skey)] = result
         return result
 
     def passes(self, program) -> bool:
@@ -747,37 +679,25 @@ class Oracle:
         return self.check(program).ok
 
     def reset(self) -> None:
-        """Clear accounting, cache, and the prefix snapshot between searches.
+        """Clear accounting, keys, and the prefix snapshot between searches.
 
         The metrics registry is *not* cleared: it aggregates across
         searches by design (reset it explicitly if per-search numbers are
         wanted).
         """
         self.calls = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.full_checks = 0
         self.prefix_reused = 0
         self.prefix_invalidated = 0
         self.prefix_fallbacks = 0
         self.crashes = 0
         self.depth_rejections = 0
-        self.decls_checked = 0
-        self.decls_replayed = 0
-        self.decls_skipped = 0
-        self.decls_degraded = 0
         self.crash_samples = []
         self._snapshot = None
         self._decl_table = None
         self._decl_pending = None
-        self._prefix_gen = 0
         self._prefix_fp = NO_PREFIX_FP
         self.store_hits = 0
         self.store_misses = 0
         self.store_writes = 0
-        if self._cache is not None:
-            self._cache = {}
-        if self._keyer is not None:
-            self._keyer.clear()
-        if self._depth_probe is not None:
-            self._depth_probe.clear()
+        self._keyer.clear()

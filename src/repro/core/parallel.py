@@ -9,7 +9,8 @@ so ``python -m repro explain --jobs N``):
 * :func:`explain_batch_worker` — the per-*program* worker task: one whole
   serial ``explain()`` call, its :class:`~repro.core.seminal.BatchEntry`
   pickled for the trip home;
-* :func:`terminate_executor` — prompt teardown on interrupt.
+* :func:`sigint_deferred` and :func:`terminate_executor` — prompt,
+  orphan-free teardown on interrupt.
 
 Candidate checks inside one search always run serially in the process
 doing the search: a median search takes a few milliseconds, so a single
@@ -25,7 +26,9 @@ from __future__ import annotations
 
 import os
 import pickle
-from typing import Union
+import signal
+from contextlib import contextmanager
+from typing import Iterator, Union
 
 #: ``jobs`` sentinel: use one worker per CPU.
 AUTO_JOBS = "auto"
@@ -63,6 +66,26 @@ def _fork_context():
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
         return None
+
+
+@contextmanager
+def sigint_deferred() -> Iterator[None]:
+    """Hold SIGINT back while a pool forks its workers.
+
+    A Ctrl-C landing between a worker's fork and the executor recording
+    it would leave a worker that :func:`terminate_executor` cannot see:
+    orphaned, blocked on the task queue forever.  Blocked across the
+    forks, the signal is delivered once every worker is recorded.  The
+    workers inherit the mask, so only the parent ever acts on Ctrl-C.
+    """
+    if not hasattr(signal, "pthread_sigmask"):  # pragma: no cover - non-POSIX
+        yield
+        return
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def terminate_executor(executor) -> None:

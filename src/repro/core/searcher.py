@@ -110,12 +110,6 @@ class SearchConfig:
                 f"shed_fraction must be in (0, 1], got {self.shed_fraction!r}"
             )
 
-    @property
-    def soft_deadline_fraction(self) -> float:
-        """Backward-compatible alias for :attr:`shed_fraction` (the knob's
-        pre-supervision name)."""
-        return self.shed_fraction
-
 
 @dataclass
 class SearchStats:
@@ -224,8 +218,8 @@ class Searcher:
         self.degradation = DegradationReport()
         self._deadline: Optional[Deadline] = None
         #: One structural keyer per search: the dedup memo, the oracle's
-        #: cache/store keys, and the declaration outcome table all intern
-        #: subtree keys into this single identity memo
+        #: depth guard and store keys, and the declaration outcome table
+        #: all intern subtree keys into this single identity memo
         #: (``search.keys.interned``), instead of each call site paying to
         #: rebuild keys for the same shared subtrees.
         self._keyer = StructuralKeyer()
@@ -252,7 +246,7 @@ class Searcher:
     def _shed(self, phase: str) -> bool:
         """Whether the soft deadline says to skip one unit of ``phase``.
 
-        Past ``soft_deadline_fraction`` of the wall-clock budget the
+        Past ``shed_fraction`` of the wall-clock budget the
         search keeps its cheap removal descent but sheds the expensive
         optional phases, so the hard deadline lands on a search that has
         already banked its best-effort answers.

@@ -390,16 +390,20 @@ def explain_many(
     import pickle
     from concurrent.futures import ProcessPoolExecutor
 
-    from .parallel import terminate_executor
+    from .parallel import sigint_deferred, terminate_executor
 
     kwargs_blob = pickle.dumps(dict(kwargs))
     entries: List[Optional[BatchEntry]] = [None] * len(source_list)
     pool = ProcessPoolExecutor(max_workers=n_jobs, mp_context=_fork_context())
     try:
-        futures = [
-            pool.submit(explain_batch_worker, label, source, top, kwargs_blob)
-            for label, source in zip(label_list, source_list)
-        ]
+        # The first submit forks every worker (fork context); an
+        # interrupt held back across it lands below, with all of them
+        # known to the teardown.
+        with sigint_deferred():
+            futures = [
+                pool.submit(explain_batch_worker, label, source, top, kwargs_blob)
+                for label, source in zip(label_list, source_list)
+            ]
         for i, future in enumerate(futures):
             try:
                 entries[i] = pickle.loads(future.result())

@@ -4,17 +4,16 @@ The resilience layer (:mod:`repro.core.resilience`, plus the oracle's crash
 guard) promises that ``explain()`` degrades to best-effort suggestions under
 *any* oracle failure.  This module is how we prove it: :class:`ChaosOracle`
 wraps the real :class:`~repro.core.oracle.Oracle` and injects failures on a
-deterministic, seeded schedule —
+deterministic schedule —
 
 * **crashes** (``crash_every``): every Nth check raises (a plain
   :class:`ChaosCrash` or a simulated :class:`RecursionError`), exercising
   the oracle's crash-isolation guard;
 * **latency** (``latency_every``/``latency_seconds``): every Nth check
   sleeps first, exercising wall-clock deadlines;
-* **cache corruption** (``corrupt_cache_every``): every Nth check flips the
-  verdict of a random (seeded) memo entry, exercising the search's
-  tolerance of a lying oracle — outcomes may be wrong but must stay
-  well-formed;
+* **lying verdicts** (``flip_verdict_every``): every Nth verdict the
+  oracle returns is flipped, exercising the search's tolerance of a lying
+  oracle — outcomes may be wrong but must stay well-formed;
 * **snapshot poisoning** (``poison_snapshot_after``): once armed, the
   prefix snapshot is wrapped so any use of it explodes, exercising the
   oracle's self-healing snapshot fallback (``oracle.prefix.fallbacks``);
@@ -26,7 +25,7 @@ deterministic, seeded schedule —
   deterministic schedule, exercising the ``repro.core.retry`` policy and
   the degrade-to-cache-miss path.
 
-Schedules key off the oracle's own call counter, so a given
+Schedules key off the oracle's own counters, so a given
 ``(plan, program)`` pair replays identically — chaos tests are ordinary
 deterministic tests.  The injected ``sleep`` is swappable for tests that
 must not actually block.
@@ -39,12 +38,12 @@ every failure mode on every corpus program (see ``tests/faults``).
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional
 
 from repro.core.oracle import Oracle
+from repro.miniml.infer import CheckResult
 from repro.store.verdicts import VerdictStore
 
 
@@ -61,9 +60,7 @@ class FaultPlan:
     """One deterministic schedule of injected failures.
 
     All knobs default to "off"; the empty plan makes :class:`ChaosOracle`
-    a transparent wrapper (the equivalence tests rely on that).  ``seed``
-    feeds the RNG used only where a schedule needs a choice (which cache
-    entry to corrupt), keeping every run replayable.
+    a transparent wrapper (the equivalence tests rely on that).
     """
 
     name: str = "chaos"
@@ -75,22 +72,20 @@ class FaultPlan:
     #: Sleep before every Nth check.
     latency_every: Optional[int] = None
     latency_seconds: float = 0.0
-    #: Flip the verdict of one random memo entry every Nth check
-    #: (requires the oracle cache to be enabled to have any effect).
-    corrupt_cache_every: Optional[int] = None
+    #: Flip every Nth verdict :meth:`ChaosOracle.check` returns.
+    flip_verdict_every: Optional[int] = None
     #: Poison the armed prefix snapshot from the Nth check onward.
     poison_snapshot_after: Optional[int] = None
     #: Mark the armed declaration outcome table stale on every Nth check:
     #: every replay-time fingerprint verification must then refuse,
     #: degrading replays to real checks — correct answers, never wrong.
     stale_decl_table: Optional[int] = None
-    seed: int = 0
 
     @property
     def active(self) -> bool:
         return any(
             getattr(self, f.name) for f in fields(self)
-            if f.name not in ("name", "crash_kind", "seed", "latency_seconds")
+            if f.name not in ("name", "crash_kind", "latency_seconds")
         )
 
     def crash_exception(self) -> BaseException:
@@ -112,9 +107,7 @@ def standard_fault_plans() -> Dict[str, FaultPlan]:
         "latency": FaultPlan(
             name="latency", latency_every=2, latency_seconds=0.0002
         ),
-        "cache-corruption": FaultPlan(
-            name="cache-corruption", corrupt_cache_every=2, seed=1234
-        ),
+        "verdict-flip": FaultPlan(name="verdict-flip", flip_verdict_every=2),
         "snapshot-poison": FaultPlan(
             name="snapshot-poison", poison_snapshot_after=1
         ),
@@ -126,7 +119,7 @@ def standard_fault_plans() -> Dict[str, FaultPlan]:
 
 #: Template for :attr:`ChaosOracle.injected` (one key per fault family).
 _INJECTED_ZERO: Dict[str, int] = {
-    "crash": 0, "latency": 0, "cache": 0, "snapshot": 0, "stale": 0,
+    "crash": 0, "latency": 0, "flip": 0, "snapshot": 0, "stale": 0,
 }
 
 
@@ -151,7 +144,7 @@ class ChaosOracle(Oracle):
     """An :class:`Oracle` that injects failures per a :class:`FaultPlan`.
 
     Construct it with the same keyword arguments as :class:`Oracle`
-    (budget, cache, metrics, ...) plus the plan; pass it to
+    (budget, metrics, ...) plus the plan; pass it to
     ``explain(..., oracle=...)``.  Injected-fault counts are exposed in
     :attr:`injected` (reset per search, like the oracle's own counters).
     """
@@ -166,13 +159,25 @@ class ChaosOracle(Oracle):
         super().__init__(**oracle_kwargs)
         self.plan = plan
         self._sleep = sleep
-        self._rng = random.Random(plan.seed)
+        self._verdicts = 0
         self.injected: Dict[str, int] = dict(_INJECTED_ZERO)
 
     def reset(self) -> None:
         super().reset()
-        self._rng = random.Random(self.plan.seed)
+        self._verdicts = 0
         self.injected = dict(_INJECTED_ZERO)
+
+    def check(self, program) -> CheckResult:
+        result = super().check(program)
+        every = self.plan.flip_verdict_every
+        if every:
+            self._verdicts += 1
+            if self._verdicts % every == 0:
+                # The worst *silent* failure: a well-formed verdict with
+                # the opposite ``ok``, confidently served.
+                self.injected["flip"] += 1
+                result = CheckResult(ok=not result.ok)
+        return result
 
     def _check_once(self, program):
         # ``check`` has already incremented ``calls``, so the schedule
@@ -203,29 +208,7 @@ class ChaosOracle(Oracle):
         if plan.crash_every and n % plan.crash_every == 0:
             self.injected["crash"] += 1
             raise plan.crash_exception()
-        result = super()._check_once(program)
-        if (
-            plan.corrupt_cache_every
-            and self._cache
-            and n % plan.corrupt_cache_every == 0
-        ):
-            self._corrupt_cache_entry()
-        return result
-
-    def _corrupt_cache_entry(self) -> None:
-        """Flip the verdict of one seeded-random memo entry in place.
-
-        The corrupted entry is a structurally valid ``CheckResult`` with
-        the opposite ``ok`` — the worst *silent* cache failure: the oracle
-        confidently serves a wrong answer.  The search must still return a
-        well-formed (if wrong) outcome.
-        """
-        from repro.miniml.infer import CheckResult
-
-        key = self._rng.choice(list(self._cache))
-        old = self._cache[key]
-        self.injected["cache"] += 1
-        self._cache[key] = CheckResult(ok=not old.ok)
+        return super()._check_once(program)
 
 
 class FlakyStore(VerdictStore):

@@ -9,7 +9,7 @@ The paper's efficiency claims (Section 3.2, Figures 5-7) are about oracle
   search phase: prefix localization, recursive descent, enumerator rule
   firing, adaptation, triage rounds.
 * :class:`MetricsRegistry` — named counters and histograms (oracle calls by
-  outcome, cache hits/misses, prefix-reuse accounting —
+  outcome, verdict-store hits/misses, prefix-reuse accounting —
   ``oracle.prefix.armed``/``.reused``/``.invalidated`` vs
   ``oracle.full_checks`` — changes generated vs. tested per rule, triage
   depth, suggestions ranked) rendered as a flat dict or a text table.

@@ -13,7 +13,7 @@ code never branches on "is telemetry on?": the default registry accepts
 every call and records nothing.
 
 Counter names are dotted families, minted where the count happens: the
-oracle's ``oracle.*`` (calls, cache, prefix reuse, ``oracle.store.*`` for
+oracle's ``oracle.*`` (calls, prefix reuse, ``oracle.store.*`` for
 retried store I/O, which ``repro report``'s supervision table reads
 back), and the enumerator/searcher's ``changes.*``/``search.*``.
 """

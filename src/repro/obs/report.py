@@ -4,7 +4,7 @@ Reads one or more RunReport JSON documents and/or JSONL event logs (the
 ``--report``/``--events`` outputs of an ``explain`` run), normalizes them
 into one aggregate, and prints the tables the paper's efficiency story is
 told in: per-phase oracle-call and time shares, the incremental-oracle
-breakdown (prefix reuse, cache rates), resilience counts (crashes, sheds,
+breakdown (prefix reuse, decl replay), resilience counts (crashes, sheds,
 store I/O retries), and the rank distribution of the final suggestions.
 
 ``--diff BASELINE`` compares the aggregate against a checked-in baseline
@@ -38,7 +38,6 @@ COST_COUNTER_PREFIXES: Tuple[str, ...] = (
     "oracle.prefix.fallbacks",
     "oracle.prefix.invalidated",
     "oracle.budget_exceeded",
-    "oracle.cache.misses",
     "oracle.decl.checked",
     "search.prefix_tests",
     "search.removal_tests",
@@ -351,12 +350,6 @@ def render_aggregate(agg: RunAggregate) -> str:
             rows.append(("trail speculated", str(t_spec)))
             rows.append(
                 ("trail rolled back", str(agg.value("oracle.trail.rolled_back")))
-            )
-        hits, misses = agg.value("oracle.cache.hits"), agg.value("oracle.cache.misses")
-        if hits or misses:
-            rows.append(("cache hits / misses", f"{hits} / {misses}"))
-            rows.append(
-                ("cache hit rate", f"{100.0 * hits / (hits + misses):.1f}%")
             )
         d_replayed = agg.value("oracle.decl.replayed")
         d_checked = agg.value("oracle.decl.checked")

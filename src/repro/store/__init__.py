@@ -1,11 +1,11 @@
-"""Persistent cross-run verdict store (disk tier behind the oracle memo).
+"""Persistent cross-run verdict store (the oracle's disk tier).
 
 SEMINAL's cost model is oracle calls: the searcher asks the type-checker
 thousands of yes/no questions, and most of them recur verbatim across
 runs — re-explaining the same file after an edit, re-running the corpus
-study, or serving repeated traffic.  The in-process memo cache and prefix
-reuse (PR 2) only live for one process; this package persists verdicts to
-disk so every subsequent run warm-starts.
+study, or serving repeated traffic.  The searcher's dedup memo and prefix
+reuse only live for one process; this package persists verdicts to disk
+so every subsequent run warm-starts.
 
 Contents:
 

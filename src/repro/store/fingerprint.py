@@ -10,14 +10,12 @@ A stored verdict is only reusable when three things are unchanged:
 * **the incremental regime** — :func:`prefix_fingerprint` hashes the
   structural keys of the declarations an armed
   :class:`~repro.miniml.infer.SpeculativeState` covers (or the
-  :data:`NO_PREFIX_FP` sentinel when no snapshot is armed).  This is the
-  cross-process analogue of the oracle's in-memory ``_prefix_gen`` tag:
-  a verdict computed under prefix reuse is only served to a check asked
-  under the *same* prefix, which is also what makes the stored
-  accounting ``kind`` replayable;
+  :data:`NO_PREFIX_FP` sentinel when no snapshot is armed).  A verdict
+  computed under prefix reuse is only served to a check asked under the
+  *same* prefix, which is also what makes the stored accounting ``kind``
+  replayable;
 * **the program being asked about** — :func:`key_digest` hashes its
-  :func:`~repro.tree.structural_key` (spans and formatting never matter,
-  exactly as for the in-memory memo).
+  :func:`~repro.tree.structural_key` (spans and formatting never matter).
 
 All digests are truncated SHA-256.  Hash-consed structural keys
 (:class:`~repro.tree.HCKey`) contribute their cached Merkle ``digest`` —

@@ -89,8 +89,8 @@ class Node:
         """All direct AST children, in field order.
 
         Built directly from the cached per-class field layout: this runs
-        once per node inside the depth probe and the keyer, where the
-        generator round-trip through :meth:`child_items` is measurable.
+        once per node inside :func:`node_depth`, where the generator
+        round-trip through :meth:`child_items` is measurable.
         """
         out: list["Node"] = []
         for name in _field_names(self.__class__):
@@ -166,8 +166,9 @@ def node_depth(root: Node) -> int:
     """Height of the subtree (a leaf has depth 1).
 
     Iterative (explicit stack) so it is safe on trees far deeper than the
-    interpreter's recursion limit — it is exactly the probe the oracle uses
-    to *reject* such trees before recursive inference would trip over them.
+    interpreter's recursion limit.  The oracle's guard reads the same
+    number off :attr:`HCKey.depth` instead (see :class:`DepthProbe`); this
+    is the exact walk that defines it.
     """
     depths: dict = {}
     stack: list = [(root, None)]
@@ -198,58 +199,6 @@ class TreeTooDeep(RuntimeError):
     :func:`structural_key`/:class:`StructuralKeyer` so callers get a
     domain-level "reject this tree" signal rather than a half-unwound
     interpreter state."""
-
-
-class DepthProbe:
-    """Memoized iterative subtree-depth oracle (crash-avoidance pre-check).
-
-    Candidate programs are built with :func:`replace_at`, which shares every
-    unchanged subtree with the original program by identity — so, exactly
-    like :class:`StructuralKeyer`, memoizing depths by ``id(node)`` makes
-    probing a candidate cost O(changed spine) instead of O(program).  The
-    oracle consults it before every typecheck to reject candidates deep
-    enough to trip Python's recursion limit *inside* inference, where the
-    resulting ``RecursionError`` would otherwise surface mid-unification.
-
-    The memo pins nodes (strong references) so ids cannot be recycled;
-    call :meth:`clear` between searches to release the pinned trees.
-    """
-
-    __slots__ = ("_memo",)
-
-    def __init__(self) -> None:
-        self._memo: dict = {}
-
-    def clear(self) -> None:
-        self._memo.clear()
-
-    def depth(self, root: Node) -> int:
-        memo = self._memo
-        entry = memo.get(id(root))
-        if entry is not None:
-            return entry[1]
-        stack: list = [(root, None)]
-        while stack:
-            node, children = stack.pop()
-            if children is None:
-                if id(node) in memo:
-                    continue
-                children = node.children()
-                stack.append((node, children))
-                for child in children:
-                    if id(child) not in memo:
-                        stack.append((child, None))
-            else:
-                depth = 1
-                for child in children:
-                    child_depth = memo[id(child)][1]
-                    if child_depth >= depth:
-                        depth = child_depth + 1
-                memo[id(node)] = (node, depth)
-        return memo[id(root)][1]
-
-    def exceeds(self, root: Node, limit: int) -> bool:
-        return self.depth(root) > limit
 
 
 def structurally_equal(a: Node, b: Node) -> bool:
@@ -289,7 +238,7 @@ class HCKey:
     this the cheap currency of the whole search pipeline:
 
     * the hash is computed once at construction, so every later dict
-      operation (dedup memo, oracle cache, decl-table lookups) costs O(1)
+      operation (dedup memo, verdict store, decl-table lookups) costs O(1)
       instead of re-hashing the whole subtree — CPython does not cache
       tuple hashes, so the old nested-tuple keys paid O(subtree) on every
       lookup;
@@ -302,12 +251,26 @@ class HCKey:
     ``digest`` is a content-based Merkle digest: a shared subtree's digest
     is computed once and reused, making persistent-store addressing
     (:func:`repro.store.fingerprint.key_digest`) O(1) amortized per node.
+
+    ``depth`` is the keyed subtree's height (:func:`node_depth` of it),
+    computed from the child keys in ``parts`` — so every interned key, and
+    every key rebuilt by unpickling, carries it for free.
     """
 
-    __slots__ = ("parts", "_hash", "_digest")
+    __slots__ = ("parts", "depth", "_hash", "_digest")
 
     def __init__(self, parts: Tuple) -> None:
         self.parts = parts
+        depth = 0
+        for part in parts:
+            if type(part) is HCKey:
+                if part.depth > depth:
+                    depth = part.depth
+            elif type(part) is tuple:
+                for element in part:
+                    if type(element) is HCKey and element.depth > depth:
+                        depth = element.depth
+        self.depth = depth + 1
         self._hash = hash(parts)
         self._digest: Optional[str] = None
 
@@ -386,8 +349,7 @@ class StructuralKeyer:
     The searcher's candidates are built with :func:`replace_at`, which
     shares every unchanged subtree with the original program by object
     identity.  Memoizing subtree keys by ``id(node)`` therefore makes
-    keying a candidate cost O(changed spine) instead of O(program) — the
-    point of switching the oracle cache off pretty-printed-source keys.
+    keying a candidate cost O(changed spine) instead of O(program).
     On top of the identity memo, subtree keys are *interned by content*:
     two structurally equal subtrees (however they were built) map to the
     same :class:`HCKey` object, so the rebuilt spine nodes of every
@@ -452,6 +414,30 @@ class StructuralKeyer:
             self._intern[parts_t] = key
         memo[id(root)] = (root, key)
         return key
+
+
+class DepthProbe:
+    """The oracle's depth guard (crash-avoidance pre-check).
+
+    Rejects candidates deep enough to trip Python's recursion limit
+    *inside* inference, where the resulting ``RecursionError`` would
+    otherwise surface mid-unification.  It has no memo or walk of its
+    own: it reads :attr:`HCKey.depth` off ``keyer``, the search's shared
+    :class:`StructuralKeyer`, so a candidate that the dedup memo already
+    keyed costs one memo lookup.  A tree too deep for the keyer to key
+    (:class:`TreeTooDeep`) is too deep for inference as well.
+    """
+
+    __slots__ = ("keyer",)
+
+    def __init__(self, keyer: StructuralKeyer) -> None:
+        self.keyer = keyer
+
+    def exceeds(self, root: Node, limit: int) -> bool:
+        try:
+            return self.keyer(root).depth > limit
+        except TreeTooDeep:
+            return True
 
 
 #: ``dataclasses.fields`` is surprisingly costly per call; the field layout

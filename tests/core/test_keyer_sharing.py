@@ -1,8 +1,8 @@
 """One structural keyer per search (interning shared across checks).
 
-Candidate dedup, the oracle's verdict cache, and the declaration outcome
-table all key the same subtrees; before this change each kept a private
-memo and re-walked shared structure.  The searcher now owns a single
+Candidate dedup, the oracle's depth guard and store keys, and the
+declaration outcome table all key the same subtrees; each used to keep a
+private memo and re-walk shared structure.  The searcher now owns a single
 :class:`~repro.tree.StructuralKeyer` per search, adopts it into the
 oracle, and reports how much it interned as ``search.keys.interned``.
 """
@@ -20,12 +20,19 @@ class TestSharedKeyer:
     def test_oracle_adopts_the_search_keyer(self):
         searcher = Searcher(config=SearchConfig())
         assert searcher.oracle._keyer is searcher._keyer
+        assert searcher.oracle._depth_probe.keyer is searcher._keyer
         if searcher.config.dedup:
             assert searcher._dedup_keyer is searcher._keyer
 
-    def test_adopt_refuses_custom_key_fn(self):
-        oracle = Oracle(key_fn=lambda node: repr(node))
-        assert oracle.adopt_keyer(StructuralKeyer()) is False
+    def test_adopted_keyer_backs_the_depth_guard(self):
+        oracle = Oracle()
+        keyer = StructuralKeyer()
+        oracle.adopt_keyer(keyer)
+        assert oracle._keyer is keyer
+        assert oracle._depth_probe.keyer is keyer
+        # No store is attached, so only the depth guard keys the program.
+        assert not oracle.check(parse_program(ILL_TYPED)).ok
+        assert keyer.interned > 0
 
     def test_interned_property_counts_memo_entries(self):
         keyer = StructuralKeyer()

@@ -51,6 +51,41 @@ class TestBasics:
         assert oracle.calls == 0
 
 
+class TestNoVerdictMemo:
+    """The oracle keeps no in-memory verdict memo of its own: the
+    searcher's dedup memo and the optional ``VerdictStore`` are the only
+    places a repeated question is answered without a real check."""
+
+    def test_no_cache_by_default(self, good):
+        metrics = MetricsRegistry()
+        oracle = Oracle(metrics=metrics)
+        oracle.passes(good)
+        oracle.passes(good)
+        assert oracle.calls == 2
+        assert metrics.value("oracle.calls") == 2
+
+    def test_distinct_programs_get_distinct_verdicts(self, good, bad):
+        oracle = Oracle()
+        assert oracle.passes(good)
+        assert not oracle.passes(bad)
+        assert oracle.passes(good)
+        assert oracle.calls == 3
+
+    @pytest.mark.parametrize("option", ["cache", "key_fn", "render"])
+    def test_memo_options_are_gone(self, option):
+        with pytest.raises(TypeError):
+            Oracle(**{option: None})
+
+    def test_no_cache_metrics_emitted(self, good, bad):
+        metrics = MetricsRegistry()
+        oracle = Oracle(metrics=metrics)
+        oracle.passes(good)
+        oracle.passes(bad)
+        oracle.passes(good)
+        assert metrics.value("oracle.calls") == 3
+        assert metrics.counters("oracle.cache") == {}
+
+
 class TestBudget:
     def test_budget_enforced(self, good):
         oracle = Oracle(max_calls=2)
@@ -66,60 +101,22 @@ class TestBudget:
         assert oracle.calls == 10
 
 
-class TestCache:
-    def test_cache_hits_counted(self, good):
-        oracle = Oracle(cache=True)
-        oracle.passes(good)
-        oracle.passes(good)
-        assert oracle.calls == 1
-        assert oracle.cache_hits == 1
-
-    def test_cache_keyed_on_text(self):
-        oracle = Oracle(cache=True)
-        # Same source text parsed twice: distinct ASTs, one oracle call.
-        oracle.passes(parse_program("let x = 1"))
-        oracle.passes(parse_program("let x = 1"))
-        assert oracle.calls == 1
-
-    def test_cache_distinguishes_programs(self, good, bad):
-        oracle = Oracle(cache=True)
-        assert oracle.passes(good)
-        assert not oracle.passes(bad)
-        assert oracle.calls == 2
-
-    def test_no_cache_by_default(self, good):
-        oracle = Oracle()
-        oracle.passes(good)
-        oracle.passes(good)
-        assert oracle.calls == 2
-
-
-class TestBudgetCacheInteraction:
-    def test_budget_exceeded_is_not_a_cache_miss(self, good, bad):
-        # The budget gate fires before miss accounting: a rejected call
-        # checked nothing, so it must not count as a miss (or a call).
-        oracle = Oracle(cache=True, max_calls=1)
+class TestBudgetAccounting:
+    def test_budget_exceeded_is_not_a_call(self, good, bad):
+        # The budget gate fires before call accounting: a rejected call
+        # checked nothing, so it must not count as a call.
+        oracle = Oracle(max_calls=1)
         oracle.passes(good)
         with pytest.raises(BudgetExceeded):
             oracle.passes(bad)
-        assert oracle.calls == 1
-        assert oracle.cache_misses == 1
-
-    def test_cache_hit_served_after_budget_spent(self, good):
-        # A hit is free — it must be served even once the budget is gone.
-        oracle = Oracle(cache=True, max_calls=1)
-        assert oracle.passes(good)
-        assert oracle.passes(good)
-        assert oracle.cache_hits == 1
         assert oracle.calls == 1
 
     def test_metrics_agree_with_counters(self, good, bad):
         registry = MetricsRegistry()
-        oracle = Oracle(cache=True, max_calls=1, metrics=registry)
+        oracle = Oracle(max_calls=1, metrics=registry)
         oracle.passes(good)
         with pytest.raises(BudgetExceeded):
             oracle.passes(bad)
-        assert registry.value("oracle.cache.misses") == 1
         assert registry.value("oracle.budget_exceeded") == 1
         assert registry.value("oracle.calls") == 1
 

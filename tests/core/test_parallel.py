@@ -1,13 +1,16 @@
 """Tests for :func:`repro.core.parallel.resolve_jobs`, the ``jobs`` knob
-behind ``explain_many`` and ``repro explain --jobs``."""
+behind ``explain_many`` and ``repro explain --jobs``, and for
+:func:`~repro.core.parallel.sigint_deferred`, which keeps a Ctrl-C from
+landing while the pool forks."""
 
 from __future__ import annotations
 
 import os
+import signal
 
 import pytest
 
-from repro.core.parallel import AUTO_JOBS, resolve_jobs
+from repro.core.parallel import AUTO_JOBS, resolve_jobs, sigint_deferred
 
 
 class TestResolveJobs:
@@ -26,3 +29,22 @@ class TestResolveJobs:
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             resolve_jobs(bad)
+
+
+@pytest.mark.skipif(
+    not hasattr(signal, "pthread_sigmask"), reason="POSIX signal masks"
+)
+class TestSigintDeferred:
+    def test_interrupt_lands_after_the_block(self):
+        finished = []
+        with pytest.raises(KeyboardInterrupt):
+            with sigint_deferred():
+                os.kill(os.getpid(), signal.SIGINT)
+                finished.append(True)
+        assert finished == [True]
+
+    def test_mask_is_restored(self):
+        before = signal.pthread_sigmask(signal.SIG_BLOCK, set())
+        with sigint_deferred():
+            assert signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, set())
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, set()) == before

@@ -326,47 +326,24 @@ class TestSelfHealing:
 
 
 # ---------------------------------------------------------------------------
-# Memo keys are scoped to the prefix generation (the satellite fix)
+# Re-arming the prefix snapshot never serves an earlier verdict
 # ---------------------------------------------------------------------------
 
 
-class TestPrefixGenerationMemoKeys:
-    def test_rearming_invalidates_cached_verdicts(self):
+class TestRearmedPrefix:
+    def test_rearming_rechecks_under_the_new_snapshot(self):
         program = parse_program(TWO_DECLS)
-        oracle = Oracle(cache=True)
-        oracle.check(program)
-        assert oracle.cache_misses == 1
-        oracle.check(program)
-        assert oracle.cache_hits == 1
-        # Arming a prefix starts a new snapshot regime: the old verdict
-        # must not be served even though the program is byte-identical.
-        oracle.arm_prefix(program, 1)
-        oracle.check(program)
-        assert oracle.cache_misses == 2
-
-    def test_healed_snapshot_never_serves_stale_verdict(self, monkeypatch):
-        # A check that heals the snapshot mid-call computed its result
-        # from scratch — it must be cached under the *new* generation.
-        _poison_snapshots(monkeypatch)
-        oracle = Oracle(cache=True)
-        program = parse_program(TWO_DECLS)
-        oracle.arm_prefix(program, 1)
-        gen_at_lookup = oracle._prefix_gen
-        oracle.check(program)  # heals: bumps the generation mid-call
-        assert oracle._prefix_gen > gen_at_lookup
-        assert (gen_at_lookup, oracle._key(program)) not in oracle._cache
-        assert (oracle._prefix_gen, oracle._key(program)) in oracle._cache
-        # And the post-heal hit serves the from-scratch verdict.
-        hits_before = oracle.cache_hits
-        assert oracle.check(program).ok is False
-        assert oracle.cache_hits == hits_before + 1
-
-    def test_reset_restarts_generation(self):
-        oracle = Oracle(cache=True)
-        program = parse_program(TWO_DECLS)
-        oracle.arm_prefix(program, 1)
-        oracle.reset()
-        assert oracle._prefix_gen == 0
+        metrics = MetricsRegistry()
+        oracle = Oracle(metrics=metrics)
+        before = oracle.check(program)
+        assert oracle.arm_prefix(program, 1)
+        after = oracle.check(program)
+        # Both answers come from a real check: nothing was memoised
+        # across the change of snapshot.
+        assert metrics.value("oracle.calls") == 2
+        assert oracle.prefix_reused == 1
+        assert before.ok is after.ok is False
+        assert before.error.render() == after.error.render()
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +487,7 @@ class TestExplainDegradation:
     def test_search_config_carries_deadline(self):
         config = SearchConfig(deadline_seconds=2.5)
         assert config.deadline_seconds == 2.5
-        assert config.soft_deadline_fraction == 0.85
+        assert config.shed_fraction == 0.85
 
 
 class TestShedFraction:
@@ -521,7 +498,6 @@ class TestShedFraction:
     def test_default_is_085(self):
         config = SearchConfig()
         assert config.shed_fraction == 0.85
-        assert config.soft_deadline_fraction == config.shed_fraction
 
     @pytest.mark.parametrize("bad", [0.0, -0.25, 1.0001, 2.0])
     def test_out_of_range_is_rejected(self, bad):
@@ -544,6 +520,9 @@ class TestShedFraction:
             render_suggestion(s) for s in default.suggestions
         ]
 
-    def test_alias_tracks_custom_value(self):
+    def test_old_alias_is_gone(self):
+        assert not hasattr(SearchConfig(), "soft_deadline_fraction")
+
+    def test_custom_value_is_kept(self):
         config = SearchConfig(shed_fraction=0.4)
-        assert config.soft_deadline_fraction == 0.4
+        assert config.shed_fraction == 0.4

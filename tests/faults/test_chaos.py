@@ -77,7 +77,7 @@ class TestChaosMatrix:
     @pytest.mark.parametrize("plan_name", sorted(standard_fault_plans()))
     def test_every_corpus_program_survives(self, plan_name, corpus_files):
         plan = standard_fault_plans()[plan_name]
-        oracle = ChaosOracle(plan, cache=True)
+        oracle = ChaosOracle(plan)
         for corpus_file in corpus_files:
             oracle.reset()
             result = explain(corpus_file.program, oracle=oracle)
@@ -109,22 +109,55 @@ class TestChaosMatrix:
         assert REASON_FALLBACK in result.degradation.reasons
         assert result.suggestions  # healed, then found the real answer
 
-    def test_cache_corruption_keeps_outcomes_well_formed(self, corpus_files):
-        plan = standard_fault_plans()["cache-corruption"]
-        oracle = ChaosOracle(plan, cache=True)
-        corrupted = 0
+    def test_verdict_flips_keep_outcomes_well_formed(self, corpus_files):
+        plan = standard_fault_plans()["verdict-flip"]
+        oracle = ChaosOracle(plan)
+        flipped = 0
         for corpus_file in corpus_files[:10]:
             oracle.reset()
             result = explain(corpus_file.program, oracle=oracle)
             _assert_well_formed(result, oracle)
-            corrupted += oracle.injected["cache"]
-        assert corrupted > 0
+            flipped += oracle.injected["flip"]
+        assert flipped > 0
+
+    def test_every_nth_verdict_is_flipped(self):
+        from repro.miniml import parse_program
+
+        oracle = ChaosOracle(FaultPlan(flip_verdict_every=2))
+        good = parse_program("let x = 1")
+        assert [oracle.passes(good) for _ in range(4)] == [
+            True, False, True, False,
+        ]
+        assert oracle.injected["flip"] == 2
+
+    def test_flipped_verdicts_never_reach_the_store(self, corpus_files, tmp_path):
+        # Flips happen above the oracle's store tier: a clean run against
+        # the store a lying run filled answers like a store-less run.
+        from repro.obs.metrics import MetricsRegistry
+        from repro.store import VerdictStore
+
+        program = corpus_files[0].program
+        oracle = ChaosOracle(
+            standard_fault_plans()["verdict-flip"],
+            store=VerdictStore(tmp_path / "s"),
+        )
+        explain(program, oracle=oracle)
+        oracle.store.close()
+        assert oracle.injected["flip"] > 0
+        metrics = MetricsRegistry()
+        warm = explain(program, store=tmp_path / "s", metrics=metrics)
+        plain = explain(program)
+        assert metrics.value("oracle.store.hits") > 0
+        assert [render_suggestion(s) for s in warm.suggestions] == [
+            render_suggestion(s) for s in plain.suggestions
+        ]
+        assert warm.oracle_calls == plain.oracle_calls
 
 
 class TestDeterminism:
     def test_same_plan_same_program_replays_identically(self, corpus_files):
         plan = standard_fault_plans()["crash-every-3"]
-        oracle = ChaosOracle(plan, cache=True)
+        oracle = ChaosOracle(plan)
         runs = []
         for _ in range(2):
             oracle.reset()
@@ -160,7 +193,7 @@ class TestTransparency:
         oracle = ChaosOracle(FaultPlan())
         explain(corpus_files[0].program, oracle=oracle)
         assert oracle.injected == {
-            "crash": 0, "latency": 0, "cache": 0, "snapshot": 0, "stale": 0,
+            "crash": 0, "latency": 0, "flip": 0, "snapshot": 0, "stale": 0,
         }
 
 

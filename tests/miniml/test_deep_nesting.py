@@ -20,6 +20,7 @@ from repro.tree import (
     StructuralKeyer,
     TreeTooDeep,
     node_depth,
+    node_size,
     structural_key,
 )
 
@@ -84,30 +85,30 @@ class TestNodeDepth:
 
 class TestDepthProbe:
     def test_probe_handles_pathological_depth(self):
-        probe = DepthProbe()
+        probe = DepthProbe(StructuralKeyer())
         assert probe.exceeds(deep_app_chain(PATHOLOGICAL), 100)
 
-    def test_probe_agrees_with_node_depth(self):
-        probe = DepthProbe()
+    def test_probe_limit_is_node_depth(self):
+        probe = DepthProbe(StructuralKeyer())
         for depth in (1, 5, 50):
             program = deep_app_chain(depth)
-            assert probe.depth(program) == node_depth(program)
+            assert probe.exceeds(program, node_depth(program) - 1)
+            assert not probe.exceeds(program, node_depth(program))
 
-    def test_probe_memoizes_shared_subtrees(self):
-        probe = DepthProbe()
+    def test_probe_rejects_shared_pathological_subtrees(self):
+        probe = DepthProbe(StructuralKeyer())
         program = deep_app_chain(PATHOLOGICAL)
-        first = probe.depth(program)
-        # Rewrapping reuses the whole chain: only the new spine is walked,
-        # so this completes instantly despite the pathological depth.
+        assert probe.exceeds(program, 100)
+        # Rewrapping reuses the whole chain, which the keyer could never
+        # finish keying: still too deep, still no RecursionError.
         rewrapped = Program([DExpr(EApp(program.decls[0].expr, [EVar("y")]))])
-        assert probe.depth(rewrapped) == first + 1
+        assert probe.exceeds(rewrapped, 100)
 
-    def test_clear_resets_memo(self):
-        probe = DepthProbe()
+    def test_probe_keys_into_the_keyer_it_is_given(self):
+        keyer = StructuralKeyer()
         program = deep_app_chain(10)
-        probe.depth(program)
-        probe.clear()
-        assert probe.depth(program) == node_depth(program)
+        assert not DepthProbe(keyer).exceeds(program, 100)
+        assert keyer.interned == node_size(program)
 
 
 class TestInference:
@@ -129,4 +130,19 @@ class TestInference:
         result = oracle.check(deep_app_chain(PATHOLOGICAL))
         assert result.ok is False
         assert oracle.depth_rejections == 1
+        assert oracle.calls == 0
+
+    def test_unkeyable_tree_rejected_not_crashed(self):
+        # A depth limit above the tree's depth: only the keyer's
+        # TreeTooDeep can reject it, and it must count as too deep.
+        from repro.core import Oracle
+
+        program = deep_app_chain(PATHOLOGICAL)
+        with pytest.raises(TreeTooDeep):
+            StructuralKeyer()(program)
+        oracle = Oracle(max_depth=PATHOLOGICAL * 10)
+        result = oracle.check(program)
+        assert result.ok is False
+        assert oracle.depth_rejections == 1
+        assert oracle.crashes == 0
         assert oracle.calls == 0

@@ -81,7 +81,7 @@ class TestLifecycleEvents:
 
 
 #: What each standard fault plan must leave in the event log.  The
-#: latency and cache-corruption plans do not degrade a search by
+#: latency and verdict-flip plans do not degrade a search by
 #: themselves, so they run under a tiny deadline — the deterministic way
 #: to make the flight recorder show *something* for them too.
 FAULT_PLAN_EXPECTATIONS = {
@@ -90,7 +90,7 @@ FAULT_PLAN_EXPECTATIONS = {
     "recursion-crash": ("oracle_crash", {}),
     "snapshot-poison": ("degraded", {}),
     "latency": ("degraded", {"deadline_seconds": 1e-9}),
-    "cache-corruption": ("degraded", {"deadline_seconds": 1e-9}),
+    "verdict-flip": ("degraded", {"deadline_seconds": 1e-9}),
     # Staling the decl outcome table is deliberately event-silent (the
     # event log must stay byte-identical to the from-scratch reference's);
     # it surfaces through the oracle.decl.degraded counter instead,
@@ -114,7 +114,7 @@ class TestFaultPlanEvents:
         source = "let x = 1\nlet y = x + true"
         sink = io.StringIO()
         events = EventLog(sink)
-        oracle = ChaosOracle(plan, cache=True)
+        oracle = ChaosOracle(plan)
         explain(source, oracle=oracle, events=events, **extra_kwargs)
         events.close()
         parsed = read_events(sink.getvalue().splitlines())

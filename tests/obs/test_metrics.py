@@ -30,9 +30,9 @@ class TestCounters:
     def test_counters_prefix_filter(self):
         reg = MetricsRegistry()
         reg.incr("oracle.calls")
-        reg.incr("oracle.cache.hits")
+        reg.incr("oracle.store.hits")
         reg.incr("search.prefix_tests")
-        assert set(reg.counters("oracle.")) == {"oracle.calls", "oracle.cache.hits"}
+        assert set(reg.counters("oracle.")) == {"oracle.calls", "oracle.store.hits"}
 
 
 class TestHistograms:

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.core import Oracle, explain
+from repro.core import explain
 from repro.cpptemplates import explain_cpp
-from repro.miniml.parser import parse_program
 from repro.obs import MetricsRegistry, Tracer
 
 FIG2 = """
@@ -63,17 +62,6 @@ class TestMetricsAgreement:
         result = explain(FIG2, metrics=registry)
         assert result.metrics is registry
 
-    def test_cache_hits_and_misses_counted(self):
-        registry = MetricsRegistry()
-        oracle = Oracle(cache=True, metrics=registry)
-        program = parse_program("let x = 1")
-        oracle.check(program)
-        oracle.check(program)
-        assert oracle.cache_hits == 1
-        assert oracle.cache_misses == 1
-        assert registry.value("oracle.cache.hits") == 1
-        assert registry.value("oracle.cache.misses") == 1
-        assert registry.value("oracle.calls") == 1
 
 
 class TestTraceShape:

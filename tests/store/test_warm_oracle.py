@@ -68,13 +68,21 @@ class TestOracleStoreTier:
             cold_result.error, "kind", None
         )
 
-    def test_memo_still_first_tier(self, tmp_path):
+    def test_store_is_the_repeat_check_tier(self, tmp_path):
+        # With no in-memory verdict memo, a repeated question inside one
+        # session is answered by the store, not by a second real check.
         program = parse_program(ILL_TYPED)
-        oracle = Oracle(cache=True, store=VerdictStore(tmp_path / "s"))
-        oracle.check(program)
+        metrics = MetricsRegistry()
+        oracle = Oracle(metrics=metrics, store=VerdictStore(tmp_path / "s"))
+        first = oracle.check(program)
         hits_before = oracle.store_hits
-        oracle.check(program)  # in-memory memo answers, store untouched
-        assert oracle.store_hits == hits_before
+        real_checks = metrics.value("oracle.calls")
+        second = oracle.check(program)
+        assert oracle.store_hits == hits_before + 1
+        assert metrics.value("oracle.calls") == real_checks
+        assert oracle.calls == 2
+        assert second.ok is first.ok is False
+        assert second.error.render() == first.error.render()
 
     def test_reset_keeps_store_attached(self, tmp_path):
         oracle = Oracle(store=VerdictStore(tmp_path / "s"))

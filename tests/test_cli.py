@@ -110,19 +110,16 @@ class TestTelemetryFlags:
         )
         assert int(metrics_line.split()[-1]) == stats_n
 
-    def test_stats_reports_cache_counts(self, ml_file, capsys):
-        main([str(ml_file), "--stats", "--cache"])
-        err = capsys.readouterr().err
-        assert "oracle cache:" in err
-        assert "hits" in err and "misses" in err
-
-    def test_stats_notes_disabled_cache(self, ml_file, capsys):
+    def test_stats_has_no_memo_line(self, ml_file, capsys):
+        # The verdict store (--store) is the only verdict cache.
         main([str(ml_file), "--stats"])
-        assert "cache disabled" in capsys.readouterr().err
+        assert "oracle cache" not in capsys.readouterr().err
 
-    def test_cache_does_not_change_outcome(self, ml_file, capsys):
-        assert main([str(ml_file), "--cache"]) == 1
-        assert "Try replacing" in capsys.readouterr().out
+    def test_cache_flag_is_rejected(self, ml_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([str(ml_file), "--cache"])
+        assert exc.value.code == 2
+        assert "--cache" in capsys.readouterr().err
 
     def test_trace_on_well_typed_program(self, ok_file, tmp_path):
         trace = tmp_path / "ok.json"

@@ -6,13 +6,17 @@ process only* — the workers are forked children that never see the
 signal themselves — and assert the contract: exit code 130, a one-line
 notice on stderr, and no worker processes left behind.
 
-One platform caveat shapes the harness: a SIGINT that lands while the
-parent is *inside* ``os.fork()`` (spawning a pool worker) can surface in
-an at-fork callback, where CPython suppresses it ("Exception ignored
-in...") — the interrupt is silently lost and the run completes normally.
-The interrupt must land early (these searches are fast), which is
-exactly when forks happen, so the harness retries the occasional
-swallowed delivery instead of trying to dodge the window.
+The interrupt lands early, while the parent is forking its pool.  A
+SIGINT inside ``os.fork()`` can surface in an at-fork callback, where
+CPython suppresses it ("Exception ignored in..."), and one landing just
+after a fork could orphan the new worker, so ``explain_many`` holds
+SIGINT back until every worker is forked and recorded
+(:func:`repro.core.parallel.sigint_deferred`); the harness still retries
+a run that completed normally despite the signal.
+
+The harness spots a worker by scanning ``/proc``, so a worker must live
+for many scans: each file is a search of tens of milliseconds, and the
+scan repeats every :data:`SPAWN_POLL_S`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,17 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
+#: Sixty helpers, then a forty-term sum ending in the ill-typed
+#: ``f0 true``: enough search per file that a worker outlives many polls.
+ILL_TYPED = (
+    "".join(f"let f{i} x = x + {i}\n" for i in range(60))
+    + "let b = "
+    + " + ".join(f"f{i} {i}" for i in range(40))
+    + " + f0 true\n"
+)
+
+#: How often the harness scans for the first forked worker.
+SPAWN_POLL_S = 0.005
 
 
 def _procs_mentioning(token: str):
@@ -81,7 +95,9 @@ def _interrupt_run(argv, token, attempts: int = 5):
         )
         try:
             spawned = _wait_until(
-                lambda: len(_procs_mentioning(token)) >= 2, timeout=30.0
+                lambda: len(_procs_mentioning(token)) >= 2,
+                timeout=30.0,
+                interval=SPAWN_POLL_S,
             )
             assert spawned, "the batch pool never spawned a worker"
             os.kill(proc.pid, signal.SIGINT)  # the parent ONLY

@@ -5,13 +5,17 @@ functional replacement were wrong, every candidate program the searcher
 builds would be wrong too.
 """
 
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.enumerator import wildcard_expr
 from repro.miniml import parse_expr
 from repro.miniml.ast_nodes import EConst, EVar
 from repro.tree import (
+    StructuralKeyer,
     get_at,
+    node_depth,
     node_size,
     replace_at,
     structurally_equal,
@@ -127,3 +131,27 @@ class TestStructuralEqualityProperties:
     @settings(max_examples=100, deadline=None)
     def test_symmetric(self, a, b):
         assert structurally_equal(a, b) == structurally_equal(b, a)
+
+
+class TestKeyDepthProperties:
+    """The oracle's depth guard reads ``HCKey.depth``; it must be exact."""
+
+    @given(expr_trees())
+    @settings(max_examples=200, deadline=None)
+    def test_key_depth_is_node_depth(self, tree):
+        key = StructuralKeyer()(tree)
+        assert key.depth == node_depth(tree)
+        # Unpickling rebuilds the key from its parts and keeps the depth.
+        assert pickle.loads(pickle.dumps(key)).depth == key.depth
+
+    @given(expr_trees(), expr_trees(), st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_shared_subtree_keys_keep_depth_exact(self, tree, graft, pick):
+        # A candidate keyed after its original reuses the original's
+        # memoized and interned child keys.
+        keyer = StructuralKeyer()
+        keyer(tree)
+        nodes = list(walk(tree))
+        path, _ = nodes[pick % len(nodes)]
+        candidate = replace_at(tree, path, graft)
+        assert keyer(candidate).depth == node_depth(candidate)
