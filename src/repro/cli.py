@@ -95,19 +95,6 @@ def _jobs_arg(value: str):
     return n
 
 
-def _fraction_arg(value: str) -> float:
-    """``--shed-fraction`` accepts a float in (0, 1]."""
-    try:
-        fraction = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}")
-    if not (0.0 < fraction <= 1.0):
-        raise argparse.ArgumentTypeError(
-            f"shed fraction must be in (0, 1], got {value}"
-        )
-    return fraction
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -159,13 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "top hotspots; with --events the profile "
                              "table also lands in the event log (and in "
                              "`repro report`)")
-    parser.add_argument("--no-dedup", action="store_true",
-                        help="disable the per-search duplicate-candidate "
-                             "memo (never changes answers; ablation)")
-    parser.add_argument("--shed-fraction", type=_fraction_arg, default=0.85,
-                        metavar="F",
-                        help="fraction of --deadline after which optional "
-                             "phases are shed (default 0.85) (MiniML only)")
     return parser
 
 
@@ -217,10 +197,6 @@ def build_batch_parser() -> argparse.ArgumentParser:
                              "shared by every program in the batch (and by "
                              "future runs); answers are byte-identical "
                              "with or without it")
-    parser.add_argument("--shed-fraction", type=_fraction_arg, default=0.85,
-                        metavar="F",
-                        help="fraction of --deadline after which optional "
-                             "phases are shed (default 0.85)")
     return parser
 
 
@@ -368,10 +344,7 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
     tracer, metrics = _telemetry(args)
     events = _event_log(args)
     start = time.perf_counter()
-    telemetry_kwargs = dict(
-        tracer=tracer, metrics=metrics, store=args.store,
-        shed_fraction=args.shed_fraction,
-    )
+    telemetry_kwargs = dict(tracer=tracer, metrics=metrics, store=args.store)
 
     if args.fix:
         profiler = _start_profile(args)
@@ -402,7 +375,6 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
         enable_triage=not args.no_triage,
         max_oracle_calls=args.max_calls,
         deadline_seconds=args.deadline,
-        dedup=not args.no_dedup,
         events=events,
         label=args.file,
         **telemetry_kwargs,
@@ -551,7 +523,6 @@ def _run_batch(argv: Sequence[str]) -> int:
         enable_triage=not args.no_triage,
         max_oracle_calls=args.max_calls,
         deadline_seconds=args.deadline,
-        shed_fraction=args.shed_fraction,
         collect_metrics=collect_metrics,
         store=args.store,
     )

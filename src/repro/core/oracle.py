@@ -88,6 +88,10 @@ from repro.tree import DepthProbe, StructuralKeyer
 #: Sentinel for "derive ``max_depth`` from the interpreter's limit".
 AUTO_DEPTH = "auto"
 
+#: How many crash messages an oracle keeps in :attr:`Oracle.crash_samples`
+#: per search (every crash is still counted).
+CRASH_SAMPLE_LIMIT = 5
+
 #: How a stored verdict was computed — the accounting "kind" the
 #: verdict store persists (:data:`~repro.store.verdicts.STORABLE_KINDS`)
 #: so a store hit replays the exact counters the original check bumped.
@@ -174,8 +178,6 @@ class Oracle:
     strict:
         Disable crash isolation: unexpected checker exceptions propagate
         instead of rejecting the candidate.  Debug/test mode.
-    crash_sample_limit:
-        How many crash tracebacks to retain in :attr:`crash_samples`.
     """
 
     def __init__(
@@ -186,7 +188,6 @@ class Oracle:
         cross_check: bool = False,
         max_depth: Union[int, str, None] = AUTO_DEPTH,
         strict: bool = False,
-        crash_sample_limit: int = 5,
         events=None,
         store=None,
     ):
@@ -200,16 +201,17 @@ class Oracle:
         self.crashes = 0
         self.depth_rejections = 0
         self.crash_samples: List[str] = []
-        self.crash_sample_limit = crash_sample_limit
         self.strict = strict
         if max_depth == AUTO_DEPTH:
             max_depth = default_max_depth()
         self.max_depth: Optional[int] = max_depth
-        #: Structural keys for the store, the decl table and the depth
-        #: guard; a searcher replaces it with its own (:meth:`adopt_keyer`).
-        self._keyer = StructuralKeyer()
+        #: The one structural keyer of a search: the depth guard, store
+        #: keys and the decl table all intern into it, and :meth:`reset`
+        #: clears it (the searcher reports its size as
+        #: ``search.keys.interned``).
+        self.keyer = StructuralKeyer()
         self._depth_probe = (
-            DepthProbe(self._keyer) if max_depth is not None else None
+            DepthProbe(self.keyer) if max_depth is not None else None
         )
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.events = events if events is not None else NULL_EVENTS
@@ -244,7 +246,7 @@ class Oracle:
         ).strip()
         self.crashes += 1
         self.metrics.incr("oracle.crashes")
-        if len(self.crash_samples) < self.crash_sample_limit:
+        if len(self.crash_samples) < CRASH_SAMPLE_LIMIT:
             self.crash_samples.append(sample)
         self.events.emit("oracle_crash", error=sample)
 
@@ -356,18 +358,6 @@ class Oracle:
     # Prefix reuse
     # ------------------------------------------------------------------
 
-    def adopt_keyer(self, keyer: StructuralKeyer) -> None:
-        """Share a search-owned :class:`~repro.tree.StructuralKeyer`.
-
-        The searcher builds one keyer per search (dedup, the depth guard,
-        store keys and the declaration outcome table all intern into it —
-        the ``search.keys.interned`` metric); adopting replaces the
-        oracle's private default keyer.
-        """
-        self._keyer = keyer
-        if self._depth_probe is not None:
-            self._depth_probe.keyer = keyer
-
     @property
     def prefix_armed(self) -> bool:
         return self._snapshot is not None
@@ -399,7 +389,7 @@ class Oracle:
         if self.store is not None:
             try:
                 self._prefix_fp = prefix_fingerprint(
-                    self._keyer(decl) for decl in snapshot.decls
+                    self.keyer(decl) for decl in snapshot.decls
                 )
             except Exception:
                 # Unfingerprintable snapshot (a decl too deep to key):
@@ -461,7 +451,7 @@ class Oracle:
                 baseline = self._decl_pending
                 self._decl_pending = None
                 table, base_result = record_decl_table(
-                    baseline, key_fn=self._keyer
+                    baseline, key_fn=self.keyer
                 )
                 if table is None:
                     # Recording failed soundly (e.g. recursion blowup):
@@ -474,11 +464,11 @@ class Oracle:
                 # The recording pass inferred the baseline's declarations
                 # on behalf of this check; attribute that cost here.
                 extra_checked = base_result.decls_checked
-            # The table interns declaration keys into the shared keyer.
+            # The table interns declaration keys into the oracle's keyer.
             result = replay_decl_table(
                 program,
                 self._decl_table,
-                key_fn=self._keyer,
+                key_fn=self.keyer,
                 freeze_errors=self._store_active or self.cross_check,
             )
             if self._decl_table.free_vars:
@@ -635,7 +625,7 @@ class Oracle:
             # — a store hit spends budget exactly like a real check, so
             # the budget-exhaustion point (and the whole downstream
             # search) is identical warm or cold.
-            skey = self._keyer(program)
+            skey = self.keyer(program)
             store_fp = self._prefix_fp
             try:
                 stored = self.store.get(store_fp, skey)
@@ -700,4 +690,4 @@ class Oracle:
         self.store_hits = 0
         self.store_misses = 0
         self.store_writes = 0
-        self._keyer.clear()
+        self.keyer.clear()

@@ -14,7 +14,7 @@ given up and why.
 Pieces:
 
 * :class:`Deadline` — a monotonic wall-clock budget with a *soft* horizon:
-  past ``soft_fraction`` of the deadline the searcher sheds its expensive
+  past :data:`SHED_FRACTION` of the deadline the searcher sheds its expensive
   phases (constructive enumeration, adaptation, triage) so the cheap
   removal results already in hand survive; past the full deadline the next
   oracle tick raises :class:`DeadlineExceeded`, which the searcher catches
@@ -42,6 +42,11 @@ REASON_FALLBACK = "fallback"
 
 ALL_REASONS = (REASON_BUDGET, REASON_DEADLINE, REASON_CRASH, REASON_FALLBACK)
 
+#: The soft horizon: the share of a deadline after which the searcher sheds
+#: its optional phases — late enough to matter only when the hard deadline
+#: is a real threat, early enough to leave time for wrapping up cheap work.
+SHED_FRACTION = 0.85
+
 
 class DeadlineExceeded(Exception):
     """The search blew its wall-clock deadline.
@@ -64,22 +69,18 @@ class Deadline:
 
     ``seconds=None`` means "no deadline": :meth:`expired` and
     :meth:`soft_expired` are constant ``False`` and only :meth:`elapsed`
-    does any timekeeping.  ``soft_fraction`` positions the soft horizon at
-    which the searcher starts shedding optional phases (default 85% of the
-    budget — late enough to matter only when the hard deadline is a real
-    threat, early enough to leave time for wrapping up cheap work).
+    does any timekeeping.  The soft horizon, at which the searcher starts
+    shedding optional phases, is :data:`SHED_FRACTION` of the budget.
     """
 
-    __slots__ = ("seconds", "soft_fraction", "_clock", "_start")
+    __slots__ = ("seconds", "_clock", "_start")
 
     def __init__(
         self,
         seconds: Optional[float],
-        soft_fraction: float = 0.85,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.seconds = seconds
-        self.soft_fraction = soft_fraction
         self._clock = clock
         self._start = clock()
 
@@ -97,7 +98,7 @@ class Deadline:
     def soft_expired(self) -> bool:
         return (
             self.seconds is not None
-            and self.elapsed() >= self.seconds * self.soft_fraction
+            and self.elapsed() >= self.seconds * SHED_FRACTION
         )
 
 

@@ -36,7 +36,7 @@ from repro.miniml.ast_nodes import (
 )
 from repro.miniml.errors import MiniMLTypeError
 from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_TRACER, format_path
-from repro.tree import Node, Path, StructuralKeyer, get_at, node_size, replace_at
+from repro.tree import Node, Path, get_at, node_size, replace_at
 
 from .changes import (
     KIND_ADAPT,
@@ -79,11 +79,9 @@ class SearchConfig:
     #: in :meth:`Searcher._tick` before every oracle test; exhaustion never
     #: escapes ``explain()`` — the outcome carries the best-so-far
     #: suggestions plus a :class:`~repro.core.resilience.DegradationReport`.
+    #: Past :data:`~repro.core.resilience.SHED_FRACTION` of it the searcher
+    #: sheds its optional phases (constructive changes, adaptation, triage).
     deadline_seconds: Optional[float] = None
-    #: Fraction of the deadline after which the searcher sheds its
-    #: expensive optional phases (constructive changes, adaptation,
-    #: triage) to protect the removal results already in hand.
-    shed_fraction: float = 0.85
     enable_triage: bool = True
     enable_adaptation: bool = True
     triage_threshold: int = 5
@@ -98,17 +96,6 @@ class SearchConfig:
     eager_enumeration: bool = False
     #: User-supplied change generators (the Section 6 open framework).
     custom_rules: Sequence = ()
-    #: Skip the oracle call for candidates whose structural key was already
-    #: tested in this ``search_program`` run, replaying the memoized
-    #: verdict instead — suggestions are unchanged by construction; only
-    #: duplicate checks are saved (``search.dedup_skipped``).
-    dedup: bool = True
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.shed_fraction <= 1.0):
-            raise ValueError(
-                f"shed_fraction must be in (0, 1], got {self.shed_fraction!r}"
-            )
 
 
 @dataclass
@@ -124,10 +111,6 @@ class SearchStats:
     constructive_tests: int = 0
     adaptation_tests: int = 0
     triage_tests: int = 0
-    #: Candidates whose verdict was replayed from the per-search dedup
-    #: memo instead of spending an oracle call (not counted in any of the
-    #: per-phase test counters above).
-    dedup_skipped: int = 0
     rule_successes: Dict[str, int] = field(default_factory=dict)
 
     def record_success(self, rule: str) -> None:
@@ -143,8 +126,6 @@ class SearchStats:
             f"triage={self.triage_tests}",
         ]
         line = "oracle calls by phase: " + " ".join(parts)
-        if self.dedup_skipped:
-            line += f"\nduplicate candidates skipped: {self.dedup_skipped}"
         if self.rule_successes:
             winners = ", ".join(
                 f"{name}x{count}"
@@ -179,6 +160,10 @@ class Searcher:
     and — via :mod:`repro.core.triage` — ``triage``), each carrying the AST
     path, node size, and oracle calls consumed.  The defaults are the
     shared null objects, which keep the hot path allocation-free.
+
+    The searcher remembers no verdicts: every candidate it builds is put
+    to the oracle, and the oracle's :class:`~repro.tree.StructuralKeyer`
+    is the only keyer a search uses (``search.keys.interned``).
     """
 
     def __init__(
@@ -217,18 +202,6 @@ class Searcher:
         self.stats = SearchStats()
         self.degradation = DegradationReport()
         self._deadline: Optional[Deadline] = None
-        #: One structural keyer per search: the dedup memo, the oracle's
-        #: depth guard and store keys, and the declaration outcome table
-        #: all intern subtree keys into this single identity memo
-        #: (``search.keys.interned``), instead of each call site paying to
-        #: rebuild keys for the same shared subtrees.
-        self._keyer = StructuralKeyer()
-        self.oracle.adopt_keyer(self._keyer)
-        self._dedup_keyer: Optional[StructuralKeyer] = (
-            self._keyer if self.config.dedup else None
-        )
-        #: The dedup memo: candidate structural key -> verdict.
-        self._tested: Dict[object, bool] = {}
 
     def _tick(self, phase: str) -> None:
         """Count one oracle test against a phase, in both sinks.
@@ -246,10 +219,10 @@ class Searcher:
     def _shed(self, phase: str) -> bool:
         """Whether the soft deadline says to skip one unit of ``phase``.
 
-        Past ``shed_fraction`` of the wall-clock budget the
-        search keeps its cheap removal descent but sheds the expensive
-        optional phases, so the hard deadline lands on a search that has
-        already banked its best-effort answers.
+        Past :data:`~repro.core.resilience.SHED_FRACTION` of the
+        wall-clock budget the search keeps its cheap removal descent but
+        sheds the expensive optional phases, so the hard deadline lands on
+        a search that has already banked its best-effort answers.
         """
         deadline = self._deadline
         if deadline is None or not deadline.soft_expired():
@@ -273,17 +246,13 @@ class Searcher:
         """
         self.oracle.reset()
         self.stats = SearchStats()
-        self._tested = {}
-        self._keyer.clear()
         report = DegradationReport(
             budget=self.config.max_oracle_calls,
             deadline_seconds=self.config.deadline_seconds,
         )
         report.attach_events(self.events)
         self.degradation = report
-        self._deadline = Deadline(
-            self.config.deadline_seconds, self.config.shed_fraction
-        )
+        self._deadline = Deadline(self.config.deadline_seconds)
         with self.tracer.span("search", decls=len(program.decls)) as sp:
             outcome = SearchOutcome(ok=False, program=program, degradation=report)
             try:
@@ -319,7 +288,7 @@ class Searcher:
             outcome.oracle_calls = self.oracle.calls
             outcome.stats = self.stats
             self._finalize_degradation(report)
-            interned = self._keyer.interned
+            interned = self.oracle.keyer.interned
             if interned:
                 self.metrics.incr("search.keys.interned", interned)
             if not outcome.ok:
@@ -537,57 +506,25 @@ class Searcher:
         worklist: Deque[ChangeNode],
         results: List[Suggestion],
     ) -> int:
-        """The worklist loop, plus the per-search dedup memo."""
+        """The worklist loop: test each change, expand on its verdict."""
         tested = 0
-        keyer = self._dedup_keyer
         while worklist:
             change_node = worklist.popleft()
             change = change_node.change
             candidate = replace_at(root, change.path, change.replacement)
-            key = keyer(candidate) if keyer is not None else None
-            verdict = self._tested.get(key) if key is not None else None
-            if verdict is None:
-                self._tick("constructive_tests")
-                self.metrics.incr(f"enum.tested.{change.rule or 'unknown'}")
-                tested += 1
-                verdict = self._passes(candidate)
-                if key is not None:
-                    self._tested[key] = verdict
-            else:
-                self._count_dedup_skip()
-            self._apply_verdict(change_node, change, candidate, verdict, results, worklist)
-        return tested
-
-    def _count_dedup_skip(self) -> None:
-        self.stats.dedup_skipped += 1
-        self.metrics.incr("search.dedup_skipped")
-
-    def _apply_verdict(
-        self,
-        change_node: ChangeNode,
-        change: Change,
-        candidate: Program,
-        verdict: bool,
-        results: List[Suggestion],
-        worklist: Deque[ChangeNode],
-    ) -> None:
-        """Record one (candidate, verdict) pair: suggestion + expansions.
-
-        This is the only place enumeration outcomes are produced, shared
-        verbatim by checked and memo-replayed candidates — which is what
-        makes "byte-identical suggestions" with dedup on or off a
-        structural property rather than a testing hope.
-        """
-        if verdict:
-            if not change.is_probe:
-                self.stats.record_success(change.rule)
-                self.metrics.incr(f"enum.success.{change.rule or 'unknown'}")
-                results.append(self._suggest(change, candidate))
-            if change_node.on_success is not None:
-                worklist.extend(self._expanded(change_node.on_success()))
-        else:
-            if change_node.on_failure is not None:
+            self._tick("constructive_tests")
+            self.metrics.incr(f"enum.tested.{change.rule or 'unknown'}")
+            tested += 1
+            if self._passes(candidate):
+                if not change.is_probe:
+                    self.stats.record_success(change.rule)
+                    self.metrics.incr(f"enum.success.{change.rule or 'unknown'}")
+                    results.append(self._suggest(change, candidate))
+                if change_node.on_success is not None:
+                    worklist.extend(self._expanded(change_node.on_success()))
+            elif change_node.on_failure is not None:
                 worklist.extend(self._expanded(change_node.on_failure()))
+        return tested
 
     def _expanded(self, followups: List[ChangeNode]) -> List[ChangeNode]:
         """Count lazily expanded follow-up changes (generated-vs-tested)."""

@@ -105,9 +105,7 @@ def explain(
     metrics=None,
     events=None,
     label: str = "",
-    dedup: bool = True,
     store=None,
-    shed_fraction: float = 0.85,
 ) -> ExplainResult:
     """Search for type-error messages for ``source``.
 
@@ -128,12 +126,11 @@ def explain(
     saying exactly what was given up.  Parse errors of ``source`` still
     raise (they are input errors, not search failures).
 
-    ``dedup=False`` disables the per-search duplicate-candidate memo (an
-    ablation/debugging escape hatch — the memo never changes answers).
-    ``shed_fraction`` sets the point inside ``deadline_seconds`` at which
-    optional phases start shedding (default 0.85 — the historical
-    behaviour).  The search itself is always serial; to use several
-    processes, explain several programs with :func:`explain_many`.
+    Past :data:`~repro.core.resilience.SHED_FRACTION` of
+    ``deadline_seconds`` the search sheds its optional phases.  The search
+    keeps no memo of its own: every candidate is a question to the oracle.
+    The search itself is always serial; to use several processes, explain
+    several programs with :func:`explain_many`.
 
     ``tracer``/``metrics``/``events`` (see :mod:`repro.obs`) switch on
     telemetry: a :class:`~repro.obs.Tracer` records a Perfetto-loadable
@@ -199,8 +196,6 @@ def explain(
         triage_strategy=triage_strategy,
         eager_enumeration=eager_enumeration,
         custom_rules=custom_rules,
-        dedup=dedup,
-        shed_fraction=shed_fraction,
     )
     searcher = Searcher(
         oracle=oracle,

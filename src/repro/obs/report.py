@@ -363,9 +363,6 @@ def render_aggregate(agg: RunAggregate) -> str:
                 )
             if d_degraded:
                 rows.append(("decls degraded", str(d_degraded)))
-        dedup = agg.value("search.dedup_skipped")
-        if dedup:
-            rows.append(("dedup skipped", str(dedup)))
         lines.extend(_table(rows))
 
     s_hits = agg.value("oracle.store.hits")

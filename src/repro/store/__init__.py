@@ -3,9 +3,9 @@
 SEMINAL's cost model is oracle calls: the searcher asks the type-checker
 thousands of yes/no questions, and most of them recur verbatim across
 runs — re-explaining the same file after an edit, re-running the corpus
-study, or serving repeated traffic.  The searcher's dedup memo and prefix
-reuse only live for one process; this package persists verdicts to disk
-so every subsequent run warm-starts.
+study, or serving repeated traffic.  The oracle's prefix snapshot and
+decl table only live for one search; this package persists verdicts to
+disk so every subsequent run warm-starts.
 
 Contents:
 

@@ -238,7 +238,7 @@ class HCKey:
     this the cheap currency of the whole search pipeline:
 
     * the hash is computed once at construction, so every later dict
-      operation (dedup memo, verdict store, decl-table lookups) costs O(1)
+      operation (verdict store, decl-table lookups) costs O(1)
       instead of re-hashing the whole subtree — CPython does not cache
       tuple hashes, so the old nested-tuple keys paid O(subtree) on every
       lookup;
@@ -422,10 +422,11 @@ class DepthProbe:
     Rejects candidates deep enough to trip Python's recursion limit
     *inside* inference, where the resulting ``RecursionError`` would
     otherwise surface mid-unification.  It has no memo or walk of its
-    own: it reads :attr:`HCKey.depth` off ``keyer``, the search's shared
-    :class:`StructuralKeyer`, so a candidate that the dedup memo already
-    keyed costs one memo lookup.  A tree too deep for the keyer to key
-    (:class:`TreeTooDeep`) is too deep for inference as well.
+    own: it reads :attr:`HCKey.depth` off ``keyer``, the oracle's
+    :class:`StructuralKeyer`, whose identity memo makes the subtrees a
+    candidate shares with earlier ones free to key.  A tree too deep for
+    the keyer to key (:class:`TreeTooDeep`) is too deep for inference as
+    well.
     """
 
     __slots__ = ("keyer",)

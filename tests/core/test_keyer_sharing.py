@@ -1,10 +1,11 @@
-"""One structural keyer per search (interning shared across checks).
+"""The oracle's structural keyer is the only keyer in a search.
 
-Candidate dedup, the oracle's depth guard and store keys, and the
-declaration outcome table all key the same subtrees; each used to keep a
-private memo and re-walk shared structure.  The searcher now owns a single
-:class:`~repro.tree.StructuralKeyer` per search, adopts it into the
-oracle, and reports how much it interned as ``search.keys.interned``.
+The oracle's depth guard, store keys and declaration outcome table all key
+the same subtrees, so they share one
+:class:`~repro.tree.StructuralKeyer`, which the oracle builds once and
+clears in :meth:`~repro.core.oracle.Oracle.reset`.  The searcher builds
+none of its own; it reports how much the oracle's keyer interned as
+``search.keys.interned``.
 """
 
 from repro.core import Oracle
@@ -16,23 +17,20 @@ from repro.tree import StructuralKeyer
 ILL_TYPED = "let a = 1\nlet b = a + 1\nlet c = b ^ a"
 
 
-class TestSharedKeyer:
-    def test_oracle_adopts_the_search_keyer(self):
+class TestOracleKeyer:
+    def test_searcher_builds_no_keyer(self):
         searcher = Searcher(config=SearchConfig())
-        assert searcher.oracle._keyer is searcher._keyer
-        assert searcher.oracle._depth_probe.keyer is searcher._keyer
-        if searcher.config.dedup:
-            assert searcher._dedup_keyer is searcher._keyer
+        assert not any(
+            isinstance(value, StructuralKeyer) for value in vars(searcher).values()
+        )
+        assert isinstance(searcher.oracle.keyer, StructuralKeyer)
 
-    def test_adopted_keyer_backs_the_depth_guard(self):
+    def test_oracle_keyer_backs_the_depth_guard(self):
         oracle = Oracle()
-        keyer = StructuralKeyer()
-        oracle.adopt_keyer(keyer)
-        assert oracle._keyer is keyer
-        assert oracle._depth_probe.keyer is keyer
+        assert oracle._depth_probe.keyer is oracle.keyer
         # No store is attached, so only the depth guard keys the program.
         assert not oracle.check(parse_program(ILL_TYPED)).ok
-        assert keyer.interned > 0
+        assert oracle.keyer.interned > 0
 
     def test_interned_property_counts_memo_entries(self):
         keyer = StructuralKeyer()
@@ -47,14 +45,25 @@ class TestSharedKeyer:
             config=SearchConfig(), oracle=Oracle(metrics=metrics), metrics=metrics
         )
         searcher.search_program(parse_program(ILL_TYPED))
-        assert metrics.value("search.keys.interned") > 0
+        interned = searcher.oracle.keyer.interned
+        assert interned > 0
+        assert metrics.value("search.keys.interned") == interned
 
     def test_keyer_resets_between_searches(self):
         searcher = Searcher(config=SearchConfig())
+        keyer = searcher.oracle.keyer
         searcher.search_program(parse_program(ILL_TYPED))
-        grown = searcher._keyer.interned
+        grown = keyer.interned
         assert grown > 0
         searcher.search_program(parse_program("let solo = 1 + true"))
-        # A fresh search starts from a cleared memo: the second (smaller)
-        # program cannot still see the first one's interned entries.
-        assert searcher._keyer.interned < grown
+        # The oracle keeps one keyer and clears it per search: the second
+        # (smaller) program cannot still see the first one's entries.
+        assert searcher.oracle.keyer is keyer
+        assert keyer.interned < grown
+
+    def test_reset_clears_the_keyer(self):
+        oracle = Oracle()
+        oracle.check(parse_program(ILL_TYPED))
+        assert oracle.keyer.interned > 0
+        oracle.reset()
+        assert oracle.keyer.interned == 0

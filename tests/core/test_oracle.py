@@ -52,9 +52,9 @@ class TestBasics:
 
 
 class TestNoVerdictMemo:
-    """The oracle keeps no in-memory verdict memo of its own: the
-    searcher's dedup memo and the optional ``VerdictStore`` are the only
-    places a repeated question is answered without a real check."""
+    """The oracle keeps no in-memory verdict memo of its own, and the
+    searcher keeps none either: the optional ``VerdictStore`` is the only
+    place a repeated question is answered without a real check."""
 
     def test_no_cache_by_default(self, good):
         metrics = MetricsRegistry()

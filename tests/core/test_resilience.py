@@ -25,6 +25,8 @@ from repro.core import (
     Searcher,
     explain,
 )
+from repro.core.oracle import CRASH_SAMPLE_LIMIT
+from repro.core.resilience import SHED_FRACTION
 from repro.miniml.infer import (
     CheckResult,
     SpeculativeState,
@@ -79,7 +81,7 @@ class TestDeadline:
 
     def test_soft_horizon_before_hard(self):
         clock = FakeClock()
-        deadline = Deadline(1.0, soft_fraction=0.85, clock=clock)
+        deadline = Deadline(1.0, clock=clock)
         clock.advance(0.84)
         assert not deadline.soft_expired()
         clock.advance(0.02)
@@ -184,12 +186,13 @@ class TestCrashIsolation:
         def always_crash(program):
             raise ValueError("boom")
 
-        oracle = Oracle(typecheck=always_crash, crash_sample_limit=2)
+        oracle = Oracle(typecheck=always_crash)
         program = parse_program("let x = 1")
-        for _ in range(5):
+        for _ in range(CRASH_SAMPLE_LIMIT + 3):
             assert oracle.check(program).ok is False
-        assert oracle.crashes == 5
-        assert len(oracle.crash_samples) == 2
+        assert oracle.crashes == CRASH_SAMPLE_LIMIT + 3
+        assert CRASH_SAMPLE_LIMIT == 5
+        assert len(oracle.crash_samples) == 5
 
     def test_budget_exceeded_still_raises(self):
         oracle = Oracle(max_calls=0)
@@ -410,9 +413,11 @@ class TestSearcherDeadline:
     def test_shed_past_the_soft_horizon(self):
         clock = FakeClock()
         searcher = Searcher()
-        searcher._deadline = Deadline(1.0, soft_fraction=0.5, clock=clock)
+        searcher._deadline = Deadline(1.0, clock=clock)
         assert not searcher._shed("triage")
-        clock.advance(0.6)
+        clock.advance(0.84)
+        assert not searcher._shed("triage")
+        clock.advance(0.02)
         assert searcher._shed("triage")
         assert searcher._shed("constructive")
         assert searcher.degradation.phases_shed == {"triage": 1, "constructive": 1}
@@ -487,42 +492,14 @@ class TestExplainDegradation:
     def test_search_config_carries_deadline(self):
         config = SearchConfig(deadline_seconds=2.5)
         assert config.deadline_seconds == 2.5
-        assert config.shed_fraction == 0.85
 
 
 class TestShedFraction:
-    """The soft-deadline knob is configurable (``--shed-fraction``) but
-    its default and validation are load-bearing: results under a deadline
-    depend on where the shed point lands."""
+    """The soft-deadline shed point is a constant: results under a
+    deadline depend on where it lands."""
 
-    def test_default_is_085(self):
-        config = SearchConfig()
-        assert config.shed_fraction == 0.85
-
-    @pytest.mark.parametrize("bad", [0.0, -0.25, 1.0001, 2.0])
-    def test_out_of_range_is_rejected(self, bad):
-        with pytest.raises(ValueError, match="shed_fraction"):
-            SearchConfig(shed_fraction=bad)
-
-    def test_one_is_allowed_and_disables_early_shedding(self):
-        # shed_fraction=1.0 means "shed only at the hard deadline".
-        config = SearchConfig(shed_fraction=1.0)
-        assert config.shed_fraction == 1.0
-
-    def test_explain_forwards_shed_fraction(self):
-        # The kwarg plumbs through explain() to SearchConfig; with no
-        # deadline armed it must not change the answer.
-        default = explain(TWO_DECLS)
-        tuned = explain(TWO_DECLS, shed_fraction=0.5)
-        from repro.core.messages import render_suggestion
-
-        assert [render_suggestion(s) for s in tuned.suggestions] == [
-            render_suggestion(s) for s in default.suggestions
-        ]
+    def test_shed_point_is_085(self):
+        assert SHED_FRACTION == 0.85
 
     def test_old_alias_is_gone(self):
         assert not hasattr(SearchConfig(), "soft_deadline_fraction")
-
-    def test_custom_value_is_kept(self):
-        config = SearchConfig(shed_fraction=0.4)
-        assert config.shed_fraction == 0.4

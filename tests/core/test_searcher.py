@@ -202,6 +202,22 @@ class TestConfigKnobs:
         searcher.search_program(p1)
         assert searcher.oracle.calls == first_calls
 
+    def test_searches_on_one_searcher_are_independent(self):
+        # ``f`` is binary but applied to three arguments, so several rules
+        # propose the same repaired application: nothing the first search
+        # learned about those candidates may leak into the second.
+        from repro.core.messages import render_suggestion
+
+        searcher = Searcher(config=SearchConfig())
+        source = "let f x y = x + y\nlet r = f 1 1 1\n"
+        first = searcher.search_program(parse_program(source))
+        second = searcher.search_program(parse_program(source))
+        assert first.oracle_calls == second.oracle_calls
+        assert first.stats.summary() == second.stats.summary()
+        assert [render_suggestion(s) for s in first.suggestions] == [
+            render_suggestion(s) for s in second.suggestions
+        ]
+
 
 class TestSuggestionPrograms:
     def test_every_suggestion_program_typechecks(self):

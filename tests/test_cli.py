@@ -263,17 +263,6 @@ class TestCppMode:
 
 
 class TestRobustnessFlags:
-    def test_shed_fraction_accepted(self, ml_file, capsys):
-        assert main([str(ml_file), "--shed-fraction", "0.5"]) == 1
-        assert "Try replacing" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("bad", ["0", "-0.5", "1.5", "nan", "junk"])
-    def test_shed_fraction_rejects_out_of_range(self, ml_file, bad, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([str(ml_file), "--shed-fraction", bad])
-        assert exc.value.code == 2
-        assert "--shed-fraction" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "flag", ["--jobs", "--candidate-timeout", "--worker-rss-mb"]
     )

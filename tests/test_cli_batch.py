@@ -184,10 +184,6 @@ class TestSingleFileJobs:
         out = capsys.readouterr().out
         assert "3 search(es)" in out
 
-    def test_no_dedup_flag_accepted(self, batch_dir, capsys):
-        assert main([str(batch_dir / "bad.ml"), "--no-dedup"]) == 1
-        capsys.readouterr()
-
 
 class TestDirScanHardening:
     def test_missing_dir_one_line_stderr_no_traceback(self, tmp_path, capsys):
@@ -216,8 +212,3 @@ class TestDirScanHardening:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot scan")
         assert "Traceback" not in err
-
-    def test_batch_shed_fraction_flag(self, batch_dir, capsys):
-        code = main(["explain", "--dir", str(batch_dir), "--shed-fraction", "0.9"])
-        assert code in (0, 1)
-        assert "bad.ml" in capsys.readouterr().out
