@@ -6,6 +6,9 @@ the process plumbing behind :func:`repro.core.seminal.explain_many` (and
 so ``python -m repro explain --jobs N``):
 
 * :func:`resolve_jobs` — normalize a ``jobs`` knob to a worker count;
+* :func:`adopt_store_session` — the pool initializer that hands each
+  worker the batch's one verdict-store session (inherited across the
+  fork, so a worker never re-reads what the parent already loaded);
 * :func:`explain_batch_worker` — the per-*program* worker task: one whole
   serial ``explain()`` call, its :class:`~repro.core.seminal.BatchEntry`
   pickled for the trip home;
@@ -107,6 +110,18 @@ def terminate_executor(executor) -> None:
         pass
 
 
+#: The verdict-store session this worker process shares across its files
+#: (set by :func:`adopt_store_session`; None outside workers and for
+#: batches without a store).
+_store_session = None
+
+
+def adopt_store_session(session) -> None:
+    """Pool initializer: make ``session`` the store every task of this
+    worker uses in place of the pickled ``store`` argument."""
+    global _store_session
+    _store_session = session
+
 
 def explain_batch_worker(
     label: str, source: str, top: int, kwargs_blob: bytes
@@ -122,7 +137,10 @@ def explain_batch_worker(
     """
     from repro.core.seminal import _explain_entry
 
-    entry = _explain_entry(label, source, top, pickle.loads(kwargs_blob))
+    kwargs = pickle.loads(kwargs_blob)
+    if _store_session is not None:
+        kwargs["store"] = _store_session
+    entry = _explain_entry(label, source, top, kwargs)
     try:
         return pickle.dumps(entry)
     except Exception:

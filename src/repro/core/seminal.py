@@ -24,6 +24,7 @@ from repro.obs import (
     degradation_as_dict,
     suggestion_rows,
 )
+from repro.store.verdicts import VerdictStore
 
 from .changes import Suggestion
 from .enumerator import MiniMLEnumerator
@@ -145,9 +146,12 @@ def explain(
 
     ``store`` enables the persistent cross-run verdict cache (see
     :mod:`repro.store`): a directory path (opened here and closed on the
-    way out) or an already-open
-    :class:`~repro.store.VerdictStore` (flushed, but left open for the
-    caller).  Warm runs skip re-checking candidates seen by any earlier
+    way out) or an already-open :class:`~repro.store.VerdictStore`, a
+    session shared across searches: it is refreshed with segments other
+    processes published before the search and publishes this search's
+    verdicts and hit markers after it, but stays open for the caller.
+    :func:`explain_many` keeps one such session per batch process.
+    Warm runs skip re-checking candidates seen by any earlier
     run while keeping suggestions, ranks, and ``--stats`` byte-identical
     to a cold or store-less run; a ``store`` event with hit/miss/write
     counts is emitted to the event log.
@@ -171,10 +175,9 @@ def explain(
     store_obj = None
     owns_store = False
     if store is not None:
-        from repro.store import VerdictStore
-
         if isinstance(store, VerdictStore):
             store_obj = store
+            store_obj.refresh()
         else:
             store_obj = VerdictStore(store)
             owns_store = True
@@ -213,7 +216,7 @@ def explain(
             if owns_store:
                 store_obj.close()
             else:
-                store_obj.flush()
+                store_obj.publish()
         except Exception:
             pass  # persisting the cache is best-effort; answers stand
         if events.enabled:
@@ -363,6 +366,14 @@ def explain_many(
     raises — every program whose entry did not come back is re-run
     serially in the parent, so every entry carries the serial answer
     either way.
+
+    A ``store`` path is opened once per batch process, not once per file:
+    the parent opens one :class:`~repro.store.VerdictStore` session, uses
+    it for a serial batch and for re-runs, and closes it on the way out;
+    forked workers inherit it.  Each file still refreshes the session
+    with segments published since (by siblings or other runs) and
+    publishes its own verdicts and hit markers when it finishes, so an
+    interrupted batch keeps every finished file's verdicts.
     """
     source_list = list(sources)
     if labels is None:
@@ -373,23 +384,71 @@ def explain_many(
             raise ValueError(
                 f"got {len(source_list)} sources but {len(label_list)} labels"
             )
-    from .parallel import _fork_context, explain_batch_worker, resolve_jobs
+    from .parallel import resolve_jobs
 
     n_jobs = min(resolve_jobs(jobs), max(1, len(source_list)))
-    if n_jobs <= 1:
-        return [
-            _explain_entry(label, source, top, dict(kwargs))
-            for label, source in zip(label_list, source_list)
-        ]
+    session, owns_session = _open_session(kwargs.pop("store", None))
+    try:
+        if n_jobs <= 1:
+            return [
+                _explain_entry(label, source, top, dict(kwargs, store=session))
+                for label, source in zip(label_list, source_list)
+            ]
+        return _explain_parallel(label_list, source_list, n_jobs, top, kwargs, session)
+    finally:
+        if owns_session:
+            session.close()
 
+
+def _open_session(store):
+    """``(session, owned)`` for a batch's ``store`` argument: a path is
+    opened once, for the whole batch process; an open store is shared as
+    it is.  A path that cannot be opened comes back unchanged, so each
+    file retries it and reports the failure in its own entry, as a
+    single-file run would."""
+    if store is None or isinstance(store, VerdictStore):
+        return store, False
+    try:
+        return VerdictStore(store), True
+    except Exception:
+        return store, False
+
+
+def _explain_parallel(
+    label_list: List[str],
+    source_list: List[str],
+    n_jobs: int,
+    top: int,
+    kwargs: Dict,
+    session,
+) -> List[BatchEntry]:
+    """The ``jobs > 1`` half of :func:`explain_many`: one task per file on
+    a fork pool whose workers inherit the parent's store ``session``."""
     import pickle
     from concurrent.futures import ProcessPoolExecutor
 
-    from .parallel import sigint_deferred, terminate_executor
+    from .parallel import (
+        _fork_context,
+        adopt_store_session,
+        explain_batch_worker,
+        sigint_deferred,
+        terminate_executor,
+    )
 
-    kwargs_blob = pickle.dumps(dict(kwargs))
+    # Workers inherit an open session; only a path that failed to open
+    # travels with each task (see _open_session).
+    if isinstance(session, VerdictStore):
+        shared, unopened = session, None
+    else:
+        shared, unopened = None, session
+    kwargs_blob = pickle.dumps(dict(kwargs, store=unopened))
     entries: List[Optional[BatchEntry]] = [None] * len(source_list)
-    pool = ProcessPoolExecutor(max_workers=n_jobs, mp_context=_fork_context())
+    pool = ProcessPoolExecutor(
+        max_workers=n_jobs,
+        mp_context=_fork_context(),
+        initializer=adopt_store_session,
+        initargs=(shared,),
+    )
     try:
         # The first submit forks every worker (fork context); an
         # interrupt held back across it lands below, with all of them
@@ -416,6 +475,6 @@ def explain_many(
     for i, entry in enumerate(entries):
         if entry is None:
             entries[i] = _explain_entry(
-                label_list[i], source_list[i], top, dict(kwargs)
+                label_list[i], source_list[i], top, dict(kwargs, store=session)
             )
     return entries

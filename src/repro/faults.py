@@ -236,7 +236,7 @@ class FlakyStore(VerdictStore):
         **store_kwargs,
     ):
         # Fault state must exist before super().__init__, which calls
-        # _load() straight into the overridden read seam.
+        # refresh() straight into the overridden read seam.
         self._fail_every = max(1, int(fail_every))
         self._fail_streak = max(1, int(fail_streak))
         self._fail_reads = fail_reads

@@ -23,14 +23,20 @@ Entries whose header fingerprint does not match the current
 invalidated and not indexed; ``compact`` deletes such segments outright
 and enforces a byte-size cap by evicting the least-recently-hit segments
 first.
+
+One open store can serve many searches (a batch process keeps one
+session): :meth:`VerdictStore.refresh` loads only the segments published
+since the store last looked, and :meth:`VerdictStore.publish` writes a
+search's verdicts and hit markers without closing anything.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -40,6 +46,12 @@ _SEGMENT_PREFIX = "seg-"
 _SEGMENT_SUFFIX = ".jsonl"
 _TMP_PREFIX = ".tmp-"
 _HITS_DIR = "hits"
+
+#: Numbers this process's segments, across every store it opens: two
+#: stores on one path publishing in the same millisecond must not pick the
+#: same segment name (one would replace the other, unseen by readers that
+#: already read that name).
+_segment_numbers = itertools.count(1)
 
 #: Verdict kinds that may be persisted.  Crash/fallback outcomes are
 #: checker *failures*, not answers — they must be recomputed every run.
@@ -140,8 +152,10 @@ class VerdictStore:
         self.io_errors = 0
         self._fingerprint = checker_fingerprint()
         self._index: Dict[Tuple[str, str], StoredVerdict] = {}
+        #: Segment names already read or published by this store: the
+        #: ones :meth:`refresh` never reads (again).
+        self._seen: set = set()
         self._pending: List[dict] = []
-        self._segment_seq = 0
         self._hit_segments: Dict[str, float] = {}
         self.hits = 0
         self.misses = 0
@@ -152,7 +166,7 @@ class VerdictStore:
         self._invalidated_unreported = 0
         if not read_only:
             self.path.mkdir(parents=True, exist_ok=True)
-        self._load()
+        self.refresh()
 
     # ------------------------------------------------------------------
     # Loading (degrade, never raise)
@@ -170,9 +184,19 @@ class VerdictStore:
             return []
         return names
 
-    def _load(self) -> None:
+    def refresh(self) -> None:
+        """Load the segments published since this store last looked.
+
+        A segment is read at most once per store: published segments are
+        immutable, so one this store has read (even one it had to skip)
+        or published itself never needs reading again.  Segments from
+        concurrent processes therefore become servable without re-reading
+        the whole store.
+        """
         for segment in self._segment_files():
-            self._load_segment(segment)
+            if segment.name not in self._seen:
+                self._seen.add(segment.name)
+                self._load_segment(segment)
 
     def _with_retry(self, fn):
         """Wrap one I/O seam in the store's retry policy (lazy import —
@@ -315,13 +339,12 @@ class VerdictStore:
     # ------------------------------------------------------------------
 
     def _next_names(self) -> Tuple[Path, Path]:
-        self._segment_seq += 1
+        n = next(_segment_numbers)
         pid = os.getpid()
         stamp = int(self._clock() * 1000)
-        tmp = self.path / f"{_TMP_PREFIX}{pid}-{self._segment_seq}"
+        tmp = self.path / f"{_TMP_PREFIX}{pid}-{n}"
         final = (
-            self.path
-            / f"{_SEGMENT_PREFIX}{stamp:013d}-{pid}-{self._segment_seq}{_SEGMENT_SUFFIX}"
+            self.path / f"{_SEGMENT_PREFIX}{stamp:013d}-{pid}-{n}{_SEGMENT_SUFFIX}"
         )
         return tmp, final
 
@@ -349,6 +372,14 @@ class VerdictStore:
             except OSError:
                 pass
             return None
+        # The published verdicts now live in ``final``: name it on their
+        # index entries so a later hit in this session marks its recency.
+        for raw in self._pending:
+            address = (raw["p"], raw["k"])
+            entry = self._index.get(address)
+            if entry is not None and entry.segment is None:
+                self._index[address] = replace(entry, segment=final.name)
+        self._seen.add(final.name)
         self._pending = []
         return final.name
 
@@ -370,10 +401,15 @@ class VerdictStore:
                 continue
         self._hit_segments = {}
 
-    def close(self) -> None:
-        """Flush pending writes and persist hit-recency markers."""
+    def publish(self) -> None:
+        """Flush pending writes and persist hit-recency markers; the
+        store stays open for the next search."""
         self.flush()
         self._write_hit_markers()
+
+    def close(self) -> None:
+        """Publish what is left (see :meth:`publish`)."""
+        self.publish()
 
     def __enter__(self) -> "VerdictStore":
         return self

@@ -1,0 +1,280 @@
+"""One verdict-store session per batch process.
+
+``explain_many(store=path)`` opens one :class:`VerdictStore` for the whole
+batch (forked workers inherit it) instead of one per file.  The session
+must behave like per-file reopening in everything observable: entries,
+store hits and writes, hit-recency markers, and the invalidation count —
+while reading each published segment at most once.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from collections import Counter
+
+import pytest
+
+import repro.core.seminal as seminal
+from repro.core import explain, explain_many
+from repro.corpus import generate_corpus
+from repro.miniml.pretty import pretty_program
+from repro.obs import MetricsRegistry
+from repro.store import NO_PREFIX_FP, VerdictStore
+
+FIG2 = """\
+let map2 f aList bList =
+  List.map (fun (a, b) -> f a b) (List.combine aList bList)
+let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]
+"""
+
+ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
+
+#: The first files of a small course, in timestamp order: recompile loops,
+#: so later files repeat earlier sources and hit the store.
+COURSE = [pretty_program(f.program) for f in generate_corpus(scale=0.15, seed=11).files[:30]]
+
+
+def _merged(entries) -> MetricsRegistry:
+    total = MetricsRegistry()
+    for entry in entries:
+        total.merge_snapshot(entry.metrics)
+    return total
+
+
+def _count_opens(monkeypatch, log):
+    """Append this process's pid to ``log`` on every ``VerdictStore``
+    construction — a file, so forked workers report too."""
+    init = VerdictStore.__init__
+
+    def counting_init(self, *args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VerdictStore, "__init__", counting_init)
+
+
+def _opens(log):
+    return Counter(int(line) for line in log.read_text().split()) if log.exists() else Counter()
+
+
+class TestOneOpenPerProcess:
+    def test_serial_batch_opens_the_store_once(self, tmp_path, monkeypatch):
+        log = tmp_path / "opens"
+        _count_opens(monkeypatch, log)
+        explain_many([FIG2, ILL_TYPED, FIG2, ILL_TYPED], jobs=1, store=tmp_path / "s")
+        assert _opens(log) == Counter({os.getpid(): 1})
+
+    def test_parallel_batch_opens_at_most_once_per_process(self, tmp_path, monkeypatch):
+        log = tmp_path / "opens"
+        _count_opens(monkeypatch, log)
+        entries = explain_many(
+            [FIG2, ILL_TYPED, FIG2, ILL_TYPED, FIG2, ILL_TYPED],
+            jobs=2,
+            store=tmp_path / "s",
+            collect_metrics=True,
+        )
+        assert _merged(entries).value("oracle.store.writes") > 0
+        opens = _opens(log)
+        workers = {entry.worker_pid for entry in entries} - {os.getpid()}
+        assert set(opens) <= workers | {os.getpid()}
+        assert all(n == 1 for n in opens.values())
+        assert sum(opens.values()) <= len(workers) + 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unopenable_store_is_each_files_error(self, tmp_path, jobs):
+        """A store path that cannot be opened (here: a plain file) fails
+        every file's entry, exactly as opening it per file did."""
+        not_a_dir = tmp_path / "store"
+        not_a_dir.write_text("")
+        entries = explain_many([FIG2, ILL_TYPED], jobs=jobs, store=not_a_dir)
+        with pytest.raises(OSError) as raised:
+            explain(FIG2, store=not_a_dir)
+        assert [entry.error for entry in entries] == [str(raised.value)] * 2
+
+    def test_single_file_explain_opens_and_closes_its_own(self, tmp_path, monkeypatch):
+        log = tmp_path / "opens"
+        _count_opens(monkeypatch, log)
+        explain(FIG2, store=tmp_path / "s")
+        explain(FIG2, store=tmp_path / "s")
+        assert _opens(log) == Counter({os.getpid(): 2})
+
+
+class TestRefresh:
+    def test_refresh_serves_a_segment_published_mid_batch(self, tmp_path, monkeypatch):
+        """A second store on the same path publishes FIG2's verdicts
+        between the batch's first and second file: the session serves the
+        second file from them, and no store reads any segment twice —
+        the session never reads back its own segments."""
+        path = tmp_path / "s"
+        reads = Counter()
+        read = VerdictStore._read_segment_text
+
+        def counting_read(self, segment):
+            reads[(id(self), segment.name)] += 1
+            return read(self, segment)
+
+        monkeypatch.setattr(VerdictStore, "_read_segment_text", counting_read)
+        sessions = []
+        explain_entry = seminal._explain_entry
+
+        def entry_with_a_concurrent_writer(label, source, top, kwargs):
+            sessions.append(kwargs["store"])
+            if label == "second":
+                other = VerdictStore(path)
+                explain(FIG2, store=other)
+                other.close()
+            return explain_entry(label, source, top, kwargs)
+
+        monkeypatch.setattr(seminal, "_explain_entry", entry_with_a_concurrent_writer)
+        entries = explain_many(
+            [ILL_TYPED, FIG2, ILL_TYPED],
+            ["first", "second", "third"],
+            store=path,
+            collect_metrics=True,
+        )
+        session = sessions[0]
+        assert all(s is session for s in sessions)
+        second = MetricsRegistry()
+        second.merge_snapshot(entries[1].metrics)
+        assert second.value("oracle.store.hits") == entries[1].oracle_calls > 0
+        assert second.value("oracle.calls") == 0
+
+        assert set(reads.values()) == {1}
+        read_by_session = {name for (owner, name) in reads if owner == id(session)}
+        segments = {p.name for p in path.glob("seg-*.jsonl")}
+        assert len(segments) == 2  # the first file's and the other store's
+        assert len(read_by_session) == 1  # only the other store's
+        assert read_by_session < segments
+
+    def test_two_stores_in_one_process_never_share_a_segment_name(self, tmp_path):
+        frozen = lambda: 1000.0  # both publish in the same millisecond
+        first = VerdictStore(tmp_path / "s", clock=frozen)
+        second = VerdictStore(tmp_path / "s", clock=frozen)
+        first.put(NO_PREFIX_FP, ("a",), True, "full")
+        second.put(NO_PREFIX_FP, ("b",), True, "full")
+        assert first.flush() != second.flush()
+        assert len(VerdictStore(tmp_path / "s")) == 2
+
+    def test_refresh_reads_only_new_segments(self, tmp_path):
+        path = tmp_path / "s"
+        session = VerdictStore(path)
+        session.put(NO_PREFIX_FP, ("a",), True, "full")
+        session.flush()
+        other = VerdictStore(path)
+        assert other.get(NO_PREFIX_FP, ("a",)) is not None
+        other.put(NO_PREFIX_FP, ("b",), False, "full", err="boom")
+        other.flush()
+        assert session.get(NO_PREFIX_FP, ("b",)) is None
+        session.refresh()
+        assert session.get(NO_PREFIX_FP, ("b",)).err == "boom"
+        assert session.skipped_segments == 0
+
+
+class _Clock:
+    """Deterministic stamps far past any real mtime, so a hit marker
+    always outranks an unhit segment's mtime in eviction order."""
+
+    def __init__(self):
+        self.now = 4.0e9
+
+    def __call__(self):
+        self.now += 1.0
+        return self.now
+
+
+def _course_of_files(path, reopen_per_file):
+    """Three files each write one verdict; a fourth hits the first's.
+    Returns the name of the first file's segment."""
+    clock = _Clock()
+    session = None if reopen_per_file else VerdictStore(path, clock=clock)
+    first_segment = None
+    for key in (("a",), ("b",), ("c",), None):
+        store = VerdictStore(path, clock=clock) if reopen_per_file else session
+        store.refresh()
+        if key is None:
+            assert store.get(NO_PREFIX_FP, ("a",)).segment == first_segment
+        else:
+            store.put(NO_PREFIX_FP, key, True, "full")
+            name = store.flush()
+            first_segment = first_segment or name
+        store.publish()
+    return first_segment
+
+
+class TestHitRecencyInOneSession:
+    def test_flush_names_the_segment_on_its_entries(self, tmp_path):
+        store = VerdictStore(tmp_path / "s")
+        store.put(NO_PREFIX_FP, ("a",), True, "full")
+        assert store.get(NO_PREFIX_FP, ("a",)).segment is None  # pending
+        name = store.flush()
+        assert store.get(NO_PREFIX_FP, ("a",)).segment == name
+
+    @pytest.mark.parametrize("reopen_per_file", [False, True])
+    def test_hit_on_a_verdict_flushed_earlier_writes_its_marker(self, tmp_path, reopen_per_file):
+        path = tmp_path / "s"
+        first = _course_of_files(path, reopen_per_file)
+        assert (path / "hits" / first).exists()
+
+    def test_compaction_evicts_as_with_per_file_reopening(self, tmp_path):
+        survivors = {}
+        for reopen in (False, True):
+            path = tmp_path / f"s-{reopen}"
+            _course_of_files(path, reopen)
+            one_segment = max(p.stat().st_size for p in path.glob("seg-*.jsonl"))
+            VerdictStore(path).compact(max_bytes=one_segment)
+            fresh = VerdictStore(path, read_only=True)
+            survivors[reopen] = [
+                key for key in (("a",), ("b",), ("c",))
+                if fresh.get(NO_PREFIX_FP, key) is not None
+            ]
+        assert survivors[False] == survivors[True] == [("a",)]
+
+
+class TestInvalidatedCountedOnce:
+    def test_batch_reports_stale_entries_once(self, tmp_path):
+        path = tmp_path / "s"
+        path.mkdir()
+        k = 4
+        lines = [json.dumps({"v": 1, "checker": "0" * 32})] + [
+            json.dumps({"p": NO_PREFIX_FP, "k": f"{i:032d}", "ok": True, "kind": "full"})
+            for i in range(k)
+        ]
+        (path / "seg-0000000000000-1-1.jsonl").write_text("\n".join(lines) + "\n")
+        entries = explain_many(
+            [FIG2, ILL_TYPED, FIG2], jobs=1, store=path, collect_metrics=True
+        )
+        assert _merged(entries).value("oracle.store.invalidated") == k
+
+
+def _visible(report, best, oracle_calls, result, registry):
+    return (
+        report,
+        best,
+        oracle_calls,
+        result.stats.summary(),
+        registry.value("oracle.store.hits"),
+        registry.value("oracle.store.writes"),
+    )
+
+
+class TestSessionMatchesPerFileOpens:
+    def test_course_cold_then_warm(self, tmp_path):
+        batch_store, loop_store = tmp_path / "batch", tmp_path / "loop"
+        for run in ("cold", "warm"):
+            entries = explain_many(COURSE, store=batch_store, collect_metrics=True)
+            batch = []
+            for entry in entries:
+                registry = MetricsRegistry()
+                registry.merge_snapshot(entry.metrics)
+                batch.append(_visible(entry.report, entry.best, entry.oracle_calls,
+                                      entry.result, registry))
+            loop = []
+            for source in COURSE:
+                registry = MetricsRegistry()
+                result = explain(source, store=loop_store, metrics=registry)
+                loop.append(_visible(result.render(limit=3), result.render_best(),
+                                     result.oracle_calls, result, registry))
+            assert batch == loop, run
+        assert sum(hits for *_, hits, _ in batch) > 0
