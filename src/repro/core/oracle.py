@@ -24,9 +24,10 @@ behind exactly that interface, adding:
     chiefly localization's prefixes — by replaying recorded schemes for
     declarations a change cannot affect.
 
-  A candidate that edits the prefix invalidates the snapshot and takes
-  the table or a from-scratch check, so the answers are identical either
-  way.  ``cross_check=True`` re-runs every reused answer from scratch and
+  A candidate that edits the prefix takes the table or a from-scratch
+  check instead (the snapshot stays armed for the next candidate that
+  shares it), so the answers are identical either way.
+  ``cross_check=True`` re-runs every reused answer from scratch and
   raises :class:`IncrementalMismatch` on disagreement — the assertion
   mode the equivalence tests exercise.
 
@@ -40,7 +41,7 @@ them kill the search:
   snapshot bug, an injected chaos fault) is converted into "candidate
   rejected": :meth:`check` returns a failing ``CheckResult``, counts
   ``oracle.crashes``, and keeps a bounded sample of tracebacks for the
-  degradation report.  ``strict=True`` disables the guard for debugging.
+  degradation report.
 * **Depth pre-check** — candidates whose AST depth exceeds ``max_depth``
   (default: derived from the interpreter's recursion limit) are rejected
   *before* inference by a :class:`~repro.tree.DepthProbe`, which reads the
@@ -52,13 +53,13 @@ them kill the search:
   transparently answers the candidate from the decl table or from
   scratch; a failure inside the table route drops the table
   (``oracle.decl.fallbacks``) the same way.  The cross-check assertion
-  mode still raises, so tests keep their strict equivalence oracle.
+  mode still raises, so tests keep their equivalence assertion.
 
 Telemetry: an oracle holding a :class:`~repro.obs.MetricsRegistry` counts
 ``oracle.calls`` (and the ``.ok``/``.fail`` split),
 ``oracle.budget_exceeded``, the prefix-reuse set ``oracle.prefix.armed``/
-``oracle.prefix.reused``/``oracle.prefix.invalidated``/
-``oracle.prefix.fallbacks``/``oracle.full_checks``, the trail pair
+``oracle.prefix.reused``/``oracle.prefix.fallbacks``/``oracle.full_checks``,
+the trail pair
 ``oracle.trail.speculated``/``oracle.trail.rolled_back``, the
 ``oracle.decl.*`` table accounting, and the resilience pair
 ``oracle.crashes``/``oracle.depth_rejected``.  The default is the no-op
@@ -81,8 +82,6 @@ from repro.miniml.infer import (
     typecheck_program,
 )
 from repro.obs import NULL_EVENTS, NULL_METRICS
-from repro.store.fingerprint import NO_PREFIX_FP, prefix_fingerprint
-from repro.store.verdicts import STORABLE_KINDS
 from repro.tree import DepthProbe, StructuralKeyer
 
 #: Sentinel for "derive ``max_depth`` from the interpreter's limit".
@@ -91,13 +90,6 @@ AUTO_DEPTH = "auto"
 #: How many crash messages an oracle keeps in :attr:`Oracle.crash_samples`
 #: per search (every crash is still counted).
 CRASH_SAMPLE_LIMIT = 5
-
-#: How a stored verdict was computed — the accounting "kind" the
-#: verdict store persists (:data:`~repro.store.verdicts.STORABLE_KINDS`)
-#: so a store hit replays the exact counters the original check bumped.
-VERDICT_FULL = "full"                      #: from-scratch check
-VERDICT_REUSED = "reused"                  #: prefix snapshot route
-VERDICT_INVALIDATED = "invalidated"        #: snapshot invalidated, then full
 
 
 def default_max_depth() -> int:
@@ -175,9 +167,6 @@ class Oracle:
         checker (``oracle.depth_rejected``; never counted as a call).  The
         default :data:`AUTO_DEPTH` derives a limit from the interpreter's
         recursion limit; ``None`` disables the pre-check.
-    strict:
-        Disable crash isolation: unexpected checker exceptions propagate
-        instead of rejecting the candidate.  Debug/test mode.
     """
 
     def __init__(
@@ -187,7 +176,6 @@ class Oracle:
         metrics=None,
         cross_check: bool = False,
         max_depth: Union[int, str, None] = AUTO_DEPTH,
-        strict: bool = False,
         events=None,
         store=None,
     ):
@@ -196,12 +184,10 @@ class Oracle:
         self.calls = 0
         self.full_checks = 0
         self.prefix_reused = 0
-        self.prefix_invalidated = 0
         self.prefix_fallbacks = 0
         self.crashes = 0
         self.depth_rejections = 0
         self.crash_samples: List[str] = []
-        self.strict = strict
         if max_depth == AUTO_DEPTH:
             max_depth = default_max_depth()
         self.max_depth: Optional[int] = max_depth
@@ -222,12 +208,6 @@ class Oracle:
         self._snapshot = None
         self._decl_table = None
         self._decl_pending = None
-        #: The snapshot regime a stored verdict belongs to: the
-        #: fingerprint of the armed snapshot's declarations, or
-        #: :data:`~repro.store.fingerprint.NO_PREFIX_FP` when unarmed.
-        #: ``None`` disables the store for the current regime (e.g. the
-        #: snapshot could not be fingerprinted).
-        self._prefix_fp: Optional[str] = NO_PREFIX_FP
         self.store = None
         self.store_hits = 0
         self.store_misses = 0
@@ -258,14 +238,15 @@ class Oracle:
         """Attach a :class:`~repro.store.VerdictStore` as the disk tier.
 
         Probe order per check: store → real check (the verdict is
-        written back to the store on the way out).  Store hits
-        still count toward ``self.calls`` (the budget and ``--stats``
-        accounting, which must be byte-identical warm or cold) but *not*
-        toward the ``oracle.calls`` metric, which counts real checker
-        invocations — that split is what makes a warm run's metric
-        strictly smaller while everything user-visible stays identical.
-        Disabled under ``cross_check`` (the point of that mode is to
-        re-run checks, not to skip them).
+        written back to the store on the way out).  A stored verdict is
+        keyed by the program alone: the checker's answer depends on
+        nothing else, whichever route computed it.  Store hits still
+        count toward ``self.calls`` (the budget and the ``[N oracle
+        calls]`` line, which must be byte-identical warm or cold) but
+        *not* toward the ``oracle.calls`` metric or the reuse counters
+        (``full_checks``, ``oracle.prefix.reused``, ...), which count work
+        the checker actually did.  Disabled under ``cross_check`` (the
+        point of that mode is to re-run checks, not to skip them).
         """
         self.store = store
         n = store.take_invalidated()
@@ -296,11 +277,7 @@ class Oracle:
 
     @property
     def _store_active(self) -> bool:
-        return (
-            self.store is not None
-            and not self.cross_check
-            and self._prefix_fp is not None
-        )
+        return self.store is not None and not self.cross_check
 
     def _stored_result(self, entry) -> CheckResult:
         error = None
@@ -308,50 +285,17 @@ class Oracle:
             error = StoredError(entry.err, entry.err_kind)
         return CheckResult(ok=entry.ok, error=error)
 
-    def _replay_stored_kind(self, kind: str) -> None:
-        """Replay the accounting a real check of this ``kind`` would have
-        done, so prefix-reuse counters (and hence ``--stats``) are
-        byte-identical whether the verdict was computed or recalled."""
-        if kind == VERDICT_REUSED:
-            self.prefix_reused += 1
-            self.metrics.incr("oracle.prefix.reused")
-            return
-        if kind == VERDICT_INVALIDATED:
-            # The original check dropped the snapshot before re-checking
-            # from scratch; mirror that so subsequent checks run (and
-            # probe the store) under the same no-prefix regime.
-            self._drop_snapshot()
-            self.prefix_invalidated += 1
-            self.metrics.incr("oracle.prefix.invalidated")
-        self.full_checks += 1
-        self.metrics.incr("oracle.full_checks")
-
-    def _store_write(self, prefix_fp, skey, result, counters_before) -> None:
-        """Persist a freshly computed verdict.
-
-        The kind is classified from the counter deltas around the check;
-        crash and fallback outcomes are never persisted — they are checker
-        failures, not answers.  Write failures degrade silently (the store
-        is a cache).
-        """
-        crashes, fallbacks, reused, invalidated = counters_before
-        if self.crashes != crashes or self.prefix_fallbacks != fallbacks:
-            return
-        if self.prefix_reused > reused:
-            kind = VERDICT_REUSED
-        elif self.prefix_invalidated > invalidated:
-            kind = VERDICT_INVALIDATED
-        else:
-            kind = VERDICT_FULL
+    def _store_write(self, skey, result) -> None:
+        """Persist a freshly computed verdict (write failures degrade
+        silently: the store is a cache)."""
         try:
             err = _error_text(result) if not result.ok else None
             err_kind = getattr(result.error, "kind", None) if result.error else None
-            if self.store.put(prefix_fp, skey, result.ok, kind, err, err_kind):
+            if self.store.put(skey, result.ok, err, err_kind):
                 self.store_writes += 1
                 self.metrics.incr("oracle.store.writes")
         except Exception:
-            if self.strict:
-                raise
+            pass
         self._drain_store_io()
 
     # ------------------------------------------------------------------
@@ -373,35 +317,19 @@ class Oracle:
         fails to check, or a crash while snapshotting (counted as an
         isolated crash — a broken snapshot must not kill the search).
         """
-        self._drop_snapshot()
+        self._snapshot = None
         if not self._reuse or n_decls <= 0:
             return False
         try:
             snapshot = snapshot_prefix(program, n_decls)
         except Exception as err:
-            if self.strict:
-                raise
             self._record_crash(err)
             return False
         if snapshot is None:
             return False
         self._snapshot = snapshot
-        if self.store is not None:
-            try:
-                self._prefix_fp = prefix_fingerprint(
-                    self.keyer(decl) for decl in snapshot.decls
-                )
-            except Exception:
-                # Unfingerprintable snapshot (a decl too deep to key):
-                # disable the disk tier for this regime rather than risk
-                # serving another regime's verdicts.
-                self._prefix_fp = None
         self.metrics.incr("oracle.prefix.armed")
         return True
-
-    def _drop_snapshot(self) -> None:
-        self._snapshot = None
-        self._prefix_fp = NO_PREFIX_FP
 
     # ------------------------------------------------------------------
     # Declaration outcome table (dependency-pruned re-checking)
@@ -479,8 +407,6 @@ class Oracle:
                 result.decls_checked += extra_checked
             return result
         except Exception:
-            if self.strict:
-                raise
             self._drop_decl_table()
             self.metrics.incr("oracle.decl.fallbacks")
             return None
@@ -509,49 +435,41 @@ class Oracle:
     def _check_once(self, program) -> CheckResult:
         """One logical typecheck, via the armed prefix when possible."""
         snapshot = self._snapshot
-        if snapshot is not None:
-            if snapshot.matches(program):
-                # Check the suffix against the live armed state and roll
-                # the trail back.  Errors that outlive the rollback (store
-                # persistence, cross-checking) are rendered *before* undo
-                # un-unifies the types they reference.
-                try:
-                    result = snapshot.check(
-                        program,
-                        freeze_errors=self._store_active or self.cross_check,
-                    )
-                except Exception as err:
-                    if self.strict:
-                        raise
-                    # Self-healing: a crash on the snapshot route (poisoned
-                    # snapshot, trail-integrity violation, latent reuse
-                    # bug) disarms it; the table or a from-scratch check
-                    # answers instead.
-                    self._drop_snapshot()
-                    self.prefix_fallbacks += 1
-                    self.metrics.incr("oracle.prefix.fallbacks")
-                    self._record_crash(err)
-                else:
-                    self._account_trail(result)
-                    self.prefix_reused += 1
-                    self.metrics.incr("oracle.prefix.reused")
-                    if self.cross_check:
-                        self._assert_equivalent(program, result)
-                    return result
+        # A candidate that edited a declaration at or before the snapshot
+        # point does not match; it falls through, and the snapshot stays
+        # armed for the next candidate that shares the prefix.
+        if snapshot is not None and snapshot.matches(program):
+            # Check the suffix against the live armed state and roll the
+            # trail back.  Errors that outlive the rollback (store
+            # persistence, cross-checking) are rendered *before* undo
+            # un-unifies the types they reference.
+            try:
+                result = snapshot.check(
+                    program,
+                    freeze_errors=self._store_active or self.cross_check,
+                )
+            except Exception as err:
+                # Self-healing: a crash on the snapshot route (poisoned
+                # snapshot, trail-integrity violation, latent reuse bug)
+                # disarms it; the table or a from-scratch check answers
+                # instead.
+                self._snapshot = None
+                self.prefix_fallbacks += 1
+                self.metrics.incr("oracle.prefix.fallbacks")
+                self._record_crash(err)
             else:
-                # The candidate edited a declaration at or before the
-                # snapshot point: the cached environment no longer applies.
-                # Drop it — the searcher's candidates would keep missing
-                # anyway.
-                self._drop_snapshot()
-                self.prefix_invalidated += 1
-                self.metrics.incr("oracle.prefix.invalidated")
+                self._account_trail(result)
+                self.prefix_reused += 1
+                self.metrics.incr("oracle.prefix.reused")
+                if self.cross_check:
+                    self._assert_equivalent(program, result)
+                return result
         served = self._decl_tier(program)
         if served is not None:
             # Table-served answers are full checks for every existing
-            # counter (calls, full_checks, store kinds): the pruning shows
-            # up only in the oracle.decl.* family, so suggestions, ranks,
-            # and --stats are byte-identical to a from-scratch oracle's.
+            # counter (calls, full_checks): the pruning shows up only in
+            # the oracle.decl.* family, so suggestions, ranks, and --stats
+            # are byte-identical to a from-scratch oracle's.
             self.full_checks += 1
             self.metrics.incr("oracle.full_checks")
             if self.cross_check:
@@ -590,8 +508,8 @@ class Oracle:
         too-deep candidate is rejected for free, before checking could
         recurse into it); the budget gate comes next, so a call that
         raises :class:`BudgetExceeded` checked nothing and does not count
-        toward ``calls``.  Finally, unless ``strict``, any unexpected
-        exception from the checker is isolated: the candidate is rejected
+        toward ``calls``.  Finally, any unexpected exception from the
+        checker is isolated: the candidate is rejected
         (``ok=False``) and the crash is counted instead of propagated.
         Only :class:`BudgetExceeded` and the ``cross_check`` assertion
         :class:`IncrementalMismatch` ever escape.
@@ -603,8 +521,6 @@ class Oracle:
         except Exception as err:
             # Bookkeeping crashes (e.g. structural keying of a deep tree
             # with the depth pre-check disabled) — still candidate-reject.
-            if self.strict:
-                raise
             self._record_crash(err)
             return CheckResult(ok=False)
 
@@ -619,49 +535,40 @@ class Oracle:
             self.metrics.incr("oracle.budget_exceeded")
             raise BudgetExceeded(self.max_calls)
         self.calls += 1
-        store_fp = skey = None
+        skey = None
         if self._store_active:
             # Disk tier: probed *after* the budget gate and call counting
             # — a store hit spends budget exactly like a real check, so
             # the budget-exhaustion point (and the whole downstream
             # search) is identical warm or cold.
             skey = self.keyer(program)
-            store_fp = self._prefix_fp
             try:
-                stored = self.store.get(store_fp, skey)
+                stored = self.store.get(skey)
             except Exception:
                 # A broken probe degrades to a miss — it must never leak
                 # into the outer crash guard and reject the candidate.
-                if self.strict:
-                    raise
                 stored = None
             if stored is not None:
                 self.store_hits += 1
                 self.metrics.incr("oracle.store.hits")
-                self._replay_stored_kind(stored.kind)
                 return self._stored_result(stored)
             self.store_misses += 1
             self.metrics.incr("oracle.store.misses")
-        before = (
-            self.crashes,
-            self.prefix_fallbacks,
-            self.prefix_reused,
-            self.prefix_invalidated,
-        )
+        crashes = self.crashes
         try:
             result = self._check_once(program)
         except IncrementalMismatch:
             raise
         except Exception as err:
-            if self.strict:
-                raise
             self._record_crash(err)
             result = CheckResult(ok=False)
         self._account_decls(result)
         self.metrics.incr("oracle.calls")
         self.metrics.incr("oracle.calls.ok" if result.ok else "oracle.calls.fail")
-        if store_fp is not None:
-            self._store_write(store_fp, skey, result, before)
+        # A check that crashed (a snapshot fallback included) produced a
+        # checker failure, not an answer: never persist it.
+        if skey is not None and self.crashes == crashes:
+            self._store_write(skey, result)
         return result
 
     def passes(self, program) -> bool:
@@ -678,7 +585,6 @@ class Oracle:
         self.calls = 0
         self.full_checks = 0
         self.prefix_reused = 0
-        self.prefix_invalidated = 0
         self.prefix_fallbacks = 0
         self.crashes = 0
         self.depth_rejections = 0
@@ -686,7 +592,6 @@ class Oracle:
         self._snapshot = None
         self._decl_table = None
         self._decl_pending = None
-        self._prefix_fp = NO_PREFIX_FP
         self.store_hits = 0
         self.store_misses = 0
         self.store_writes = 0

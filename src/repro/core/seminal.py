@@ -152,8 +152,9 @@ def explain(
     verdicts and hit markers after it, but stays open for the caller.
     :func:`explain_many` keeps one such session per batch process.
     Warm runs skip re-checking candidates seen by any earlier
-    run while keeping suggestions, ranks, and ``--stats`` byte-identical
-    to a cold or store-less run; a ``store`` event with hit/miss/write
+    run while keeping suggestions, ranks, ``oracle_calls`` and
+    ``stats`` byte-identical to a cold or store-less run (only the
+    checker-work metrics shrink); a ``store`` event with hit/miss/write
     counts is emitted to the event log.
 
     >>> result = explain('let x = 1 + true')

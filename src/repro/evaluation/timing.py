@@ -54,7 +54,6 @@ _PHASE_COUNTERS = (
 _ORACLE_COUNTERS = (
     "oracle.full_checks",
     "oracle.prefix.reused",
-    "oracle.prefix.invalidated",
     "oracle.crashes",
     "oracle.prefix.fallbacks",
     "oracle.depth_rejected",

@@ -10,7 +10,7 @@ The paper's efficiency claims (Section 3.2, Figures 5-7) are about oracle
   firing, adaptation, triage rounds.
 * :class:`MetricsRegistry` — named counters and histograms (oracle calls by
   outcome, verdict-store hits/misses, prefix-reuse accounting —
-  ``oracle.prefix.armed``/``.reused``/``.invalidated`` vs
+  ``oracle.prefix.armed``/``.reused`` vs
   ``oracle.full_checks`` — changes generated vs. tested per rule, triage
   depth, suggestions ranked) rendered as a flat dict or a text table.
   The resilience layer (:mod:`repro.core.resilience`) counts through the

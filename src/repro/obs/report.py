@@ -36,7 +36,6 @@ COST_COUNTER_PREFIXES: Tuple[str, ...] = (
     "oracle.crashes",
     "oracle.depth_rejected",
     "oracle.prefix.fallbacks",
-    "oracle.prefix.invalidated",
     "oracle.budget_exceeded",
     "oracle.decl.checked",
     "search.prefix_tests",

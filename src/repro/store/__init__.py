@@ -10,7 +10,7 @@ disk so every subsequent run warm-starts.
 Contents:
 
 * :mod:`repro.store.fingerprint` — the content-addressed key scheme:
-  ``(checker fingerprint, prefix-snapshot fingerprint, structural key)``.
+  ``(checker fingerprint, structural key)``.
 * :mod:`repro.store.verdicts` — :class:`VerdictStore`: append-only JSONL
   segment files published atomically (write-temp + rename) so concurrent
   processes share one directory without locks; corrupt or torn segments
@@ -18,22 +18,14 @@ Contents:
 * :mod:`repro.store.cli` — ``python -m repro cache stats|clear|compact``.
 """
 
-from .fingerprint import (
-    NO_PREFIX_FP,
-    STORE_SCHEMA_VERSION,
-    checker_fingerprint,
-    key_digest,
-    prefix_fingerprint,
-)
+from .fingerprint import STORE_SCHEMA_VERSION, checker_fingerprint, key_digest
 from .verdicts import StoredVerdict, StoreStats, VerdictStore
 
 __all__ = [
-    "NO_PREFIX_FP",
     "STORE_SCHEMA_VERSION",
     "StoreStats",
     "StoredVerdict",
     "VerdictStore",
     "checker_fingerprint",
     "key_digest",
-    "prefix_fingerprint",
 ]

@@ -1,21 +1,20 @@
 """Content-addressed fingerprints for the persistent verdict store.
 
-A stored verdict is only reusable when three things are unchanged:
+The checker is a yes/no oracle whose answer depends on the program
+alone, so a stored verdict is reusable exactly when two things are
+unchanged:
 
 * **the checker itself** — :func:`checker_fingerprint` hashes the source
   bytes of every module the MiniML checker is built from (inference,
   unification, types, the stdlib environment, the AST definitions) plus
   the store schema version, so editing the type system or the standard
   library silently invalidates every stale verdict on the next run;
-* **the incremental regime** — :func:`prefix_fingerprint` hashes the
-  structural keys of the declarations an armed
-  :class:`~repro.miniml.infer.SpeculativeState` covers (or the
-  :data:`NO_PREFIX_FP` sentinel when no snapshot is armed).  A verdict
-  computed under prefix reuse is only served to a check asked under the
-  *same* prefix, which is also what makes the stored accounting ``kind``
-  replayable;
 * **the program being asked about** — :func:`key_digest` hashes its
   :func:`~repro.tree.structural_key` (spans and formatting never matter).
+
+Which reuse route (prefix snapshot, decl table, from scratch) computed a
+verdict is not part of its address: every route gives the from-scratch
+answer.
 
 All digests are truncated SHA-256.  Hash-consed structural keys
 (:class:`~repro.tree.HCKey`) contribute their cached Merkle ``digest`` —
@@ -28,15 +27,13 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Iterable, Optional
 
-#: Bump when the on-disk entry format changes incompatibly; folded into
-#: the checker fingerprint so old segments degrade to "invalidated"
-#: instead of being misread.
-STORE_SCHEMA_VERSION = 1
-
-#: Prefix fingerprint used when no snapshot is armed (full-check regime).
-NO_PREFIX_FP = "-"
+#: Bump when the on-disk entry format changes incompatibly.  Segment
+#: headers carry it: readers skip a segment under any other version and
+#: ``compact`` deletes it, so an old segment is never misread.  It is
+#: folded into the checker fingerprint as well.  Version 2 dropped the
+#: per-entry prefix fingerprint and accounting kind of version 1.
+STORE_SCHEMA_VERSION = 2
 
 #: Modules whose source defines what "the checker" means.  The stdlib is
 #: included because its typings are the environment every program is
@@ -98,21 +95,3 @@ def key_digest(structural_key: object) -> str:
     if isinstance(structural_key, HCKey):
         return structural_key.digest
     return _digest(repr(structural_key).encode())
-
-
-def prefix_fingerprint(prefix_keys: Optional[Iterable[object]]) -> str:
-    """Digest of the structural keys of an armed snapshot's declarations.
-
-    ``None`` (or an empty iterable) means "no snapshot armed" and maps to
-    the :data:`NO_PREFIX_FP` sentinel.
-    """
-    if prefix_keys is None:
-        return NO_PREFIX_FP
-    keys = tuple(prefix_keys)
-    if not keys:
-        return NO_PREFIX_FP
-    h = hashlib.sha256()
-    for key in keys:
-        h.update(key_digest(key).encode())
-        h.update(b";")
-    return h.hexdigest()[:32]

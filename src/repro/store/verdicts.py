@@ -9,12 +9,15 @@ On-disk layout (one directory per store)::
 
 Each segment is JSON Lines: a header line carrying the schema version and
 the checker fingerprint the segment was written under, then one line per
-verdict.  Writers build a segment in a ``.tmp-*`` file and *publish* it
-with an atomic :func:`os.replace` — readers therefore only ever see whole
+verdict, ``{"k", "ok", "err", "ek"}``: the program's key digest, the
+answer, and the rendered checker message with its error tag when failing.
+A verdict depends on the checker and the program alone, so nothing else
+addresses it.  Writers build a segment in a ``.tmp-*`` file and *publish*
+it with an atomic :func:`os.replace` — readers therefore only ever see whole
 segments, which is what lets concurrent batch runs and batch workers
 share one store directory without locks.  A reader that still encounters a torn
-or corrupt line (a crashed writer's leftovers, disk corruption, a future
-schema) skips that line or segment and keeps going: the store degrades to
+or corrupt line (a crashed writer's leftovers, disk corruption, another
+schema version) skips that line or segment and keeps going: the store degrades to
 a smaller cache, it never raises (the :mod:`repro.core.resilience`
 contract).
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from .fingerprint import checker_fingerprint, key_digest
+from .fingerprint import STORE_SCHEMA_VERSION, checker_fingerprint, key_digest
 
 _SEGMENT_PREFIX = "seg-"
 _SEGMENT_SUFFIX = ".jsonl"
@@ -53,17 +56,12 @@ _HITS_DIR = "hits"
 #: already read that name).
 _segment_numbers = itertools.count(1)
 
-#: Verdict kinds that may be persisted.  Crash/fallback outcomes are
-#: checker *failures*, not answers — they must be recomputed every run.
-STORABLE_KINDS = ("full", "reused", "invalidated")
-
 
 @dataclass(frozen=True)
 class StoredVerdict:
     """One persisted oracle answer."""
 
     ok: bool
-    kind: str  # accounting kind the verdict was computed under
     err: Optional[str] = None  # rendered checker message, when failing
     err_kind: Optional[str] = None  # error class tag (display fidelity)
     segment: Optional[str] = None  # which segment served it (recency)
@@ -133,10 +131,10 @@ class VerdictStore:
         self.read_only = read_only
         self.flush_every = max(1, int(flush_every))
         self._clock = clock
-        # Deferred import: repro.core's package __init__ imports the
-        # oracle, which imports this module for STORABLE_KINDS — a
-        # module-level ``from repro.core.retry import ...`` here would
-        # close that cycle into an ImportError.
+        # Deferred import: repro.core's package __init__ imports
+        # repro.core.seminal, which imports this module — a module-level
+        # ``from repro.core.retry import ...`` here would close that
+        # cycle into an ImportError.
         if retry_policy is None:
             from repro.core.retry import RetryPolicy
 
@@ -151,7 +149,7 @@ class VerdictStore:
         #: degraded (read -> segment skipped, write -> cache miss later).
         self.io_errors = 0
         self._fingerprint = checker_fingerprint()
-        self._index: Dict[Tuple[str, str], StoredVerdict] = {}
+        self._index: Dict[str, StoredVerdict] = {}
         #: Segment names already read or published by this store: the
         #: ones :meth:`refresh` never reads (again).
         self._seen: set = set()
@@ -240,8 +238,8 @@ class VerdictStore:
         except Exception:
             self.skipped_segments += 1
             return
-        if version != 1:
-            # A future schema: skip the whole segment, never misread it.
+        if version != STORE_SCHEMA_VERSION:
+            # Another schema: skip the whole segment, never misread it.
             self.skipped_segments += 1
             return
         stale = seg_fp != self._fingerprint
@@ -256,10 +254,9 @@ class VerdictStore:
                 continue
             try:
                 raw = json.loads(line)
-                address = (str(raw["p"]), str(raw["k"]))
+                digest = str(raw["k"])
                 entry = StoredVerdict(
                     ok=bool(raw["ok"]),
-                    kind=str(raw["kind"]),
                     err=raw.get("err"),
                     err_kind=raw.get("ek"),
                     segment=segment.name,
@@ -269,7 +266,7 @@ class VerdictStore:
                 # line, keep the rest of the segment.
                 self.skipped_lines += 1
                 continue
-            self._index[address] = entry
+            self._index[digest] = entry
 
     # ------------------------------------------------------------------
     # The probe/write interface
@@ -278,9 +275,9 @@ class VerdictStore:
     def __len__(self) -> int:
         return len(self._index)
 
-    def get(self, prefix_fp: str, structural_key: object) -> Optional[StoredVerdict]:
-        """Probe for a verdict under ``(checker, prefix regime, program)``."""
-        entry = self._index.get((prefix_fp, key_digest(structural_key)))
+    def get(self, structural_key: object) -> Optional[StoredVerdict]:
+        """Probe for the current checker's verdict on one program."""
+        entry = self._index.get(key_digest(structural_key))
         if entry is None:
             self.misses += 1
             return None
@@ -291,29 +288,20 @@ class VerdictStore:
 
     def put(
         self,
-        prefix_fp: str,
         structural_key: object,
         ok: bool,
-        kind: str,
         err: Optional[str] = None,
         err_kind: Optional[str] = None,
     ) -> bool:
-        """Record a verdict; returns True when it was actually enqueued.
-
-        Crash/fallback kinds and read-only stores are silently refused —
-        only clean answers are worth remembering.
-        """
-        if self.read_only or kind not in STORABLE_KINDS:
+        """Record a verdict; returns True when it was actually enqueued
+        (False for a read-only store or a program already known)."""
+        if self.read_only:
             return False
         digest = key_digest(structural_key)
-        if (prefix_fp, digest) in self._index:
+        if digest in self._index:
             return False  # already known: verdicts are deterministic
-        self._index[(prefix_fp, digest)] = StoredVerdict(
-            ok=ok, kind=kind, err=err, err_kind=err_kind
-        )
-        self._pending.append(
-            {"p": prefix_fp, "k": digest, "ok": ok, "kind": kind, "err": err, "ek": err_kind}
-        )
+        self._index[digest] = StoredVerdict(ok=ok, err=err, err_kind=err_kind)
+        self._pending.append({"k": digest, "ok": ok, "err": err, "ek": err_kind})
         self.writes += 1
         if len(self._pending) >= self.flush_every:
             self.flush()
@@ -359,7 +347,7 @@ class VerdictStore:
         if self.read_only or not self._pending:
             return None
         tmp, final = self._next_names()
-        header = json.dumps({"v": 1, "checker": self._fingerprint})
+        header = json.dumps({"v": STORE_SCHEMA_VERSION, "checker": self._fingerprint})
         body = "\n".join(
             [header] + [json.dumps(e, sort_keys=True) for e in self._pending]
         )
@@ -375,10 +363,10 @@ class VerdictStore:
         # The published verdicts now live in ``final``: name it on their
         # index entries so a later hit in this session marks its recency.
         for raw in self._pending:
-            address = (raw["p"], raw["k"])
-            entry = self._index.get(address)
+            digest = raw["k"]
+            entry = self._index.get(digest)
             if entry is not None and entry.segment is None:
-                self._index[address] = replace(entry, segment=final.name)
+                self._index[digest] = replace(entry, segment=final.name)
         self._seen.add(final.name)
         self._pending = []
         return final.name
@@ -493,7 +481,7 @@ class VerdictStore:
 
     def compact(self, max_bytes: Optional[int] = None) -> dict:
         """Trim the store: drop leftover temp files, delete segments whose
-        checker fingerprint is stale, then — when ``max_bytes`` is given —
+        schema version or checker fingerprint is stale, then — when ``max_bytes`` is given —
         evict least-recently-hit segments until the cap is met."""
         removed_segments = 0
         removed_bytes = 0
@@ -511,7 +499,10 @@ class VerdictStore:
                 with open(segment, "r", encoding="utf-8", errors="replace") as fh:
                     first = fh.readline()
                 header = json.loads(first)
-                fresh = header.get("v") == 1 and header.get("checker") == self._fingerprint
+                fresh = (
+                    header.get("v") == STORE_SCHEMA_VERSION
+                    and header.get("checker") == self._fingerprint
+                )
             except Exception:
                 fresh = False
                 size = 0

@@ -167,21 +167,30 @@ class TestPrefixReuse:
         assert oracle.prefix_reused == 1
         assert oracle.prefix_armed
 
-    def test_prefix_edit_invalidates_snapshot(self, two_decl_bad):
-        oracle = Oracle()
+    @pytest.mark.parametrize("table", [False, True], ids=["scratch", "table"])
+    def test_prefix_edit_keeps_snapshot_armed(self, two_decl_bad, table):
+        registry = MetricsRegistry()
+        oracle = Oracle(metrics=registry)
+        if table:
+            oracle.arm_decl_table(two_decl_bad)
         oracle.arm_prefix(two_decl_bad, 1)
         # An equal-looking but *distinct* first declaration: the snapshot
         # matches by identity, so this candidate edited the prefix.
         candidate = Program(
             [parse_program("let a = 1").decls[0], two_decl_bad.decls[1]]
         )
-        oracle.passes(candidate)
-        assert oracle.prefix_invalidated == 1
-        assert not oracle.prefix_armed
+        result = oracle.check(candidate)
+        reference = typecheck_program(candidate)
+        assert result.ok == reference.ok
+        assert result.error.render() == reference.error.render()
         assert oracle.full_checks == 1
-        # Later calls stay on the full path — no snapshot left to reuse.
+        assert oracle.prefix_reused == 0
+        assert registry.value("oracle.decl.armed") == int(table)
+        assert oracle.prefix_armed
+        # The next candidate that shares the prefix rides the snapshot.
         oracle.passes(two_decl_bad)
-        assert oracle.full_checks == 2
+        assert registry.value("oracle.prefix.reused") == 1
+        assert oracle.full_checks == 1
 
     def test_same_answer_with_and_without_prefix(self, two_decl_bad):
         full = Oracle(typecheck=typecheck_program).check(two_decl_bad)
@@ -199,7 +208,6 @@ class TestPrefixReuse:
         oracle.reset()
         assert not oracle.prefix_armed
         assert oracle.prefix_reused == 0
-        assert oracle.prefix_invalidated == 0
         assert oracle.full_checks == 0
         # After reset every check is a full check again.
         oracle.passes(two_decl_bad)

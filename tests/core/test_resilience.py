@@ -176,12 +176,6 @@ class TestCrashIsolation:
         assert len(oracle.crash_samples) == 1
         assert "checker exploded" in oracle.crash_samples[0]
 
-    def test_strict_mode_propagates(self):
-        program = parse_program("let x = 1")
-        oracle = Oracle(typecheck=_crashy_typecheck({id(program)}), strict=True)
-        with pytest.raises(RuntimeError):
-            oracle.check(program)
-
     def test_crash_samples_are_bounded(self):
         def always_crash(program):
             raise ValueError("boom")
@@ -242,9 +236,9 @@ def _poison_snapshots(monkeypatch):
 
 
 class TestSelfHealing:
-    def _oracle_with_poisoned_snapshot(self, monkeypatch, **kwargs):
+    def _oracle_with_poisoned_snapshot(self, monkeypatch):
         _poison_snapshots(monkeypatch)
-        oracle = Oracle(**kwargs)
+        oracle = Oracle()
         program = parse_program(TWO_DECLS)
         assert oracle.arm_prefix(program, 1)
         return oracle, program
@@ -265,13 +259,6 @@ class TestSelfHealing:
         oracle.check(program)
         assert oracle.prefix_fallbacks == 1
         assert oracle.full_checks == 2
-
-    def test_strict_mode_propagates_snapshot_crash(self, monkeypatch):
-        oracle, program = self._oracle_with_poisoned_snapshot(
-            monkeypatch, strict=True
-        )
-        with pytest.raises(RuntimeError):
-            oracle.check(program)
 
     def test_trail_integrity_error_heals_to_reference_answer(
         self, monkeypatch, tmp_path

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
-from repro.store import NO_PREFIX_FP, VerdictStore
+from repro.store import VerdictStore
 
 ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
 
@@ -14,8 +14,8 @@ ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
 def seeded_store(tmp_path):
     store_dir = tmp_path / "store"
     with VerdictStore(store_dir) as store:
-        store.put(NO_PREFIX_FP, ("a",), True, "full")
-        store.put(NO_PREFIX_FP, ("b",), False, "full", err="no")
+        store.put(("a",), True)
+        store.put(("b",), False, err="no")
     return store_dir
 
 

@@ -99,11 +99,11 @@ class TestHardExitWriter:
         assert after.skipped_segments == 0
 
     def test_torn_tmp_from_dead_writer_is_invisible(self, tmp_path):
-        from repro.store import NO_PREFIX_FP, VerdictStore
+        from repro.store import VerdictStore
 
         store_dir = tmp_path / "s"
         with VerdictStore(store_dir) as store:
-            store.put(NO_PREFIX_FP, ("key",), True, "full")
+            store.put(("key",), True)
         # A writer that died between write() and the atomic rename leaves
         # a half-written temp file; readers must not even look at it.
         (store_dir / ".tmp-31337-1").write_text('{"v": 1, "chec')
@@ -123,7 +123,7 @@ class TestHardExitWriter:
 #: possible moment — leaving a fully-written ``.tmp-*`` corpse behind.
 INTERRUPTED_WRITER_SCRIPT = """
 import os, sys, time
-from repro.store import NO_PREFIX_FP, VerdictStore
+from repro.store import VerdictStore
 
 class MidWriteStall(VerdictStore):
     def _write_segment_file(self, tmp, final, body):
@@ -135,10 +135,10 @@ class MidWriteStall(VerdictStore):
         os.replace(tmp, final)
 
 store = MidWriteStall(sys.argv[1], flush_every=1)
-store.put(NO_PREFIX_FP, ("published-1",), True, "full")
-store.put(NO_PREFIX_FP, ("published-2",), False, "full")
+store.put(("published-1",), True)
+store.put(("published-2",), False)
 store.stall = True
-store.put(NO_PREFIX_FP, ("torn",), True, "full")
+store.put(("torn",), True)
 print("UNREACHED", flush=True)
 """
 

@@ -20,7 +20,7 @@ from repro.core import explain, explain_many
 from repro.corpus import generate_corpus
 from repro.miniml.pretty import pretty_program
 from repro.obs import MetricsRegistry
-from repro.store import NO_PREFIX_FP, VerdictStore
+from repro.store import STORE_SCHEMA_VERSION, VerdictStore
 
 FIG2 = """\
 let map2 f aList bList =
@@ -152,23 +152,23 @@ class TestRefresh:
         frozen = lambda: 1000.0  # both publish in the same millisecond
         first = VerdictStore(tmp_path / "s", clock=frozen)
         second = VerdictStore(tmp_path / "s", clock=frozen)
-        first.put(NO_PREFIX_FP, ("a",), True, "full")
-        second.put(NO_PREFIX_FP, ("b",), True, "full")
+        first.put(("a",), True)
+        second.put(("b",), True)
         assert first.flush() != second.flush()
         assert len(VerdictStore(tmp_path / "s")) == 2
 
     def test_refresh_reads_only_new_segments(self, tmp_path):
         path = tmp_path / "s"
         session = VerdictStore(path)
-        session.put(NO_PREFIX_FP, ("a",), True, "full")
+        session.put(("a",), True)
         session.flush()
         other = VerdictStore(path)
-        assert other.get(NO_PREFIX_FP, ("a",)) is not None
-        other.put(NO_PREFIX_FP, ("b",), False, "full", err="boom")
+        assert other.get(("a",)) is not None
+        other.put(("b",), False, err="boom")
         other.flush()
-        assert session.get(NO_PREFIX_FP, ("b",)) is None
+        assert session.get(("b",)) is None
         session.refresh()
-        assert session.get(NO_PREFIX_FP, ("b",)).err == "boom"
+        assert session.get(("b",)).err == "boom"
         assert session.skipped_segments == 0
 
 
@@ -194,9 +194,9 @@ def _course_of_files(path, reopen_per_file):
         store = VerdictStore(path, clock=clock) if reopen_per_file else session
         store.refresh()
         if key is None:
-            assert store.get(NO_PREFIX_FP, ("a",)).segment == first_segment
+            assert store.get(("a",)).segment == first_segment
         else:
-            store.put(NO_PREFIX_FP, key, True, "full")
+            store.put(key, True)
             name = store.flush()
             first_segment = first_segment or name
         store.publish()
@@ -206,10 +206,10 @@ def _course_of_files(path, reopen_per_file):
 class TestHitRecencyInOneSession:
     def test_flush_names_the_segment_on_its_entries(self, tmp_path):
         store = VerdictStore(tmp_path / "s")
-        store.put(NO_PREFIX_FP, ("a",), True, "full")
-        assert store.get(NO_PREFIX_FP, ("a",)).segment is None  # pending
+        store.put(("a",), True)
+        assert store.get(("a",)).segment is None  # pending
         name = store.flush()
-        assert store.get(NO_PREFIX_FP, ("a",)).segment == name
+        assert store.get(("a",)).segment == name
 
     @pytest.mark.parametrize("reopen_per_file", [False, True])
     def test_hit_on_a_verdict_flushed_earlier_writes_its_marker(self, tmp_path, reopen_per_file):
@@ -227,7 +227,7 @@ class TestHitRecencyInOneSession:
             fresh = VerdictStore(path, read_only=True)
             survivors[reopen] = [
                 key for key in (("a",), ("b",), ("c",))
-                if fresh.get(NO_PREFIX_FP, key) is not None
+                if fresh.get(key) is not None
             ]
         assert survivors[False] == survivors[True] == [("a",)]
 
@@ -237,9 +237,8 @@ class TestInvalidatedCountedOnce:
         path = tmp_path / "s"
         path.mkdir()
         k = 4
-        lines = [json.dumps({"v": 1, "checker": "0" * 32})] + [
-            json.dumps({"p": NO_PREFIX_FP, "k": f"{i:032d}", "ok": True, "kind": "full"})
-            for i in range(k)
+        lines = [json.dumps({"v": STORE_SCHEMA_VERSION, "checker": "0" * 32})] + [
+            json.dumps({"k": f"{i:032d}", "ok": True}) for i in range(k)
         ]
         (path / "seg-0000000000000-1-1.jsonl").write_text("\n".join(lines) + "\n")
         entries = explain_many(

@@ -14,12 +14,11 @@ import json
 import pytest
 
 from repro.store import (
-    NO_PREFIX_FP,
+    STORE_SCHEMA_VERSION,
     StoredVerdict,
     VerdictStore,
     checker_fingerprint,
     key_digest,
-    prefix_fingerprint,
 )
 
 KEY_A = ("Let", ("Var", "x"), ("Lit", 1))
@@ -38,74 +37,60 @@ class TestFingerprints:
         assert key_digest(KEY_A) != key_digest(KEY_B)
         assert key_digest(KEY_A) == key_digest(KEY_A)
 
-    def test_prefix_fingerprint_sentinel(self):
-        assert prefix_fingerprint(None) == NO_PREFIX_FP
-        assert prefix_fingerprint(()) == NO_PREFIX_FP
-        assert prefix_fingerprint([]) == NO_PREFIX_FP
-
-    def test_prefix_fingerprint_depends_on_keys_and_order(self):
-        ab = prefix_fingerprint([KEY_A, KEY_B])
-        ba = prefix_fingerprint([KEY_B, KEY_A])
-        assert ab != NO_PREFIX_FP
-        assert ab != ba
-        assert ab == prefix_fingerprint((KEY_A, KEY_B))
-
 
 class TestRoundTrip:
     def test_put_get_same_process(self, tmp_path):
         store = VerdictStore(tmp_path / "s")
-        assert store.get(NO_PREFIX_FP, KEY_A) is None  # miss
-        assert store.put(NO_PREFIX_FP, KEY_A, False, "full",
-                         err="boom", err_kind="mismatch")
-        entry = store.get(NO_PREFIX_FP, KEY_A)
-        assert entry == StoredVerdict(ok=False, kind="full",
-                                      err="boom", err_kind="mismatch")
+        assert store.get(KEY_A) is None  # miss
+        assert store.put(KEY_A, False, err="boom", err_kind="mismatch")
+        entry = store.get(KEY_A)
+        assert entry == StoredVerdict(ok=False, err="boom", err_kind="mismatch")
         assert (store.hits, store.misses, store.writes) == (1, 1, 1)
 
     def test_survives_reopen(self, tmp_path):
         with VerdictStore(tmp_path / "s") as store:
-            store.put(NO_PREFIX_FP, KEY_A, True, "full")
-            store.put("deadbeef", KEY_B, False, "reused", err="no")
+            store.put(KEY_A, True)
+            store.put(KEY_B, False, err="no")
         again = VerdictStore(tmp_path / "s")
         assert len(again) == 2
-        assert again.get(NO_PREFIX_FP, KEY_A).ok is True
-        reused = again.get("deadbeef", KEY_B)
-        assert (reused.ok, reused.kind, reused.err) == (False, "reused", "no")
+        assert again.get(KEY_A).ok is True
+        failing = again.get(KEY_B)
+        assert (failing.ok, failing.err) == (False, "no")
 
-    def test_prefix_regime_partitions_entries(self, tmp_path):
-        store = VerdictStore(tmp_path / "s")
-        store.put(NO_PREFIX_FP, KEY_A, True, "full")
-        assert store.get("otherprefix", KEY_A) is None
-
-    def test_put_refuses_non_storable_kinds(self, tmp_path):
-        store = VerdictStore(tmp_path / "s")
-        assert not store.put(NO_PREFIX_FP, KEY_A, False, "crash")
-        assert not store.put(NO_PREFIX_FP, KEY_A, False, "fallback")
-        assert store.writes == 0
-        assert store.flush() is None
+    def test_segment_lines_carry_only_key_and_answer(self, tmp_path):
+        with VerdictStore(tmp_path / "s") as store:
+            store.put(KEY_A, True)
+            store.put(KEY_B, False, err="no", err_kind="mismatch")
+        header, *lines = _segment(tmp_path / "s").read_text().splitlines()
+        assert json.loads(header) == {
+            "v": STORE_SCHEMA_VERSION, "checker": checker_fingerprint()
+        }
+        assert [sorted(json.loads(line)) for line in lines] == [
+            ["ek", "err", "k", "ok"]
+        ] * 2
 
     def test_put_refuses_duplicates(self, tmp_path):
         store = VerdictStore(tmp_path / "s")
-        assert store.put(NO_PREFIX_FP, KEY_A, True, "full")
-        assert not store.put(NO_PREFIX_FP, KEY_A, True, "full")
+        assert store.put(KEY_A, True)
+        assert not store.put(KEY_A, True)
         assert store.writes == 1
 
     def test_read_only_never_writes(self, tmp_path):
         (tmp_path / "s").mkdir()
         store = VerdictStore(tmp_path / "s", read_only=True)
-        assert not store.put(NO_PREFIX_FP, KEY_A, True, "full")
+        assert not store.put(KEY_A, True)
         store.close()
         assert list((tmp_path / "s").iterdir()) == []
 
     def test_read_only_missing_directory_degrades(self, tmp_path):
         store = VerdictStore(tmp_path / "absent", read_only=True)
-        assert store.get(NO_PREFIX_FP, KEY_A) is None
+        assert store.get(KEY_A) is None
 
     def test_flush_every_publishes_automatically(self, tmp_path):
         store = VerdictStore(tmp_path / "s", flush_every=2)
-        store.put(NO_PREFIX_FP, KEY_A, True, "full")
+        store.put(KEY_A, True)
         assert not list((tmp_path / "s").glob("seg-*"))
-        store.put(NO_PREFIX_FP, KEY_B, True, "full")
+        store.put(KEY_B, True)
         assert len(list((tmp_path / "s").glob("seg-*"))) == 1
 
 
@@ -121,8 +106,8 @@ class TestCorruptionDegrades:
     @pytest.fixture
     def populated(self, tmp_path):
         with VerdictStore(tmp_path / "s") as store:
-            store.put(NO_PREFIX_FP, KEY_A, True, "full")
-            store.put(NO_PREFIX_FP, KEY_B, False, "full", err="no")
+            store.put(KEY_A, True)
+            store.put(KEY_B, False, err="no")
         return tmp_path / "s"
 
     def test_garbage_line_skipped_rest_kept(self, populated):
@@ -138,8 +123,8 @@ class TestCorruptionDegrades:
         seg.write_text(text[: len(text) - 10])  # tear the last line
         store = VerdictStore(populated)
         assert store.skipped_lines == 1
-        assert store.get(NO_PREFIX_FP, KEY_A) is not None
-        assert store.get(NO_PREFIX_FP, KEY_B) is None
+        assert store.get(KEY_A) is not None
+        assert store.get(KEY_B) is None
 
     def test_missing_fields_skipped(self, populated):
         seg = _segment(populated)
@@ -160,7 +145,7 @@ class TestCorruptionDegrades:
         seg = _segment(populated)
         lines = seg.read_text().splitlines()
         header = json.loads(lines[0])
-        header["v"] = 2
+        header["v"] = STORE_SCHEMA_VERSION + 1
         seg.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
         store = VerdictStore(populated)
         assert store.skipped_segments == 1
@@ -173,7 +158,7 @@ class TestCorruptionDegrades:
         assert len(store) == 2
 
     def test_tmp_files_ignored(self, populated):
-        (populated / ".tmp-999-1").write_text('{"p": "torn')
+        (populated / ".tmp-999-1").write_text('{"k": "torn')
         store = VerdictStore(populated)
         assert len(store) == 2
         assert store.skipped_segments == 0
@@ -182,11 +167,9 @@ class TestCorruptionDegrades:
 class TestInvalidation:
     def _write_stale_segment(self, store_dir, n=3):
         store_dir.mkdir(parents=True, exist_ok=True)
-        lines = [json.dumps({"v": 1, "checker": "0" * 32})]
+        lines = [json.dumps({"v": STORE_SCHEMA_VERSION, "checker": "0" * 32})]
         for i in range(n):
-            lines.append(json.dumps(
-                {"p": NO_PREFIX_FP, "k": f"{i:032d}", "ok": True, "kind": "full"}
-            ))
+            lines.append(json.dumps({"k": f"{i:032d}", "ok": True}))
         (store_dir / "seg-0000000000000-1-1.jsonl").write_text(
             "\n".join(lines) + "\n"
         )
@@ -206,7 +189,7 @@ class TestInvalidation:
     def test_compact_deletes_stale_segments(self, tmp_path):
         self._write_stale_segment(tmp_path / "s")
         with VerdictStore(tmp_path / "s") as store:
-            store.put(NO_PREFIX_FP, KEY_A, True, "full")
+            store.put(KEY_A, True)
         summary = VerdictStore(tmp_path / "s").compact()
         assert summary["removed_segments"] == 1
         assert summary["remaining_segments"] == 1
@@ -214,11 +197,30 @@ class TestInvalidation:
         assert fresh.invalidated == 0
         assert len(fresh) == 1
 
+    def test_version_1_segment_never_served_and_compacted(self, tmp_path):
+        # The version-1 format: a per-entry prefix fingerprint and
+        # accounting kind.  Even under the current checker fingerprint it
+        # is skipped whole, and compaction deletes it.
+        store_dir = tmp_path / "s"
+        store_dir.mkdir()
+        old = store_dir / "seg-0000000000000-1-1.jsonl"
+        old.write_text("\n".join([
+            json.dumps({"v": 1, "checker": checker_fingerprint()}),
+            json.dumps({"p": "-", "k": key_digest(KEY_A), "ok": True,
+                        "kind": "full", "err": None, "ek": None}),
+        ]) + "\n")
+        store = VerdictStore(store_dir)
+        assert store.get(KEY_A) is None
+        assert len(store) == 0
+        assert store.skipped_segments == 1
+        assert store.compact()["removed_segments"] == 1
+        assert not old.exists()
+
 
 class TestCompaction:
     def test_compact_drops_tmp_files(self, tmp_path):
         with VerdictStore(tmp_path / "s") as store:
-            store.put(NO_PREFIX_FP, KEY_A, True, "full")
+            store.put(KEY_A, True)
         (tmp_path / "s" / ".tmp-4242-7").write_text("half a segm")
         summary = VerdictStore(tmp_path / "s").compact()
         assert summary["removed_tmp"] == 1
@@ -229,7 +231,7 @@ class TestCompaction:
 
         store = VerdictStore(tmp_path / "s")
         for key in (KEY_A, KEY_B, KEY_C):
-            store.put(NO_PREFIX_FP, key, True, "full")
+            store.put(key, True)
             store.flush()
             time.sleep(0.01)  # distinct segment mtimes
         store.close()
@@ -237,12 +239,12 @@ class TestCompaction:
         # written order: its marker stamp (now) beats the younger
         # segments' mtimes.
         reader = VerdictStore(tmp_path / "s")
-        reader.get(NO_PREFIX_FP, KEY_A)
+        reader.get(KEY_A)
         reader.close()
         time.sleep(0.01)
 
         survivor = VerdictStore(tmp_path / "s")
-        seg_a = survivor.get(NO_PREFIX_FP, KEY_A).segment
+        seg_a = survivor.get(KEY_A).segment
         one_size = max(
             p.stat().st_size for p in (tmp_path / "s").glob("seg-*.jsonl")
         )
@@ -254,8 +256,8 @@ class TestCompaction:
 
     def test_clear_removes_everything(self, tmp_path):
         with VerdictStore(tmp_path / "s") as store:
-            store.put(NO_PREFIX_FP, KEY_A, True, "full")
-            store.get(NO_PREFIX_FP, KEY_A)
+            store.put(KEY_A, True)
+            store.get(KEY_A)
         (tmp_path / "s" / ".tmp-1-1").write_text("x")
         store = VerdictStore(tmp_path / "s")
         assert store.clear() >= 2
@@ -268,8 +270,8 @@ class TestCompaction:
 class TestStats:
     def test_stats_counts_segments_and_entries(self, tmp_path):
         with VerdictStore(tmp_path / "s") as store:
-            store.put(NO_PREFIX_FP, KEY_A, True, "full")
-            store.put(NO_PREFIX_FP, KEY_B, False, "full", err="no")
+            store.put(KEY_A, True)
+            store.put(KEY_B, False, err="no")
         (tmp_path / "s" / ".tmp-1-1").write_text("x")
         stats = VerdictStore(tmp_path / "s").stats()
         assert stats.segments == 1

@@ -15,7 +15,7 @@ from repro.store import VerdictStore
 
 
 def _put_one(store, key="k"):
-    assert store.put("prefix-fp", key, True, "full")
+    assert store.put(key, True)
 
 
 class FlakySeams(VerdictStore):

@@ -1,11 +1,15 @@
 """Warm-start contract: a persistent store changes *cost*, never *answers*.
 
-The acceptance bar, verbatim from the design: suggestions, ranks, and
-``--stats`` must be byte-identical whether the store is cold, warm, or
-absent; and a warm second run over the corpus must spend strictly fewer
-real checker invocations (the ``oracle.calls`` *metric* — the logical
+Suggestions, ranks, ``oracle_calls`` and the ``[N oracle calls]``,
+phase, successful-changes and degradation lines of ``--stats`` must be
+byte-identical whether the store is cold, warm, or absent; and a warm
+second run over the corpus must spend strictly fewer real checker
+invocations (the ``oracle.calls`` *metric* — the logical
 ``Oracle.calls`` attribute still counts every question so budgets behave
-identically).
+identically).  The reuse counters (``full_checks``,
+``oracle.prefix.reused``, ...) count checker work, so they shrink on
+store hits too.  A stored verdict is keyed by the program alone: it is
+served whether or not a prefix snapshot is armed.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from repro.core.messages import render_suggestion
 from repro.core.oracle import Oracle
 from repro.core.quickfix import fix_all
 from repro.corpus import generate_corpus
+from repro.faults import ChaosOracle, FaultPlan
+from repro.miniml.infer import typecheck_program
 from repro.miniml.parser import parse_program
 from repro.obs import MetricsRegistry
 from repro.store import VerdictStore
@@ -56,8 +62,9 @@ class TestOracleStoreTier:
                       store=VerdictStore(tmp_path / "s"))
         warm_result = warm.check(program)
         assert warm.store_hits > 0
-        # Logical accounting identical; the real-invocation metric is not.
+        # Logical accounting identical; the checker-work counters are not.
         assert warm.calls == cold.calls
+        assert warm.full_checks == 0 < cold.full_checks
         assert warm_metrics.value("oracle.calls") == 0
         assert cold_metrics.value("oracle.calls") > 0
         assert warm_metrics.value("oracle.store.hits") == warm.store_hits
@@ -83,6 +90,35 @@ class TestOracleStoreTier:
         assert oracle.calls == 2
         assert second.ok is first.ok is False
         assert second.error.render() == first.error.render()
+
+    @pytest.mark.parametrize(
+        "writer_armed", [False, True], ids=["unarmed-writer", "armed-writer"]
+    )
+    def test_verdict_served_across_snapshot_regimes(self, tmp_path, writer_armed):
+        # Written with no snapshot armed and asked with one, or the
+        # reverse: the verdict is the program's, so it is served.
+        program = parse_program(ILL_TYPED)
+        reference = typecheck_program(program)
+        answers = []
+        for armed in (writer_armed, not writer_armed):
+            metrics = MetricsRegistry()
+            oracle = Oracle(metrics=metrics, store=VerdictStore(tmp_path / "s"))
+            if armed:
+                assert oracle.arm_prefix(program, 1)
+            answers.append(oracle.check(program))
+            oracle.store.close()
+        assert (oracle.store_hits, metrics.value("oracle.calls")) == (1, 0)
+        for result in answers:
+            assert result.ok is reference.ok is False
+            assert result.error.render() == reference.error.render()
+
+    def test_crashed_check_writes_no_verdict(self, tmp_path):
+        store = VerdictStore(tmp_path / "s")
+        oracle = ChaosOracle(FaultPlan(crash_every=1), store=store)
+        result = oracle.check(parse_program(ILL_TYPED))
+        assert result.ok is False
+        assert oracle.crashes == 1
+        assert (oracle.store_writes, store.writes, len(store)) == (0, 0, 0)
 
     def test_reset_keeps_store_attached(self, tmp_path):
         oracle = Oracle(store=VerdictStore(tmp_path / "s"))

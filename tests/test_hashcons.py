@@ -11,7 +11,7 @@ deterministic across keyers.
 import pickle
 
 from repro.miniml import parse_program
-from repro.store.fingerprint import key_digest, prefix_fingerprint
+from repro.store.fingerprint import key_digest
 from repro.tree import HCKey, StructuralKeyer, structural_key, structurally_equal
 
 SRC = """\
@@ -101,15 +101,13 @@ class TestDigest:
         key = structural_key(parse_program(SRC))
         assert key_digest(key) == key.digest
 
-    def test_prefix_fingerprint_over_hc_keys(self):
+    def test_key_digest_agrees_across_keyers(self):
+        # The store addresses a verdict by this digest alone, so an
+        # interning keyer and a fresh structural key must agree on it.
         keyer = StructuralKeyer()
-        decls = parse_program(SRC).decls
-        fp = prefix_fingerprint(keyer(d) for d in decls)
-        fp2 = prefix_fingerprint(structural_key(d) for d in parse_program(SRC).decls)
-        assert fp == fp2
-        assert fp != prefix_fingerprint(
-            structural_key(d) for d in parse_program(SRC_DIFFERENT).decls
-        )
+        interned = key_digest(keyer(parse_program(SRC)))
+        assert interned == key_digest(structural_key(parse_program(SRC)))
+        assert interned != key_digest(keyer(parse_program(SRC_DIFFERENT)))
 
 
 class TestPickling:

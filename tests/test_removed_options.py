@@ -2,9 +2,10 @@
 
 The searcher's duplicate-candidate memo (``dedup``/``--no-dedup``) is gone,
 the soft-deadline shed point is the constant
-:data:`~repro.core.resilience.SHED_FRACTION`, and the number of crash
+:data:`~repro.core.resilience.SHED_FRACTION`, the number of crash
 samples an oracle keeps is the constant
-:data:`~repro.core.oracle.CRASH_SAMPLE_LIMIT`.  A caller still passing one
+:data:`~repro.core.oracle.CRASH_SAMPLE_LIMIT`, and the oracle's crash
+isolation is unconditional (no ``strict`` switch).  A caller still passing one
 of the old options gets an error naming it.
 """
 
@@ -40,6 +41,11 @@ def test_search_config_rejects(option, value):
 def test_oracle_rejects_crash_sample_limit():
     with pytest.raises(TypeError, match="crash_sample_limit"):
         Oracle(crash_sample_limit=2)
+
+
+def test_oracle_rejects_strict():
+    with pytest.raises(TypeError, match="strict"):
+        Oracle(strict=True)
 
 
 def test_deadline_rejects_soft_fraction():
