@@ -404,23 +404,31 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
             print(result.stats.summary(), file=sys.stderr)
         if result.degradation is not None:
             print(result.degradation.summary(), file=sys.stderr)
-        reused = metrics.value("oracle.prefix.reused")
-        full = metrics.value("oracle.full_checks")
-        print(f"oracle prefix reuse: {reused} incremental, {full} full checks",
-              file=sys.stderr)
-        replayed = metrics.value("oracle.decl.replayed")
-        checked = metrics.value("oracle.decl.checked")
-        skipped = metrics.value("oracle.decl.skipped")
-        print(f"oracle decl reuse: {replayed} replayed, {checked} checked, "
-              f"{skipped} prefix-skipped", file=sys.stderr)
-        speculated = metrics.value("oracle.trail.speculated")
-        rolled = metrics.value("oracle.trail.rolled_back")
-        print(f"oracle trail speculation: {speculated} speculated, "
-              f"{rolled} entries rolled back", file=sys.stderr)
+        _print_checker_work(metrics, with_prefix=True)
     _emit_telemetry(args, tracer, metrics)
     _write_run_report(args, metrics, result, time.perf_counter() - start)
     _close_events(args, events, metrics)
     return EXIT_SUGGESTIONS if result.suggestions else EXIT_NO_ANSWER
+
+
+def _print_checker_work(metrics, *, with_prefix: bool) -> None:
+    """The ``--stats`` lines counting work the checker actually did (so
+    they read 0 on a fully warm store run); batch mode has no prefix
+    line."""
+    if with_prefix:
+        reused = metrics.value("oracle.prefix.reused")
+        full = metrics.value("oracle.full_checks")
+        print(f"oracle prefix reuse: {reused} incremental, {full} full checks",
+              file=sys.stderr)
+    replayed = metrics.value("oracle.decl.replayed")
+    checked = metrics.value("oracle.decl.checked")
+    skipped = metrics.value("oracle.decl.skipped")
+    print(f"oracle decl reuse: {replayed} replayed, {checked} checked, "
+          f"{skipped} prefix-skipped", file=sys.stderr)
+    speculated = metrics.value("oracle.trail.speculated")
+    rolled = metrics.value("oracle.trail.rolled_back")
+    print(f"oracle trail speculation: {speculated} speculated, "
+          f"{rolled} entries rolled back", file=sys.stderr)
 
 
 def _run_cpp(source: str, args: argparse.Namespace) -> int:
@@ -569,15 +577,7 @@ def _run_batch(argv: Sequence[str]) -> int:
             if e.metrics:
                 merged.merge_snapshot(e.metrics)
         if args.stats:
-            replayed = merged.value("oracle.decl.replayed")
-            checked = merged.value("oracle.decl.checked")
-            skipped = merged.value("oracle.decl.skipped")
-            print(f"oracle decl reuse: {replayed} replayed, {checked} checked, "
-                  f"{skipped} prefix-skipped", file=sys.stderr)
-            speculated = merged.value("oracle.trail.speculated")
-            rolled = merged.value("oracle.trail.rolled_back")
-            print(f"oracle trail speculation: {speculated} speculated, "
-                  f"{rolled} entries rolled back", file=sys.stderr)
+            _print_checker_work(merged, with_prefix=False)
         if args.metrics:
             print(merged.render_table(title="batch telemetry"), file=sys.stderr)
         if args.events:

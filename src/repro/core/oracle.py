@@ -61,8 +61,11 @@ Telemetry: an oracle holding a :class:`~repro.obs.MetricsRegistry` counts
 ``oracle.prefix.reused``/``oracle.prefix.fallbacks``/``oracle.full_checks``,
 the trail pair
 ``oracle.trail.speculated``/``oracle.trail.rolled_back``, the
-``oracle.decl.*`` table accounting, and the resilience pair
-``oracle.crashes``/``oracle.depth_rejected``.  The default is the no-op
+``oracle.decl.*`` table accounting, the resilience pair
+``oracle.crashes``/``oracle.depth_rejected``, and the verdict store's
+``oracle.store.*`` set (hits, misses, writes, invalidated entries, and
+``io_errors``: segment reads or publishes that failed once and degraded
+to cache misses, with no retry).  The default is the no-op
 :data:`~repro.obs.NULL_METRICS`, so the hot path never branches on
 whether telemetry is on.
 """
@@ -252,28 +255,19 @@ class Oracle:
         n = store.take_invalidated()
         if n:
             self.metrics.incr("oracle.store.invalidated", n)
-        self._drain_store_io()
+        self.drain_store_io()
 
-    def _drain_store_io(self) -> None:
-        """Surface the store's retried/failed segment I/O (see
-        :meth:`VerdictStore.take_io_counters`) as ``oracle.store.retries``
-        / ``oracle.store.io_errors`` metrics and a ``store_io_error``
-        event — transient ``OSError``s degrade to cache misses, but the
-        supervision table should still show they happened."""
-        if self.store is None:
-            return
-        take = getattr(self.store, "take_io_counters", None)
-        if take is None:
-            return
-        try:
-            retries, errors = take()
-        except Exception:
-            return
-        if retries:
-            self.metrics.incr("oracle.store.retries", retries)
+    def drain_store_io(self) -> None:
+        """Surface the store's failed segment I/O (see
+        :meth:`VerdictStore.take_io_errors`) as the
+        ``oracle.store.io_errors`` metric and a ``store_io_error`` event:
+        a failed read or publish degrades to cache misses, but the report
+        should still show it happened.  :func:`~repro.core.explain` calls
+        this again after its end-of-search publish."""
+        errors = self.store.take_io_errors()
         if errors:
             self.metrics.incr("oracle.store.io_errors", errors)
-            self.events.emit("store_io_error", errors=errors, retries=retries)
+            self.events.emit("store_io_error", errors=errors)
 
     @property
     def _store_active(self) -> bool:
@@ -296,7 +290,7 @@ class Oracle:
                 self.metrics.incr("oracle.store.writes")
         except Exception:
             pass
-        self._drain_store_io()
+        self.drain_store_io()
 
     # ------------------------------------------------------------------
     # Prefix reuse

@@ -220,6 +220,8 @@ def explain(
                 store_obj.publish()
         except Exception:
             pass  # persisting the cache is best-effort; answers stand
+        # A failed publish counts on the search whose verdicts it lost.
+        searcher.oracle.drain_store_io()
         if events.enabled:
             events.emit(
                 "store",

@@ -22,8 +22,8 @@ deterministic schedule —
   checks;
 * **flaky store I/O** (a :class:`FlakyStore` passed as ``store=``):
   ``OSError`` from the verdict store's segment read/write seams on a
-  deterministic schedule, exercising the ``repro.core.retry`` policy and
-  the degrade-to-cache-miss path.
+  deterministic schedule, exercising the store's fail-once
+  degrade-to-cache-miss path.
 
 Schedules key off the oracle's own counters, so a given
 ``(plan, program)`` pair replays identically — chaos tests are ordinary
@@ -215,13 +215,11 @@ class FlakyStore(VerdictStore):
     """A :class:`~repro.store.VerdictStore` whose segment I/O fails on a
     deterministic schedule.
 
-    Every ``fail_every``-th segment I/O attempt raises ``OSError``, and
-    each failure repeats for ``fail_streak - 1`` further attempts: a
-    streak of 1 is a transient blip a single retry absorbs; a streak at
-    or past the retry policy's attempt budget exhausts the retry and
-    exercises the degrade path (read → segment skipped, write → verdicts
-    recomputed by the next process).  The schedule counts attempts
-    (retries included), so a given (schedule, workload, policy) triple
+    Every ``fail_every``-th segment read or publish raises ``OSError``
+    (``fail_every=1``: every one, a persistent failure such as a full
+    disk), exercising the degrade path: a failed read skips the segment,
+    a failed publish keeps its verdicts pending for the next publish.
+    The schedule counts operations, so a given (schedule, workload) pair
     replays identically.
     """
 
@@ -230,7 +228,6 @@ class FlakyStore(VerdictStore):
         path,
         *,
         fail_every: int = 3,
-        fail_streak: int = 1,
         fail_reads: bool = True,
         fail_writes: bool = True,
         **store_kwargs,
@@ -238,11 +235,9 @@ class FlakyStore(VerdictStore):
         # Fault state must exist before super().__init__, which calls
         # refresh() straight into the overridden read seam.
         self._fail_every = max(1, int(fail_every))
-        self._fail_streak = max(1, int(fail_streak))
         self._fail_reads = fail_reads
         self._fail_writes = fail_writes
         self._io_ops = 0
-        self._streak_left = 0
         self.injected_io_failures = 0
         super().__init__(path, **store_kwargs)
 
@@ -251,13 +246,8 @@ class FlakyStore(VerdictStore):
             return
         if op == "write" and not self._fail_writes:
             return
-        if self._streak_left:
-            self._streak_left -= 1
-            self.injected_io_failures += 1
-            raise OSError(f"[flaky-store] injected {op} failure (streak)")
         self._io_ops += 1
         if self._io_ops % self._fail_every == 0:
-            self._streak_left = self._fail_streak - 1
             self.injected_io_failures += 1
             raise OSError(f"[flaky-store] injected {op} failure #{self._io_ops}")
 

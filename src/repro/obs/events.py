@@ -18,7 +18,8 @@ Schema (version :data:`SCHEMA_VERSION`): every line is a JSON object with
   ``oracle_crash``, ``degraded``, ``degradation``, ``suggestions``,
   ``search_finished``, ``metrics``, ``store``, ``store_io_error``,
   ``profile``, ...);
-* any event-specific fields.
+* any event-specific fields (``store_io_error`` carries ``errors``, the
+  verdict-store segment reads and publishes that failed and degraded).
 
 The first line is always a ``log_started`` header carrying the producing
 pid and a wall-clock timestamp for human correlation.

@@ -13,9 +13,10 @@ code never branches on "is telemetry on?": the default registry accepts
 every call and records nothing.
 
 Counter names are dotted families, minted where the count happens: the
-oracle's ``oracle.*`` (calls, prefix reuse, ``oracle.store.*`` for
-retried store I/O, which ``repro report``'s supervision table reads
-back), and the enumerator/searcher's ``changes.*``/``search.*``.
+oracle's ``oracle.*`` (calls, prefix reuse, ``oracle.store.*`` for the
+verdict store's hits, writes and failed segment I/O, which ``repro
+report``'s persistent-store table reads back), and the
+enumerator/searcher's ``changes.*``/``search.*``.
 """
 
 from __future__ import annotations

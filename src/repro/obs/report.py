@@ -4,8 +4,9 @@ Reads one or more RunReport JSON documents and/or JSONL event logs (the
 ``--report``/``--events`` outputs of an ``explain`` run), normalizes them
 into one aggregate, and prints the tables the paper's efficiency story is
 told in: per-phase oracle-call and time shares, the incremental-oracle
-breakdown (prefix reuse, decl replay), resilience counts (crashes, sheds,
-store I/O retries), and the rank distribution of the final suggestions.
+breakdown (prefix reuse, decl replay), the persistent store's hits and
+failed segment I/O, resilience counts (crashes, sheds), and the rank
+distribution of the final suggestions.
 
 ``--diff BASELINE`` compares the aggregate against a checked-in baseline
 (itself a RunReport, e.g. ``benchmarks/results/report_baseline.json``) and
@@ -368,7 +369,8 @@ def render_aggregate(agg: RunAggregate) -> str:
     s_misses = agg.value("oracle.store.misses")
     s_writes = agg.value("oracle.store.writes")
     s_invalidated = agg.value("oracle.store.invalidated")
-    if s_hits or s_misses or s_writes or s_invalidated:
+    s_io_errors = agg.value("oracle.store.io_errors")
+    if s_hits or s_misses or s_writes or s_invalidated or s_io_errors:
         lines.append("")
         lines.append("persistent store:")
         rows = [
@@ -382,6 +384,8 @@ def render_aggregate(agg: RunAggregate) -> str:
             )
         if s_invalidated:
             rows.append(("invalidated", str(s_invalidated)))
+        if s_io_errors:
+            rows.append(("io errors", str(s_io_errors)))
         lines.extend(_table(rows))
 
     crash_rows = [
@@ -402,17 +406,6 @@ def render_aggregate(agg: RunAggregate) -> str:
                 for phase, count in sorted(agg.phases_shed.items())
             )
             lines.extend(_table([("phases shed", shed)]))
-
-    io_retries = agg.value("oracle.store.retries")
-    io_errors = agg.value("oracle.store.io_errors")
-    if io_retries or io_errors:
-        lines.append("")
-        lines.append("supervision:")
-        lines.extend(
-            _table(
-                [("store io retries / errors", f"{io_retries} / {io_errors}")]
-            )
-        )
 
     if agg.span_seconds:
         span_total = sum(agg.span_seconds.values())

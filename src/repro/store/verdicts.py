@@ -21,6 +21,12 @@ schema version) skips that line or segment and keeps going: the store degrades t
 a smaller cache, it never raises (the :mod:`repro.core.resilience`
 contract).
 
+Segment I/O fails once: an ``OSError`` from a segment read or publish
+degrades at once, with no retry, and counts in ``io_errors``.  A failed
+read skips that segment for the session (its verdicts are recomputed); a
+failed publish keeps its verdicts pending and served from memory, and
+the session's next publish tries again under fresh names.
+
 Entries whose header fingerprint does not match the current
 :func:`~repro.store.fingerprint.checker_fingerprint` are counted as
 invalidated and not indexed; ``compact`` deletes such segments outright
@@ -55,6 +61,10 @@ _HITS_DIR = "hits"
 #: same segment name (one would replace the other, unseen by readers that
 #: already read that name).
 _segment_numbers = itertools.count(1)
+
+#: Pending writes that trigger an automatic publish (again at every
+#: further multiple while a publish keeps failing).
+FLUSH_EVERY = 512
 
 
 @dataclass(frozen=True)
@@ -111,42 +121,20 @@ class VerdictStore:
     read_only:
         Open for probing only: :meth:`put` and :meth:`flush` become
         no-ops (``repro cache stats`` inspects a store this way).
-    flush_every:
-        Publish a segment automatically after this many buffered writes
-        (buffered entries are also visible to :meth:`get` immediately,
-        so a single process never misses its own work).
+    clock:
+        Wall clock for segment names and hit-recency stamps.
+
+    Buffered writes are published as a segment automatically once
+    :data:`FLUSH_EVERY` of them are pending (they are also visible to
+    :meth:`get` at once, so a single process never misses its own work).
     """
 
-    def __init__(
-        self,
-        path,
-        *,
-        read_only: bool = False,
-        flush_every: int = 512,
-        clock=time.time,
-        retry_policy=None,
-        sleep=time.sleep,
-    ):
+    def __init__(self, path, *, read_only: bool = False, clock=time.time):
         self.path = Path(path)
         self.read_only = read_only
-        self.flush_every = max(1, int(flush_every))
         self._clock = clock
-        # Deferred import: repro.core's package __init__ imports
-        # repro.core.seminal, which imports this module — a module-level
-        # ``from repro.core.retry import ...`` here would close that
-        # cycle into an ImportError.
-        if retry_policy is None:
-            from repro.core.retry import RetryPolicy
-
-            retry_policy = RetryPolicy(
-                attempts=3, backoff_seconds=0.005, max_backoff_seconds=0.05
-            )
-        self._retry_policy = retry_policy
-        self._sleep = sleep
-        #: Transient segment I/O failures absorbed by a retry.
-        self.io_retries = 0
-        #: Segment I/O operations that exhausted their retries and
-        #: degraded (read -> segment skipped, write -> cache miss later).
+        #: Segment reads and publishes that failed and degraded (read ->
+        #: segment skipped, publish -> verdicts kept pending in memory).
         self.io_errors = 0
         self._fingerprint = checker_fingerprint()
         self._index: Dict[str, StoredVerdict] = {}
@@ -196,25 +184,13 @@ class VerdictStore:
                 self._seen.add(segment.name)
                 self._load_segment(segment)
 
-    def _with_retry(self, fn):
-        """Wrap one I/O seam in the store's retry policy (lazy import —
-        see ``__init__`` for the package-cycle note)."""
-        from repro.core.retry import with_retry
-
-        def note(attempt, err):
-            self.io_retries += 1
-
-        return with_retry(fn, self._retry_policy, sleep=self._sleep, on_retry=note)
-
     def _read_segment_text(self, segment: Path) -> str:
-        """The raw-read seam (overridden by fault injection; retried)."""
+        """The raw-read seam (overridden by fault injection)."""
         with open(segment, "r", encoding="utf-8", errors="replace") as fh:
             return fh.read()
 
     def _write_segment_file(self, tmp: Path, final: Path, body: str) -> None:
-        """The write-and-publish seam (overridden by fault injection;
-        retried as a unit so a republished rename never sees a partial
-        temp file — the temp is rewritten from scratch each attempt)."""
+        """The write-and-publish seam (overridden by fault injection)."""
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(body + "\n")
             fh.flush()
@@ -223,7 +199,7 @@ class VerdictStore:
 
     def _load_segment(self, segment: Path) -> None:
         try:
-            lines = self._with_retry(self._read_segment_text)(segment).splitlines()
+            lines = self._read_segment_text(segment).splitlines()
         except OSError:
             self.io_errors += 1
             self.skipped_segments += 1
@@ -303,7 +279,10 @@ class VerdictStore:
         self._index[digest] = StoredVerdict(ok=ok, err=err, err_kind=err_kind)
         self._pending.append({"k": digest, "ok": ok, "err": err, "ek": err_kind})
         self.writes += 1
-        if len(self._pending) >= self.flush_every:
+        # On multiples only: after a failed publish the pending verdicts
+        # stay pending, and retrying on every later put would rewrite the
+        # whole growing segment once per verdict.
+        if len(self._pending) % FLUSH_EVERY == 0:
             self.flush()
         return True
 
@@ -313,14 +292,13 @@ class VerdictStore:
         self._invalidated_unreported = 0
         return n
 
-    def take_io_counters(self) -> Tuple[int, int]:
-        """``(retries, errors)`` accumulated since the last call (the
-        oracle drains these into ``oracle.store.retries`` /
-        ``oracle.store.io_errors`` and a ``store_io_error`` event)."""
-        counters = (self.io_retries, self.io_errors)
-        self.io_retries = 0
+    def take_io_errors(self) -> int:
+        """Failed segment reads and publishes since the last call (the
+        oracle drains these into ``oracle.store.io_errors`` and a
+        ``store_io_error`` event)."""
+        n = self.io_errors
         self.io_errors = 0
-        return counters
+        return n
 
     # ------------------------------------------------------------------
     # Publication (atomic) and lifecycle
@@ -341,8 +319,8 @@ class VerdictStore:
 
         Returns the published segment name, or None when there was
         nothing to publish or publication failed (failure degrades: the
-        verdicts stay served from memory for this process and are simply
-        recomputed by the next one).
+        verdicts stay pending, served from memory, for the next publish
+        to try again).
         """
         if self.read_only or not self._pending:
             return None
@@ -352,7 +330,7 @@ class VerdictStore:
             [header] + [json.dumps(e, sort_keys=True) for e in self._pending]
         )
         try:
-            self._with_retry(self._write_segment_file)(tmp, final, body)
+            self._write_segment_file(tmp, final, body)
         except OSError:
             self.io_errors += 1
             try:

@@ -140,12 +140,13 @@ class TestAggregation:
         assert "75.0%" in text
         assert "invalidated" in text
 
-    def test_store_io_incidents_fill_the_supervision_table(self):
+    def test_store_io_errors_are_a_persistent_store_row(self):
         agg = RunAggregate()
-        agg.add_counters({"oracle.store.retries": 3, "oracle.store.io_errors": 1})
+        agg.add_counters({"oracle.store.io_errors": 2})
         text = render_aggregate(agg)
-        assert "supervision:" in text
-        assert "store io retries / errors  3 / 1" in text
+        assert "persistent store:" in text
+        assert ["io", "errors", "2"] in [line.split() for line in text.splitlines()]
+        assert "supervision:" not in text
 
     def test_unknown_event_schema_propagates(self, tmp_path):
         path = tmp_path / "bad.jsonl"

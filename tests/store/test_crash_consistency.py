@@ -20,16 +20,17 @@ ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
 
 #: Runs in a child process: checks programs against an oracle that
 #: hard-exits the whole process on the Nth call, with the verdict store
-#: publishing a segment per verdict (flush_every=1) so earlier answers
-#: are already on disk when the kill lands.
+#: publishing a segment per verdict (``FLUSH_EVERY`` set to 1) so earlier
+#: answers are already on disk when the kill lands.
 WRITER_SCRIPT = """
 import os
 import sys
 from repro.core.oracle import Oracle
 from repro.miniml.parser import parse_program
-from repro.store import VerdictStore
+from repro.store import VerdictStore, verdicts
 
 store_dir, crash_every = sys.argv[1], int(sys.argv[2])
+verdicts.FLUSH_EVERY = 1
 
 
 class KillingOracle(Oracle):
@@ -39,7 +40,7 @@ class KillingOracle(Oracle):
         return super()._check_once(program)
 
 
-store = VerdictStore(store_dir, flush_every=1)
+store = VerdictStore(store_dir)
 oracle = KillingOracle(store=store)
 programs = [
     "let a = 1 + 2",
@@ -123,7 +124,9 @@ class TestHardExitWriter:
 #: possible moment — leaving a fully-written ``.tmp-*`` corpse behind.
 INTERRUPTED_WRITER_SCRIPT = """
 import os, sys, time
-from repro.store import VerdictStore
+from repro.store import VerdictStore, verdicts
+
+verdicts.FLUSH_EVERY = 1
 
 class MidWriteStall(VerdictStore):
     def _write_segment_file(self, tmp, final, body):
@@ -134,7 +137,7 @@ class MidWriteStall(VerdictStore):
             time.sleep(30)  # SIGINT lands here
         os.replace(tmp, final)
 
-store = MidWriteStall(sys.argv[1], flush_every=1)
+store = MidWriteStall(sys.argv[1])
 store.put(("published-1",), True)
 store.put(("published-2",), False)
 store.stall = True

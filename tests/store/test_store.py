@@ -19,6 +19,7 @@ from repro.store import (
     VerdictStore,
     checker_fingerprint,
     key_digest,
+    verdicts,
 )
 
 KEY_A = ("Let", ("Var", "x"), ("Lit", 1))
@@ -86,8 +87,9 @@ class TestRoundTrip:
         store = VerdictStore(tmp_path / "absent", read_only=True)
         assert store.get(KEY_A) is None
 
-    def test_flush_every_publishes_automatically(self, tmp_path):
-        store = VerdictStore(tmp_path / "s", flush_every=2)
+    def test_flush_every_publishes_automatically(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verdicts, "FLUSH_EVERY", 2)
+        store = VerdictStore(tmp_path / "s")
         store.put(KEY_A, True)
         assert not list((tmp_path / "s").glob("seg-*"))
         store.put(KEY_B, True)

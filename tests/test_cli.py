@@ -6,6 +6,13 @@ import pytest
 
 from repro.cli import main
 
+#: The ``--stats`` lines counting the checker's own work, in print order.
+CHECKER_WORK = ("oracle prefix reuse", "oracle decl reuse", "oracle trail speculation")
+
+
+def _checker_work_lines(err):
+    return [line for line in err.splitlines() if line.startswith(CHECKER_WORK)]
+
 
 @pytest.fixture
 def ml_file(tmp_path):
@@ -114,6 +121,20 @@ class TestTelemetryFlags:
         # The verdict store (--store) is the only verdict cache.
         main([str(ml_file), "--stats"])
         assert "oracle cache" not in capsys.readouterr().err
+
+    def test_stats_prints_checker_work_lines(self, ml_file, capsys):
+        main([str(ml_file), "--stats"])
+        lines = _checker_work_lines(capsys.readouterr().err)
+        assert [line.split(":")[0] for line in lines] == list(CHECKER_WORK)
+
+    def test_batch_stats_print_the_same_decl_and_trail_lines(
+        self, ml_file, capsys
+    ):
+        main([str(ml_file), "--stats"])
+        single = _checker_work_lines(capsys.readouterr().err)
+        main(["explain", str(ml_file), "--stats"])
+        batch = _checker_work_lines(capsys.readouterr().err)
+        assert batch == single[1:]  # batch mode has no prefix line
 
     def test_cache_flag_is_rejected(self, ml_file, capsys):
         with pytest.raises(SystemExit) as exc:

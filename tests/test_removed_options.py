@@ -5,15 +5,23 @@ the soft-deadline shed point is the constant
 :data:`~repro.core.resilience.SHED_FRACTION`, the number of crash
 samples an oracle keeps is the constant
 :data:`~repro.core.oracle.CRASH_SAMPLE_LIMIT`, and the oracle's crash
-isolation is unconditional (no ``strict`` switch).  A caller still passing one
-of the old options gets an error naming it.
+isolation is unconditional (no ``strict`` switch).  The verdict store takes
+a failed segment read or publish once (no retry policy, no backoff sleep,
+no ``repro.core.retry`` module, no fault streaks in ``FlakyStore``) and
+auto-publishes at the constant :data:`~repro.store.verdicts.FLUSH_EVERY`.
+A caller still passing one of the old options gets an error naming it.
 """
+
+import importlib
 
 import pytest
 
+import repro.core
 from repro.cli import main
 from repro.core import Oracle, SearchConfig, explain
 from repro.core.resilience import Deadline
+from repro.faults import FlakyStore
+from repro.store import VerdictStore
 
 ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
 
@@ -51,6 +59,36 @@ def test_oracle_rejects_strict():
 def test_deadline_rejects_soft_fraction():
     with pytest.raises(TypeError, match="soft_fraction"):
         Deadline(1.0, soft_fraction=0.5)
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("retry_policy", None), ("sleep", lambda s: None), ("flush_every", 1)],
+)
+def test_verdict_store_rejects(tmp_path, option, value):
+    with pytest.raises(TypeError, match=option):
+        VerdictStore(tmp_path / "s", **{option: value})
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("fail_streak", 3), ("flush_every", 1), ("retry_policy", None), ("sleep", None)],
+)
+def test_flaky_store_rejects(tmp_path, option, value):
+    with pytest.raises(TypeError, match=option):
+        FlakyStore(tmp_path / "s", **{option: value})
+
+
+def test_retry_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.retry")
+
+
+@pytest.mark.parametrize(
+    "name", ["RetryPolicy", "with_retry", "retry", "DEFAULT_RETRY_POLICY"]
+)
+def test_core_exports_no_retry_helpers(name):
+    assert not hasattr(repro.core, name)
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
