@@ -18,9 +18,10 @@ Observability (see :mod:`repro.obs`): ``--trace out.json`` records a
 Perfetto-loadable span trace of the whole search, ``--metrics`` prints the
 full counter/histogram table.
 The flight recorder adds ``--events out.jsonl`` (one schema-versioned JSON
-line per lifecycle event) and ``--report out.json`` (the RunReport summary
-document); ``python -m repro report FILE... [--diff BASELINE]`` reads
-either format back and prints aggregate tables / regression diffs.
+line per lifecycle event, closed by a ``metrics`` event carrying the
+counters and, with ``--trace``, the seconds per span);
+``python -m repro report FILE... [--diff BASELINE]`` reads event logs back
+and prints aggregate tables / regression diffs.
 ``--profile`` runs the search under cProfile and prints the top hotspots
 (recorded as a ``profile`` event in the event log when one is open, so
 ``repro report`` folds them into its tables).
@@ -63,7 +64,7 @@ batch mode:
 
 report mode:
   python -m repro report FILE... [--diff BASELINE]
-  aggregates --events/--report output (see `repro report --help`)
+  aggregates --events output (see `repro report --help`)
 
 cache mode:
   python -m repro cache stats|clear|compact --store PATH
@@ -130,10 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the flight-recorder event log (JSONL, "
                              "one lifecycle event per line; read it back "
                              "with `python -m repro report`) (MiniML only)")
-    parser.add_argument("--report", metavar="PATH", default=None,
-                        help="write the RunReport summary JSON (metrics + "
-                             "degradation + timing; diffable via "
-                             "`repro report --diff`) (MiniML only)")
     parser.add_argument("--store", metavar="PATH", default=None,
                         help="persistent cross-run verdict store directory: "
                              "warm-start the oracle from verdicts persisted "
@@ -203,18 +200,13 @@ def build_batch_parser() -> argparse.ArgumentParser:
 def _telemetry(args: argparse.Namespace) -> Tuple[object, object]:
     """Build the (tracer, metrics) pair the flags ask for (else nulls).
 
-    The flight-recorder outputs (``--events``/``--report``) need a real
-    registry even without ``--metrics``/``--stats``: both carry the
+    The event log (``--events``) needs a real registry even without
+    ``--metrics``/``--stats``: its closing ``metrics`` event carries the
     counter dict.
     """
     from repro.obs import NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 
-    want_metrics = (
-        args.metrics
-        or args.stats
-        or getattr(args, "events", None)
-        or getattr(args, "report", None)
-    )
+    want_metrics = args.metrics or args.stats or getattr(args, "events", None)
     metrics = MetricsRegistry() if want_metrics else NULL_METRICS
     tracer = Tracer(metrics=metrics if metrics is not NULL_METRICS else None) \
         if args.trace else NULL_TRACER
@@ -243,14 +235,17 @@ def _event_log(args: argparse.Namespace):
 
 
 def _close_events(args: argparse.Namespace, events, metrics) -> None:
-    """Seal the event log: append the merged counter dict (so the JSONL
-    file is self-contained for ``repro report --diff``) and close it."""
-    from repro.obs import NULL_EVENTS, NULL_METRICS
+    """Seal the event log: append the counter dict and any per-span
+    seconds (so the JSONL file is self-contained for ``repro report`` and
+    its ``--diff``) and close it."""
+    from repro.obs import NULL_EVENTS, NULL_METRICS, metrics_fields
 
     if events is NULL_EVENTS:
         return
     if metrics is not NULL_METRICS:
-        events.emit("metrics", counters=metrics.counters())
+        events.emit(
+            "metrics", **metrics_fields(metrics.counters(), metrics.span_seconds())
+        )
     events.close()
     print(f"[event log written to {args.events}]", file=sys.stderr)
 
@@ -286,25 +281,6 @@ def _finish_profile(profiler, events=None):
     return rows
 
 
-def _write_run_report(
-    args: argparse.Namespace, metrics, result, elapsed_seconds: float
-) -> None:
-    """Write the RunReport summary document ``--report`` asks for."""
-    if not getattr(args, "report", None):
-        return
-    from repro.obs import NULL_METRICS, RunReport, suggestion_rows
-
-    report = RunReport.from_run(
-        metrics if metrics is not NULL_METRICS else None,
-        label=args.file,
-        elapsed_seconds=round(elapsed_seconds, 6),
-        degradation=getattr(result, "degradation", None),
-        suggestions=suggestion_rows(getattr(result, "suggestions", []) or []),
-    )
-    report.write(args.report)
-    print(f"[run report written to {args.report}]", file=sys.stderr)
-
-
 def _checker_only_miniml(source: str) -> int:
     """``--checker-only``: one typecheck, no search machinery at all.
 
@@ -334,8 +310,6 @@ def _note_degradation(result) -> None:
 
 
 def _run_miniml(source: str, args: argparse.Namespace) -> int:
-    import time
-
     from repro.core import explain, fix_all
 
     if args.checker_only and not args.fix:
@@ -343,7 +317,6 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
 
     tracer, metrics = _telemetry(args)
     events = _event_log(args)
-    start = time.perf_counter()
     telemetry_kwargs = dict(tracer=tracer, metrics=metrics, store=args.store)
 
     if args.fix:
@@ -361,7 +334,6 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
         print()
         print(result.source, end="" if result.source.endswith("\n") else "\n")
         _emit_telemetry(args, tracer, metrics)
-        _write_run_report(args, metrics, result, time.perf_counter() - start)
         _close_events(args, events, metrics)
         if result.ok:
             print("-- the program now type-checks", file=sys.stderr)
@@ -387,7 +359,6 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
         for warning in match_warnings_source(source):
             print(warning.render())
         _emit_telemetry(args, tracer, metrics)
-        _write_run_report(args, metrics, result, time.perf_counter() - start)
         _close_events(args, events, metrics)
         return EXIT_OK
     print("Type-checker:")
@@ -406,7 +377,6 @@ def _run_miniml(source: str, args: argparse.Namespace) -> int:
             print(result.degradation.summary(), file=sys.stderr)
         _print_checker_work(metrics, with_prefix=True)
     _emit_telemetry(args, tracer, metrics)
-    _write_run_report(args, metrics, result, time.perf_counter() - start)
     _close_events(args, events, metrics)
     return EXIT_SUGGESTIONS if result.suggestions else EXIT_NO_ANSWER
 
@@ -581,7 +551,7 @@ def _run_batch(argv: Sequence[str]) -> int:
         if args.metrics:
             print(merged.render_table(title="batch telemetry"), file=sys.stderr)
         if args.events:
-            from repro.obs import EventLog
+            from repro.obs import EventLog, metrics_fields
 
             with EventLog(args.events) as events:
                 for e in entries:
@@ -595,7 +565,10 @@ def _run_batch(argv: Sequence[str]) -> int:
                         elapsed_seconds=round(e.elapsed_seconds, 6),
                         error=e.error,
                     )
-                events.emit("metrics", counters=merged.counters())
+                events.emit(
+                    "metrics",
+                    **metrics_fields(merged.counters(), merged.span_seconds()),
+                )
                 if profile_rows:
                     events.emit("profile", hotspots=profile_rows)
             print(f"[event log written to {args.events}]", file=sys.stderr)

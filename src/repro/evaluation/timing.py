@@ -88,32 +88,11 @@ class TimingResult:
 
     def phase_seconds(self, name: str) -> Dict[str, float]:
         """Total seconds by span name for one configuration."""
-        registry = self.metrics[name]
-        out: Dict[str, float] = {}
-        for hist_name in registry.histogram_names("span."):
-            if not hist_name.endswith(".seconds"):
-                continue
-            phase = hist_name[len("span."):-len(".seconds")]
-            if phase != _FILE_SPAN:
-                out[phase] = registry.histogram(hist_name).total
-        return out
-
-    def to_run_report(self, name: str) -> "RunReport":
-        """One configuration's registry as a :class:`~repro.obs.RunReport`.
-
-        The resulting document is what ``repro report --diff`` consumes, so
-        a timing-study configuration can serve as a checked-in regression
-        baseline: counters are the deterministic diff surface, histogram
-        summaries carry the (machine-dependent) timing.
-        """
-        from repro.obs import RunReport
-
-        registry = self.metrics[name]
-        return RunReport.from_run(
-            registry,
-            label=name,
-            elapsed_seconds=sum(self.curves.get(name, ())),
-        )
+        return {
+            span: seconds
+            for span, seconds in self.metrics[name].span_seconds().items()
+            if span != _FILE_SPAN
+        }
 
     def render_breakdown(self, name: str) -> str:
         """One-configuration per-phase summary (calls and seconds)."""

@@ -12,7 +12,8 @@ The paper's efficiency claims (Section 3.2, Figures 5-7) are about oracle
   outcome, verdict-store hits/misses, prefix-reuse accounting —
   ``oracle.prefix.armed``/``.reused`` vs
   ``oracle.full_checks`` — changes generated vs. tested per rule, triage
-  depth, suggestions ranked) rendered as a flat dict or a text table.
+  depth, suggestions ranked, span durations) rendered as a flat dict or a
+  text table.
   The resilience layer (:mod:`repro.core.resilience`) counts through the
   same registry: ``oracle.crashes`` (isolated oracle failures),
   ``oracle.prefix.fallbacks`` (self-healing incremental retries),
@@ -21,13 +22,12 @@ The paper's efficiency claims (Section 3.2, Figures 5-7) are about oracle
 * :class:`EventLog` — the flight recorder's JSONL lifecycle log
   (``--events``): one schema-versioned line per event (search started /
   finished, phase shed, oracle crash with traceback sample, deadline hit,
-  degradation report, final suggestion ranks).
-* Exporters (:mod:`repro.obs.export`) — Prometheus text exposition of a
-  registry and the :class:`RunReport` run-summary JSON document; both
-  deterministic, so golden files and checked-in baselines work.
+  degradation report, final suggestion ranks, and a closing ``metrics``
+  event with the counters and per-span seconds).
 * ``python -m repro report`` (:mod:`repro.obs.report`) — aggregates
-  RunReport/event-log files into summary tables and regression-diffs them
-  against a baseline (``--diff``).
+  event logs into summary tables, regression-diffs them against a
+  baseline log (``--diff``) and writes the aggregate back out as one
+  (``--save``).  The event log is the one run record.
 * Null objects (:data:`NULL_TRACER`, :data:`NULL_METRICS`,
   :data:`NULL_EVENTS`) — the defaults threaded through the hot paths, so
   instrumentation costs one no-op method call and zero allocation when
@@ -38,7 +38,6 @@ Zero dependencies, pure stdlib.
 
 from .metrics import (  # noqa: F401
     Counter,
-    DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
     NULL_METRICS,
@@ -57,15 +56,9 @@ from .events import (  # noqa: F401
     NULL_EVENTS,
     NullEventLog,
     SCHEMA_VERSION,
-    events_of,
-    read_events,
-)
-from .export import (  # noqa: F401
-    RUN_REPORT_SCHEMA,
-    ReportSchemaError,
-    RunReport,
     degradation_as_dict,
-    render_prometheus,
+    events_of,
+    metrics_fields,
+    read_events,
     suggestion_rows,
-    summarize_histogram,
 )

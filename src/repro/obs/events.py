@@ -19,7 +19,9 @@ Schema (version :data:`SCHEMA_VERSION`): every line is a JSON object with
   ``search_finished``, ``metrics``, ``store``, ``store_io_error``,
   ``profile``, ...);
 * any event-specific fields (``store_io_error`` carries ``errors``, the
-  verdict-store segment reads and publishes that failed and degraded).
+  verdict-store segment reads and publishes that failed and degraded;
+  the closing ``metrics`` event carries ``counters`` and, when a tracer
+  fed the registry, ``span_seconds`` — see :func:`metrics_fields`).
 
 The first line is always a ``log_started`` header carrying the producing
 pid and a wall-clock timestamp for human correlation.
@@ -173,3 +175,46 @@ def read_events(source: Union[str, os.PathLike, Iterable[str]]) -> List[Dict[str
 def events_of(events: Iterable[Dict[str, Any]], type: str) -> List[Dict[str, Any]]:
     """Filter a parsed event list by ``type``."""
     return [e for e in events if e.get("type") == type]
+
+
+def metrics_fields(counters: Dict[str, int], span_seconds: Dict[str, float]) -> Dict[str, Any]:
+    """The fields of a log's closing ``metrics`` event.
+
+    ``counters`` is the flat counter dict ``repro report --diff`` compares;
+    ``span_seconds`` (per-span second totals, present only when a tracer
+    fed the registry) is what ``repro report``'s time-share table reads.
+    """
+    fields: Dict[str, Any] = {"counters": dict(counters)}
+    if span_seconds:
+        fields["span_seconds"] = {
+            name: round(seconds, 6) for name, seconds in sorted(span_seconds.items())
+        }
+    return fields
+
+
+def degradation_as_dict(report) -> Dict[str, Any]:
+    """A :class:`~repro.core.resilience.DegradationReport` as the fields of
+    a ``degradation`` event."""
+    return {
+        "reasons": list(report.reasons),
+        "oracle_crashes": report.oracle_crashes,
+        "prefix_fallbacks": report.prefix_fallbacks,
+        "depth_rejections": report.depth_rejections,
+        "phases_shed": dict(report.phases_shed),
+        "elapsed_seconds": report.elapsed_seconds,
+        "deadline_seconds": report.deadline_seconds,
+        "budget": report.budget,
+        "crash_samples": list(report.crash_samples),
+    }
+
+
+def suggestion_rows(suggestions) -> List[Dict[str, Any]]:
+    """Rank/kind/rule rows of a ``suggestions`` event (rank is 1-based)."""
+    return [
+        {
+            "rank": rank,
+            "kind": suggestion.kind,
+            "rule": suggestion.change.rule or "",
+        }
+        for rank, suggestion in enumerate(suggestions, start=1)
+    ]

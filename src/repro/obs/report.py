@@ -1,32 +1,33 @@
 """``python -m repro report`` — aggregate flight-recorder output.
 
-Reads one or more RunReport JSON documents and/or JSONL event logs (the
-``--report``/``--events`` outputs of an ``explain`` run), normalizes them
-into one aggregate, and prints the tables the paper's efficiency story is
-told in: per-phase oracle-call and time shares, the incremental-oracle
+Reads one or more JSONL event logs (the ``--events`` output of a run —
+the flight recorder's one run record), folds them into one aggregate, and
+prints the tables the paper's efficiency story is told in: per-phase
+oracle-call and time shares (the latter from the per-span seconds of the
+closing ``metrics`` event of a ``--trace`` run), the incremental-oracle
 breakdown (prefix reuse, decl replay), the persistent store's hits and
 failed segment I/O, resilience counts (crashes, sheds), and the rank
 distribution of the final suggestions.
 
 ``--diff BASELINE`` compares the aggregate against a checked-in baseline
-(itself a RunReport, e.g. ``benchmarks/results/report_baseline.json``) and
-exits non-zero when any *cost* counter — oracle calls, full checks,
-crashes, per-phase tests — grew beyond ``--threshold`` (relative, default
-exact).  Counters are deterministic for a given corpus program (batch
-runs merge per-file snapshots to the serial totals), so the diff is a real regression gate, not a noise filter; timings are
-summarised but never diffed.
+log (e.g. ``benchmarks/results/report_baseline.jsonl``) and exits non-zero
+when any *cost* counter — oracle calls, full checks, crashes, per-phase
+tests — grew beyond ``--threshold`` (relative, default exact).  Counters
+are deterministic for a given corpus program (batch runs merge per-file
+snapshots to the serial totals), so the diff is a real regression gate,
+not a noise filter; timings are summarised but never diffed.  ``--save``
+writes the aggregate back out as an event log, which is how baselines are
+produced.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .events import EventSchemaError, read_events
-from .export import ReportSchemaError, RunReport
+from .events import EventLog, EventSchemaError, metrics_fields, read_events
 
 #: Counters where "bigger" means "worse" — the regression surface of
 #: ``--diff``.  Prefix match; everything else is reported but never fails
@@ -69,10 +70,10 @@ class RunAggregate:
 
     sources: List[str] = field(default_factory=list)
     counters: Dict[str, int] = field(default_factory=dict)
-    #: Histogram name -> summed ``total`` seconds (from RunReport files).
+    #: Span name -> summed seconds (from ``metrics`` events of traced runs).
     span_seconds: Dict[str, float] = field(default_factory=dict)
     #: Per-search rows: label, ok, suggestions, oracle_calls, degraded,
-    #: elapsed_seconds (from entries / search_finished events).
+    #: elapsed_seconds (from search_finished events).
     searches: List[Dict[str, Any]] = field(default_factory=list)
     #: Suggestion rank -> count across all searches.
     rank_counts: Dict[int, int] = field(default_factory=dict)
@@ -118,41 +119,16 @@ class RunAggregate:
             self.phases_shed[phase] = self.phases_shed.get(phase, 0) + count
         self.crash_samples.extend(deg.get("crash_samples") or [])
 
-    def add_report(self, report: RunReport, source: str) -> None:
-        self.sources.append(source)
-        self.add_counters(report.counters)
-        for name, summary in report.histograms.items():
-            if name.startswith("span.") and name.endswith(".seconds"):
-                span = name[len("span."):-len(".seconds")]
-                self.span_seconds[span] = (
-                    self.span_seconds.get(span, 0.0) + summary.get("total", 0.0)
-                )
-        if report.entries:
-            for entry in report.entries:
-                self.add_search(dict(entry))
-        elif report.label:
-            self.add_search(
-                {
-                    "label": report.label,
-                    "ok": not report.suggestions
-                    and not report.counters.get("search.suggestions"),
-                    "suggestions": len(report.suggestions),
-                    "oracle_calls": report.counters.get("oracle.calls", 0),
-                    "degraded": bool((report.degradation or {}).get("reasons")),
-                    "elapsed_seconds": report.elapsed_seconds,
-                }
-            )
-        if report.degradation:
-            self.add_degradation(report.degradation)
-        self.add_ranks(report.suggestions)
-        self.elapsed_seconds += report.elapsed_seconds
-
     def add_events(self, events: List[Dict[str, Any]], source: str) -> None:
         self.sources.append(source)
         for event in events:
             kind = event.get("type")
             if kind == "metrics":
                 self.add_counters(event.get("counters") or {})
+                for span, seconds in (event.get("span_seconds") or {}).items():
+                    self.span_seconds[span] = (
+                        self.span_seconds.get(span, 0.0) + seconds
+                    )
             elif kind == "search_finished":
                 self.add_search(
                     {
@@ -188,48 +164,15 @@ class RunAggregate:
         return self.value(numerator) / total
 
 
-def load_any(path: str) -> RunAggregate:
-    """Load one file — RunReport JSON or JSONL event log — by sniffing.
-
-    A file whose first non-blank character is ``{`` *and* that parses as
-    a single JSON object is a RunReport; otherwise it is treated as an
-    event log.  Schema errors from either reader propagate.
-    """
-    aggregate = RunAggregate()
-    with open(path) as handle:
-        text = handle.read()
-    stripped = text.lstrip()
-    as_report = None
-    if stripped.startswith("{"):
-        try:
-            as_report = json.loads(text)
-        except json.JSONDecodeError:
-            as_report = None  # JSONL: line 2+ breaks the single-object parse
-    if isinstance(as_report, dict) and "type" not in as_report:
-        aggregate.add_report(RunReport.from_dict(as_report), path)
-    else:
-        aggregate.add_events(read_events(text.splitlines()), path)
-    return aggregate
-
-
 def aggregate_files(paths: Sequence[str]) -> RunAggregate:
+    """Fold the event logs at ``paths`` into one aggregate, in order.
+
+    Schema errors (:class:`~repro.obs.events.EventSchemaError`) propagate:
+    a file that is not an event log is an input error, not half a run.
+    """
     total = RunAggregate()
     for path in paths:
-        part = load_any(path)
-        total.sources.extend(part.sources)
-        total.add_counters(part.counters)
-        for span, seconds in part.span_seconds.items():
-            total.span_seconds[span] = total.span_seconds.get(span, 0.0) + seconds
-        for row in part.searches:
-            total.add_search(dict(row))
-        for rank, count in part.rank_counts.items():
-            total.rank_counts[rank] = total.rank_counts.get(rank, 0) + count
-        for phase, count in part.phases_shed.items():
-            total.phases_shed[phase] = total.phases_shed.get(phase, 0) + count
-        total.crash_samples.extend(part.crash_samples)
-        total.elapsed_seconds += part.elapsed_seconds
-        for func, row in part.profile_rows.items():
-            total.add_profile([dict(row, func=func)])
+        total.add_events(read_events(path), path)
     return total
 
 
@@ -531,67 +474,69 @@ def render_diff(
 def build_report_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro report",
-        description="Aggregate flight-recorder output (RunReport JSON and "
-                    "JSONL event logs) into summary tables; optionally "
-                    "regression-diff against a baseline report.",
+        description="Aggregate flight-recorder event logs (the JSONL "
+                    "--events output) into summary tables; optionally "
+                    "regression-diff against a baseline log.",
         epilog="exit codes: 0 ok; 1 at least one counter regressed beyond "
-               "--threshold; 2 unreadable input or unknown schema version",
+               "--threshold; 2 unreadable input, not an event log, or "
+               "unknown schema version",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("files", nargs="+", metavar="FILE",
-                        help="RunReport .json and/or event-log .jsonl files")
+                        help="event-log .jsonl files")
     parser.add_argument("--diff", metavar="BASELINE", default=None,
-                        help="baseline RunReport (or event log) to compare "
-                             "cost counters against")
+                        help="baseline event log to compare cost counters "
+                             "against")
     parser.add_argument("--threshold", type=float, default=0.0, metavar="FRAC",
                         help="relative growth a cost counter may show before "
                              "--diff fails (default 0 = exact)")
     parser.add_argument("--save", metavar="PATH", default=None,
-                        help="write the aggregate back out as a RunReport "
-                             "JSON (the way baselines are produced)")
+                        help="write the aggregate back out as an event log "
+                             "(the way baselines are produced)")
     return parser
 
 
-def aggregate_to_report(agg: RunAggregate) -> RunReport:
-    """The aggregate as a RunReport document (for ``--save`` baselines)."""
-    report = RunReport(
-        label=",".join(agg.sources),
-        elapsed_seconds=agg.elapsed_seconds,
-        counters=dict(sorted(agg.counters.items())),
-        entries=list(agg.searches),
-    )
-    report.suggestions = [
-        {"rank": rank, "kind": "", "rule": ""}
-        for rank, count in sorted(agg.rank_counts.items())
-        for _ in range(count)
-    ]
-    if agg.phases_shed or agg.crash_samples:
-        report.degradation = {
-            "reasons": [],
-            "oracle_crashes": agg.value("oracle.crashes"),
-            "prefix_fallbacks": agg.value("oracle.prefix.fallbacks"),
-            "depth_rejections": agg.value("oracle.depth_rejected"),
-            "phases_shed": dict(agg.phases_shed),
-            "elapsed_seconds": agg.elapsed_seconds,
-            "deadline_seconds": None,
-            "budget": None,
-            "crash_samples": list(agg.crash_samples),
-        }
-    return report
+def save_aggregate(agg: RunAggregate, path: str) -> None:
+    """Write the aggregate back out as an event log (``--save``): one
+    ``search_finished`` line per search, then the suggestion ranks, the
+    shed phases and crash samples, and the closing ``metrics`` event —
+    everything :func:`aggregate_files` reads back."""
+    with EventLog(path) as events:
+        for row in agg.searches:
+            events.emit("search_finished", **row)
+        if agg.rank_counts:
+            events.emit(
+                "suggestions",
+                ranks=[
+                    {"rank": rank}
+                    for rank, count in sorted(agg.rank_counts.items())
+                    for _ in range(count)
+                ],
+            )
+        if agg.phases_shed or agg.crash_samples:
+            events.emit(
+                "degradation",
+                phases_shed=dict(agg.phases_shed),
+                crash_samples=list(agg.crash_samples),
+            )
+        events.emit(
+            "metrics",
+            **metrics_fields(dict(sorted(agg.counters.items())), agg.span_seconds),
+        )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_report_parser().parse_args(argv)
     try:
         aggregate = aggregate_files(args.files)
-        baseline = load_any(args.diff) if args.diff else None
-    except (OSError, EventSchemaError, ReportSchemaError) as err:
+        baseline = aggregate_files([args.diff]) if args.diff else None
+    except (OSError, EventSchemaError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     print(render_aggregate(aggregate))
     if args.save:
-        aggregate_to_report(aggregate).write(args.save)
-        print(f"[aggregate report written to {args.save}]", file=sys.stderr)
+        save_aggregate(aggregate, args.save)
+        print(f"[aggregate event log written to {args.save}]", file=sys.stderr)
     if baseline is None:
         return EXIT_OK
     regressions, changes = diff_against(

@@ -1,8 +1,7 @@
 """Structured tracing: where the seconds (and oracle calls) go.
 
 :class:`Tracer` records *spans* — named, nested, timed regions such as one
-recursive descent into a subtree or one triage round — and *instant events*.
-The in-memory record serializes to the Chrome Trace Event Format (the JSON
+recursive descent into a subtree or one triage round.  The in-memory record serializes to the Chrome Trace Event Format (the JSON
 understood by ``chrome://tracing`` and https://ui.perfetto.dev), so a search
 run can be inspected as a flame graph: localization, descent per AST path,
 enumerator rule firing, adaptation, and triage rounds, each annotated with
@@ -99,22 +98,6 @@ class Tracer:
         """Open a nested timed region (context manager)."""
         return Span(self, name, args)
 
-    def event(self, name: str, **args: Any) -> None:
-        """Record an instant (zero-duration) event."""
-        if self._keep_events:
-            self._events.append(
-                {
-                    "name": name,
-                    "cat": _CATEGORY,
-                    "ph": "i",
-                    "s": "t",
-                    "ts": (time.perf_counter_ns() - self._epoch_ns) / 1000.0,
-                    "pid": 1,
-                    "tid": 1,
-                    "args": args,
-                }
-            )
-
     def _close(self, span: Span, end_ns: int) -> None:
         self._depth -= 1
         duration_ns = end_ns - span._start_ns
@@ -138,7 +121,7 @@ class Tracer:
 
     @property
     def events(self) -> List[Dict[str, Any]]:
-        """Recorded events (complete spans ``ph=X`` and instants ``ph=i``)."""
+        """Recorded events (one complete span ``ph=X`` per closed span)."""
         return self._events
 
     @property
@@ -210,9 +193,6 @@ class NullTracer:
 
     def span(self, name: str, **args: Any) -> _NullSpan:
         return _NULL_SPAN
-
-    def event(self, name: str, **args: Any) -> None:
-        pass
 
     @property
     def events(self) -> List[Dict[str, Any]]:

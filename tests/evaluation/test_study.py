@@ -90,20 +90,17 @@ class TestTimingStudy:
         for times in timing.curves.values():
             assert times == sorted(times)
 
-    def test_to_run_report_bridge(self, corpus, tmp_path):
-        from repro.obs import RunReport
-
+    def test_phase_seconds_are_span_totals(self, corpus):
         timing = run_timing_study(corpus, max_files=2)
-        report = timing.to_run_report("full tool")
-        assert report.label == "full tool"
-        assert report.counters["oracle.calls"] > 0
-        assert report.elapsed_seconds == pytest.approx(
-            sum(timing.curves["full tool"])
-        )
-        # The bridge produces a valid --diff baseline document.
-        path = tmp_path / "baseline.json"
-        report.write(path)
-        assert RunReport.load(path).counters == report.counters
+        registry = timing.metrics["full tool"]
+        seconds = timing.phase_seconds("full tool")
+        assert seconds and "search" in seconds
+        assert "explain.file" not in seconds
+        assert seconds == {
+            span: total
+            for span, total in registry.span_seconds().items()
+            if span != "explain.file"
+        }
 
 
 class TestCdfHelpers:

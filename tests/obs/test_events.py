@@ -5,14 +5,19 @@ import json
 
 import pytest
 
+from repro.core import explain
+from repro.core.resilience import DegradationReport
 from repro.obs import (
     NULL_EVENTS,
     SCHEMA_VERSION,
     EventLog,
     EventSchemaError,
     NullEventLog,
+    degradation_as_dict,
     events_of,
+    metrics_fields,
     read_events,
+    suggestion_rows,
 )
 
 
@@ -142,3 +147,35 @@ class TestNullEventLog:
         NULL_EVENTS.close()
         with NULL_EVENTS as log:
             log.emit("inside")
+
+
+class TestPayloadShapes:
+    def test_degradation_as_dict_is_plain_data(self):
+        report = DegradationReport(
+            reasons=["crash"],
+            oracle_crashes=1,
+            phases_shed={"triage": 2},
+            crash_samples=["Boom"],
+        )
+        data = degradation_as_dict(report)
+        assert data["reasons"] == ["crash"]
+        assert data["phases_shed"] == {"triage": 2}
+        assert json.loads(json.dumps(data)) == data
+
+    def test_suggestion_rows_rank_from_one(self):
+        result = explain("let f x = x + 1\nlet b = f true\n")
+        rows = suggestion_rows(result.suggestions)
+        assert [row["rank"] for row in rows] == list(
+            range(1, len(result.suggestions) + 1)
+        )
+        assert rows and all(set(row) == {"rank", "kind", "rule"} for row in rows)
+
+    def test_metrics_fields_without_spans_is_counters_only(self):
+        assert metrics_fields({"oracle.calls": 3}, {}) == {
+            "counters": {"oracle.calls": 3}
+        }
+
+    def test_metrics_fields_rounds_and_sorts_spans(self):
+        fields = metrics_fields({}, {"search": 0.12345678, "parse": 0.5})
+        assert list(fields["span_seconds"]) == ["parse", "search"]
+        assert fields["span_seconds"]["search"] == 0.123457

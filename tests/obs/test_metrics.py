@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.obs import DEFAULT_BUCKETS, NULL_METRICS, MetricsRegistry, NullMetrics
+from repro.obs import NULL_METRICS, MetricsRegistry, NullMetrics, Tracer
+from repro.obs import metrics as metrics_module
 from repro.obs.metrics import Histogram
 
 
@@ -53,24 +54,43 @@ class TestHistograms:
         reg.observe("t", 1)
         assert reg.values_of("t") == [3.0, 1.0]
 
-    def test_percentile(self):
-        reg = MetricsRegistry()
-        for v in range(1, 101):
-            reg.observe("t", v)
-        assert reg.histogram("t").percentile(0.5) == pytest.approx(50, abs=1)
-        assert reg.histogram("t").percentile(1.0) == 100
-
     def test_empty_histogram_stats(self):
         h = MetricsRegistry().histogram("t")
         assert h.count == 0
         assert h.mean == 0.0
-        assert h.percentile(0.5) == 0.0
+        assert h.values == []
 
     def test_histogram_names(self):
         reg = MetricsRegistry()
         reg.observe("span.a.seconds", 1)
         reg.observe("other", 1)
         assert reg.histogram_names("span.") == ["span.a.seconds"]
+
+
+class TestSpanSeconds:
+    def test_totals_per_span_name(self):
+        reg = MetricsRegistry()
+        reg.observe("span.search.seconds", 0.25)
+        reg.observe("span.search.seconds", 0.5)
+        reg.observe("span.parse.seconds", 0.125)
+        reg.observe("triage.depth", 3)
+        assert reg.span_seconds() == {"parse": 0.125, "search": 0.75}
+
+    def test_empty_without_a_tracer(self):
+        reg = MetricsRegistry()
+        reg.incr("oracle.calls")
+        assert reg.span_seconds() == {}
+        assert NULL_METRICS.span_seconds() == {}
+
+    def test_fed_by_a_tracer(self):
+        reg = MetricsRegistry()
+        tracer = Tracer(metrics=reg, keep_events=False)
+        with tracer.span("search"):
+            with tracer.span("localize"):
+                pass
+        spans = reg.span_seconds()
+        assert set(spans) == {"search", "localize"}
+        assert spans["search"] >= spans["localize"] >= 0.0
 
 
 class TestRendering:
@@ -100,73 +120,15 @@ class TestRendering:
         reg.reset()
         assert reg.as_dict() == {}
 
-    def test_merge_folds_counts_and_samples(self):
+    def test_merge_snapshot_folds_counts_and_samples(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.incr("c", 1)
+        a.observe("h", 1)
         b.incr("c", 2)
         b.observe("h", 4)
-        a.merge(b)
+        a.merge_snapshot(b.snapshot())
         assert a.value("c") == 3
-        assert a.values_of("h") == [4.0]
-
-
-class TestHistogramBuckets:
-    def test_default_buckets_shared(self):
-        h = Histogram("t")
-        assert h.buckets == DEFAULT_BUCKETS
-
-    def test_bucket_counts_length(self):
-        h = Histogram("t")
-        assert len(h.bucket_counts()) == len(h.buckets) + 1
-
-    def test_bucket_counts_are_cumulative(self):
-        h = Histogram("t", buckets=(1.0, 2.0, 5.0))
-        for v in (0.5, 1.5, 1.5, 3.0, 100.0):
-            h.observe(v)
-        assert h.bucket_counts() == [1, 3, 4, 5]
-
-    def test_bucket_boundary_is_inclusive(self):
-        h = Histogram("t", buckets=(1.0, 2.0))
-        h.observe(1.0)
-        assert h.bucket_counts() == [1, 1, 1]
-
-    def test_empty_bucket_counts(self):
-        h = Histogram("t", buckets=(1.0,))
-        assert h.bucket_counts() == [0, 0]
-
-
-class TestHistogramQuantile:
-    def test_empty_is_zero(self):
-        assert Histogram("t").quantile(0.5) == 0.0
-
-    def test_single_sample_is_that_sample(self):
-        h = Histogram("t")
-        h.observe(7.25)
-        for q in (0.0, 0.5, 0.99, 1.0):
-            assert h.quantile(q) == 7.25
-
-    def test_interpolates_between_order_statistics(self):
-        h = Histogram("t")
-        for v in (1.0, 2.0, 3.0, 4.0):
-            h.observe(v)
-        assert h.quantile(0.5) == pytest.approx(2.5)
-        assert h.quantile(0.0) == 1.0
-        assert h.quantile(1.0) == 4.0
-
-    def test_clamps_out_of_range(self):
-        h = Histogram("t")
-        h.observe(1.0)
-        h.observe(2.0)
-        assert h.quantile(-1.0) == 1.0
-        assert h.quantile(2.0) == 2.0
-
-    def test_order_independent(self):
-        a, b = Histogram("a"), Histogram("b")
-        for v in (5.0, 1.0, 3.0):
-            a.observe(v)
-        for v in (1.0, 3.0, 5.0):
-            b.observe(v)
-        assert a.quantile(0.9) == b.quantile(0.9)
+        assert a.values_of("h") == [1.0, 4.0]
 
 
 class TestHistogramMerge:
@@ -185,7 +147,7 @@ class TestHistogramMerge:
                 h.observe(s)
             return h
 
-        # ((a+b)+c) vs (a+(b+c)) — same multiset, same stats and buckets.
+        # ((a+b)+c) vs (a+(b+c)) — same samples, same stats.
         left = build(1.0, 2.0)
         left.merge(build(3.0))
         left.merge(build(0.001, 9.0))
@@ -195,9 +157,10 @@ class TestHistogramMerge:
         right = build(1.0, 2.0)
         right.merge(bc)
 
-        assert sorted(left.values) == sorted(right.values)
-        assert left.bucket_counts() == right.bucket_counts()
-        assert left.quantile(0.5) == right.quantile(0.5)
+        assert left.values == right.values
+        assert (left.count, left.total, left.min, left.max) == (
+            right.count, right.total, right.min, right.max
+        )
 
     def test_merge_empty_is_identity(self):
         h = Histogram("h")
@@ -226,41 +189,46 @@ class TestSnapshotTransport:
         assert json.loads(json.dumps(snap)) == snap
 
     def test_merge_snapshot_is_deterministic_order(self):
+        h = {"count": 1, "sum": 1.0, "min": 1.0, "max": 1.0, "samples": [1.0]}
         a, b = MetricsRegistry(), MetricsRegistry()
-        snap = {"counters": {"z": 1, "a": 2}, "histograms": {"h": [1.0]}}
-        a.merge_snapshot(snap)
-        b.merge_snapshot({"counters": {"a": 2, "z": 1}, "histograms": {"h": [1.0]}})
+        a.merge_snapshot({"counters": {"z": 1, "a": 2}, "histograms": {"h": h}})
+        b.merge_snapshot({"counters": {"a": 2, "z": 1}, "histograms": {"h": h}})
         assert a.counters() == b.counters()
+        assert a.values_of("h") == b.values_of("h") == [1.0]
+
+    def test_empty_histogram_is_not_recreated(self):
+        reg = MetricsRegistry()
+        reg.histogram("h")  # touched, never observed
+        other = MetricsRegistry()
+        other.merge_snapshot(reg.snapshot())
+        assert other.histogram_names() == []
 
 
 class TestHistogramSampleCap:
     """Bounded retention: exact scalars forever, capped raw samples."""
 
-    def _full(self, cap=8, extra=4):
-        h = Histogram("t", buckets=(1.0, 10.0), sample_cap=cap)
-        for i in range(cap + extra):
+    @pytest.fixture(autouse=True)
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(metrics_module, "SAMPLE_CAP", 8)
+
+    def _full(self, extra=4):
+        h = Histogram("t")
+        for i in range(8 + extra):
             h.observe(float(i))
         return h
 
     def test_scalars_exact_past_cap(self):
-        h = self._full(cap=8, extra=4)
+        h = self._full(extra=4)
         assert h.count == 12
         assert h.total == sum(float(i) for i in range(12))
         assert h.min == 0.0
         assert h.max == 11.0
         assert h.mean == h.total / 12
 
-    def test_bucket_counts_exact_past_cap(self):
-        h = self._full(cap=8, extra=4)
-        # values 0..11 against bounds (1.0, 10.0): 2 at <=1, 9 at <=10.
-        assert h.bucket_counts() == [2, 11, 12]
-        assert h.bucket_counts()[-1] == h.count
-
     def test_samples_are_first_k_and_deterministic(self):
-        h = self._full(cap=8, extra=4)
+        h = self._full(extra=4)
         assert h.values == [float(i) for i in range(8)]
-        assert h.truncated
-        assert not Histogram("u").truncated
+        assert h.count > len(h.values)
 
     def test_values_is_a_copy(self):
         h = Histogram("t")
@@ -268,15 +236,15 @@ class TestHistogramSampleCap:
         h.values.append(99.0)
         assert h.values == [1.0]
 
-    def test_quantile_approximate_past_cap(self):
-        h = self._full(cap=8, extra=100)
-        # Quantiles come from the retained prefix — bounded, not exact.
-        assert h.quantile(1.0) == 7.0
+    def test_values_capped_but_extremes_exact(self):
+        h = self._full(extra=100)
+        # The curves come from the retained prefix; min/max stay exact.
+        assert max(h.values) == 7.0
         assert h.max == 107.0
 
     def test_merge_truncates_associatively(self):
         def make(lo, n):
-            h = Histogram("t", sample_cap=4)
+            h = Histogram("t")
             for i in range(lo, lo + n):
                 h.observe(float(i))
             return h
@@ -290,11 +258,10 @@ class TestHistogramSampleCap:
         right = make(0, 3)
         right.merge(tail)
 
-        assert left.values == right.values == [0.0, 1.0, 2.0, 10.0]
+        assert left.values == right.values == [0.0, 1.0, 2.0, 10.0, 11.0, 12.0, 20.0, 21.0]
         assert left.count == right.count == 9
         assert left.total == right.total
         assert left.max == right.max == 22.0
-        assert left.bucket_counts() == right.bucket_counts()
 
     def test_merge_empty_keeps_extremes(self):
         h = Histogram("t")
@@ -302,42 +269,41 @@ class TestHistogramSampleCap:
         h.merge(Histogram("other"))
         assert (h.count, h.min, h.max) == (1, 5.0, 5.0)
 
-    def test_snapshot_roundtrip_untruncated_is_plain_list(self):
+    def test_snapshot_roundtrip_below_cap(self):
         reg = MetricsRegistry()
         reg.observe("h", 1.0)
         reg.observe("h", 2.0)
         snap = reg.snapshot()
-        assert snap["histograms"]["h"] == [1.0, 2.0]  # legacy wire shape
+        assert snap["histograms"]["h"] == {
+            "count": 2, "sum": 3.0, "min": 1.0, "max": 2.0, "samples": [1.0, 2.0]
+        }
         other = MetricsRegistry()
         other.merge_snapshot(snap)
         assert other.values_of("h") == [1.0, 2.0]
         assert other.histogram("h").count == 2
 
-    def test_snapshot_roundtrip_truncated_keeps_exact_stats(self):
+    def test_snapshot_roundtrip_past_cap_keeps_exact_stats(self):
         reg = MetricsRegistry()
         h = reg.histogram("h")
-        h.sample_cap = 4
         for i in range(10):
             h.observe(float(i))
-        snap = reg.snapshot()
-        data = snap["histograms"]["h"]
-        assert isinstance(data, dict)
+        data = reg.snapshot()["histograms"]["h"]
         assert data["count"] == 10
+        assert len(data["samples"]) == 8
 
         other = MetricsRegistry()
-        other.merge_snapshot(snap)
+        other.merge_snapshot(reg.snapshot())
         merged = other.histogram("h")
         assert merged.count == 10
         assert merged.total == h.total
         assert merged.max == 9.0
-        assert merged.bucket_counts() == h.bucket_counts()
+        assert merged.values == h.values
 
-    def test_merge_snapshot_legacy_list_shape(self):
-        # Old writers shipped bare sample lists; they must still merge.
+    def test_bare_sample_list_is_not_a_snapshot(self):
+        # One wire shape: the dict.  A bare sample list is rejected loudly.
         reg = MetricsRegistry()
-        reg.merge_snapshot({"counters": {}, "histograms": {"h": [0.5, 2.0]}})
-        assert reg.histogram("h").count == 2
-        assert reg.values_of("h") == [0.5, 2.0]
+        with pytest.raises(TypeError):
+            reg.merge_snapshot({"counters": {}, "histograms": {"h": [0.5, 2.0]}})
 
 
 class TestNullMetrics:

@@ -4,19 +4,18 @@ import json
 
 import pytest
 
-from repro.obs import SCHEMA_VERSION, MetricsRegistry, RunReport
+from repro.obs import SCHEMA_VERSION, events_of, read_events
 from repro.obs.report import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     EXIT_REGRESSION,
     RunAggregate,
     aggregate_files,
-    aggregate_to_report,
     diff_against,
-    load_any,
     main,
     render_aggregate,
     render_diff,
+    save_aggregate,
 )
 
 
@@ -79,20 +78,37 @@ def sample_event_log(path):
     )
 
 
-def sample_run_report(counters=None, **kwargs):
-    reg = MetricsRegistry()
-    for name, value in (counters or {"oracle.calls": 10}).items():
-        reg.incr(name, value)
-    reg.observe("span.explain.file.seconds", 0.25)
-    kwargs.setdefault("label", "b.ml")
-    return RunReport.from_run(reg, **kwargs)
+def traced_event_log(path, counters):
+    """A log whose closing metrics event carries per-span seconds (as the
+    CLI writes it when ``--trace`` fed the registry)."""
+    write_event_log(
+        path,
+        [
+            event_line(0, "log_started", pid=1, wall_time=0.0),
+            event_line(
+                1,
+                "metrics",
+                counters=counters,
+                span_seconds={"search": 0.75, "localize": 0.25},
+            ),
+            event_line(2, "log_closed", events=2),
+        ],
+    )
+
+
+def lower_baseline_calls(path, by):
+    """Edit a saved log so the current run reads as a regression."""
+    records = read_events(path)
+    for record in events_of(records, "metrics"):
+        record["counters"]["oracle.calls"] -= by
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
 
 class TestAggregation:
     def test_event_log_aggregates(self, tmp_path):
         path = tmp_path / "e.jsonl"
         sample_event_log(path)
-        agg = load_any(str(path))
+        agg = aggregate_files([str(path)])
         assert agg.value("oracle.calls") == 34
         assert agg.value("search.removal_tests") == 12
         assert len(agg.searches) == 1
@@ -101,26 +117,37 @@ class TestAggregation:
         assert agg.phases_shed == {"triage": 3}
         assert agg.crash_samples  # from oracle_crash + degradation events
 
-    def test_run_report_aggregates(self, tmp_path):
-        path = tmp_path / "r.json"
-        sample_run_report({"oracle.calls": 7}).write(path)
-        agg = load_any(str(path))
+    def test_span_seconds_from_metrics_event(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        traced_event_log(path, {"oracle.calls": 7})
+        agg = aggregate_files([str(path)])
         assert agg.value("oracle.calls") == 7
-        assert agg.span_seconds["explain.file"] == pytest.approx(0.25)
+        assert agg.span_seconds == {"search": 0.75, "localize": 0.25}
+        text = render_aggregate(agg)
+        assert "time share by span:" in text
+        assert "75.0%" in text
+
+    def test_no_span_table_without_span_seconds(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        sample_event_log(path)
+        assert "time share by span" not in render_aggregate(
+            aggregate_files([str(path)])
+        )
 
     def test_multiple_files_sum(self, tmp_path):
         e = tmp_path / "e.jsonl"
-        r = tmp_path / "r.json"
+        t = tmp_path / "t.jsonl"
         sample_event_log(e)
-        sample_run_report({"oracle.calls": 6}).write(r)
-        agg = aggregate_files([str(e), str(r)])
-        assert agg.value("oracle.calls") == 40
-        assert len(agg.sources) == 2
+        traced_event_log(t, {"oracle.calls": 6})
+        agg = aggregate_files([str(e), str(t), str(t)])
+        assert agg.value("oracle.calls") == 46
+        assert len(agg.sources) == 3
+        assert agg.span_seconds == {"search": 1.5, "localize": 0.5}
 
     def test_render_mentions_key_tables(self, tmp_path):
         path = tmp_path / "e.jsonl"
         sample_event_log(path)
-        text = render_aggregate(load_any(str(path)))
+        text = render_aggregate(aggregate_files([str(path)]))
         assert "oracle breakdown" in text
         assert "prefix-reuse rate" in text
         assert "rank 1" in text
@@ -154,7 +181,7 @@ class TestAggregation:
         from repro.obs import EventSchemaError
 
         with pytest.raises(EventSchemaError):
-            load_any(str(path))
+            aggregate_files([str(path)])
 
 
 class TestDiff:
@@ -229,31 +256,28 @@ class TestMain:
 
     def test_save_then_diff_identical_is_ok(self, tmp_path, capsys):
         path = tmp_path / "e.jsonl"
-        base = tmp_path / "base.json"
+        base = tmp_path / "base.jsonl"
         sample_event_log(path)
         assert main([str(path), "--save", str(base)]) == EXIT_OK
         assert main([str(path), "--diff", str(base)]) == EXIT_OK
+        assert "no counter changes" in capsys.readouterr().out
 
     def test_diff_regression_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "e.jsonl"
-        base = tmp_path / "base.json"
+        base = tmp_path / "base.jsonl"
         sample_event_log(path)
         assert main([str(path), "--save", str(base)]) == EXIT_OK
         # Lower the baseline's oracle.calls: current run now "regresses".
-        doc = json.loads(base.read_text())
-        doc["counters"]["oracle.calls"] -= 5
-        base.write_text(json.dumps(doc))
+        lower_baseline_calls(base, 5)
         assert main([str(path), "--diff", str(base)]) == EXIT_REGRESSION
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_diff_regression_within_threshold_is_ok(self, tmp_path, capsys):
         path = tmp_path / "e.jsonl"
-        base = tmp_path / "base.json"
+        base = tmp_path / "base.jsonl"
         sample_event_log(path)
         main([str(path), "--save", str(base)])
-        doc = json.loads(base.read_text())
-        doc["counters"]["oracle.calls"] -= 5
-        base.write_text(json.dumps(doc))
+        lower_baseline_calls(base, 5)
         assert main([str(path), "--diff", str(base), "--threshold", "0.5"]) == EXIT_OK
 
     def test_unknown_schema_is_input_error(self, tmp_path, capsys):
@@ -262,26 +286,59 @@ class TestMain:
         assert main([str(path)]) == EXIT_INPUT_ERROR
         assert "unknown event schema version" in capsys.readouterr().err
 
-    def test_unknown_report_schema_is_input_error(self, tmp_path, capsys):
-        path = tmp_path / "future.json"
-        doc = sample_run_report().to_dict()
-        doc["schema"] = 99
-        path.write_text(json.dumps(doc))
+    @pytest.mark.parametrize("indent", [2, None], ids=["pretty", "one-line"])
+    def test_unknown_report_schema_is_input_error(self, tmp_path, capsys, indent):
+        # A run-summary JSON document (the retired second format) is not
+        # an event log: one error line, exit 2, as a file argument or as
+        # a --diff baseline.
+        path = tmp_path / "summary.json"
+        doc = {"schema": 1, "label": "b.ml", "counters": {"oracle.calls": 10},
+               "histograms": {}, "entries": [], "suggestions": []}
+        path.write_text(json.dumps(doc, indent=indent) + "\n")
         assert main([str(path)]) == EXIT_INPUT_ERROR
-        assert "unknown RunReport schema" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ")
+        assert err.count("\n") == 1
+        log = tmp_path / "e.jsonl"
+        sample_event_log(log)
+        assert main([str(log), "--diff", str(path)]) == EXIT_INPUT_ERROR
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR
 
 
-class TestAggregateToReport:
-    def test_save_roundtrip_preserves_counters(self, tmp_path):
+class TestSaveAggregate:
+    def test_save_roundtrip_preserves_the_aggregate(self, tmp_path):
+        e, t = tmp_path / "e.jsonl", tmp_path / "t.jsonl"
+        sample_event_log(e)
+        traced_event_log(t, {"oracle.calls": 6})
+        agg = aggregate_files([str(e), str(t)])
+        out = tmp_path / "agg.jsonl"
+        save_aggregate(agg, str(out))
+        reloaded = aggregate_files([str(out)])
+        assert reloaded.counters == agg.counters
+        assert reloaded.searches == agg.searches
+        assert reloaded.rank_counts == agg.rank_counts
+        assert reloaded.phases_shed == agg.phases_shed
+        assert reloaded.crash_samples == agg.crash_samples
+        assert reloaded.span_seconds == agg.span_seconds
+        assert reloaded.elapsed_seconds == agg.elapsed_seconds
+
+    def test_saved_log_renders_the_same_tables(self, tmp_path):
         path = tmp_path / "e.jsonl"
         sample_event_log(path)
-        agg = load_any(str(path))
-        report = aggregate_to_report(agg)
-        out = tmp_path / "agg.json"
-        report.write(out)
-        reloaded = load_any(str(out))
-        assert reloaded.counters == agg.counters
-        assert reloaded.rank_counts == agg.rank_counts
+        agg = aggregate_files([str(path)])
+        out = tmp_path / "agg.jsonl"
+        save_aggregate(agg, str(out))
+        assert render_aggregate(aggregate_files([str(out)])) == render_aggregate(agg)
+
+    def test_saved_log_is_an_event_log(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        sample_event_log(path)
+        out = tmp_path / "agg.jsonl"
+        save_aggregate(aggregate_files([str(path)]), str(out))
+        types = [event["type"] for event in read_events(out)]
+        assert types == [
+            "log_started", "search_finished", "suggestions", "degradation",
+            "metrics", "log_closed",
+        ]

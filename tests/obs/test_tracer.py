@@ -50,13 +50,6 @@ class TestSpans:
         assert names["inner"]["args"]["aborted"] == "ValueError"
         assert names["outer"]["args"]["aborted"] == "ValueError"
 
-    def test_instant_event(self):
-        tracer = Tracer()
-        tracer.event("marker", reason="test")
-        [event] = tracer.events
-        assert event["ph"] == "i"
-        assert event["args"]["reason"] == "test"
-
     def test_spans_filter_by_name(self):
         tracer = Tracer()
         with tracer.span("a"):
@@ -136,7 +129,6 @@ class TestNullTracer:
     def test_null_tracer_records_nothing(self):
         with NULL_TRACER.span("work") as sp:
             sp.set("k", "v")
-        NULL_TRACER.event("marker")
         assert NULL_TRACER.events == []
         assert NULL_TRACER.spans() == []
         assert NULL_TRACER.open_spans == 0

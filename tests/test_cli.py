@@ -178,16 +178,34 @@ class TestExitCodes:
         assert events_of(events, "suggestions")
         assert events_of(events, "metrics")
 
-    def test_report_flag_writes_run_report(self, ml_file, tmp_path, capsys):
-        from repro.obs import RunReport
+    def test_traced_event_log_reports_time_share_by_span(
+        self, ml_file, tmp_path, capsys
+    ):
+        from repro.obs import events_of, read_events
 
-        path = tmp_path / "run.json"
-        assert main([str(ml_file), "--report", str(path)]) == 1
-        report = RunReport.load(path)
-        assert report.label == str(ml_file)
-        assert report.counters["oracle.calls"] > 0
-        assert report.suggestions[0]["rank"] == 1
-        assert report.elapsed_seconds > 0
+        trace, events = tmp_path / "t.json", tmp_path / "e.jsonl"
+        assert main([str(ml_file), "--trace", str(trace),
+                     "--events", str(events)]) == 1
+        [closing] = events_of(read_events(events), "metrics")
+        assert closing["counters"]["oracle.calls"] > 0
+        assert "search" in closing["span_seconds"]
+        capsys.readouterr()
+        assert main(["report", str(events)]) == 0
+        out = capsys.readouterr().out
+        assert "time share by span:" in out
+        span_rows = out.split("time share by span:\n", 1)[1].splitlines()
+        assert any(row.split()[0] == "search" for row in span_rows if row)
+
+    def test_untraced_event_log_has_no_span_seconds(self, ml_file, tmp_path, capsys):
+        from repro.obs import events_of, read_events
+
+        events = tmp_path / "e.jsonl"
+        assert main([str(ml_file), "--events", str(events)]) == 1
+        [closing] = events_of(read_events(events), "metrics")
+        assert "span_seconds" not in closing
+        capsys.readouterr()
+        assert main(["report", str(events)]) == 0
+        assert "time share by span" not in capsys.readouterr().out
 
     def test_events_on_ok_program(self, ok_file, tmp_path, capsys):
         from repro.obs import events_of, read_events
@@ -206,10 +224,14 @@ class TestExitCodes:
 
     def test_report_subcommand_diff_cycle(self, ml_file, tmp_path, capsys):
         events = tmp_path / "run.jsonl"
-        baseline = tmp_path / "base.json"
+        baseline = tmp_path / "base.jsonl"
         main([str(ml_file), "--events", str(events)])
         assert main(["report", str(events), "--save", str(baseline)]) == 0
+        capsys.readouterr()
         assert main(["report", str(events), "--diff", str(baseline)]) == 0
+        out = capsys.readouterr().out
+        assert "no counter changes" in out
+        assert "REGRESSION" not in out
 
     def test_help_documents_exit_codes(self, capsys):
         with pytest.raises(SystemExit):

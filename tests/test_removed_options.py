@@ -9,6 +9,10 @@ isolation is unconditional (no ``strict`` switch).  The verdict store takes
 a failed segment read or publish once (no retry policy, no backoff sleep,
 no ``repro.core.retry`` module, no fault streaks in ``FlakyStore``) and
 auto-publishes at the constant :data:`~repro.store.verdicts.FLUSH_EVERY`.
+The event log is the flight recorder's only run record: no ``--report``
+summary document, no Prometheus exporter, and histograms keep no bucket
+tallies and cap their samples at the constant
+:data:`~repro.obs.metrics.SAMPLE_CAP`.
 A caller still passing one of the old options gets an error naming it.
 """
 
@@ -17,10 +21,14 @@ import importlib
 import pytest
 
 import repro.core
+import repro.obs
 from repro.cli import main
 from repro.core import Oracle, SearchConfig, explain
 from repro.core.resilience import Deadline
+from repro.evaluation.timing import TimingResult
 from repro.faults import FlakyStore
+from repro.obs import MetricsRegistry, NullMetrics, NullTracer, Tracer
+from repro.obs.metrics import Histogram
 from repro.store import VerdictStore
 
 ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
@@ -103,3 +111,60 @@ def test_cli_rejects(ml_file, batch, flag, value, capsys):
         main(argv)
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_cli_rejects_report_flag(ml_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([str(ml_file), "--report", str(tmp_path / "run.json")])
+    assert exc.value.code == 2
+    assert "--report" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("option, value", [("buckets", (1.0, 2.0)), ("sample_cap", 4)])
+def test_histogram_rejects(option, value):
+    with pytest.raises(TypeError, match=option):
+        Histogram("h", **{option: value})
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["RunReport", "render_prometheus", "DEFAULT_BUCKETS", "summarize_histogram",
+     "ReportSchemaError", "RUN_REPORT_SCHEMA"],
+)
+def test_obs_exports_no_second_format(name):
+    assert not hasattr(repro.obs, name)
+
+
+def test_export_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.export")
+
+
+@pytest.mark.parametrize("method", ["percentile", "quantile", "bucket_counts"])
+def test_histogram_has_no_bucket_or_quantile_methods(method):
+    assert not hasattr(Histogram("h"), method)
+
+
+@pytest.mark.parametrize("cls", [MetricsRegistry, NullMetrics])
+def test_registry_has_no_merge(cls):
+    # Batch merging goes through merge_snapshot alone.
+    assert not hasattr(cls(), "merge")
+    assert hasattr(cls(), "merge_snapshot")
+
+
+@pytest.mark.parametrize("cls", [Tracer, NullTracer])
+def test_tracer_has_no_instant_events(cls):
+    assert not hasattr(cls(), "event")
+
+
+def test_timing_result_has_no_run_report_bridge():
+    assert not hasattr(TimingResult(), "to_run_report")
+
+
+@pytest.mark.parametrize("name", ["load_any", "aggregate_to_report", "add_report"])
+def test_report_has_one_reader(name):
+    import repro.obs.report as report
+
+    assert not hasattr(report, name)
+    assert not hasattr(report.RunAggregate, name)
