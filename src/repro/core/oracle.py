@@ -44,9 +44,10 @@ them kill the search:
   degradation report.
 * **Depth pre-check** — candidates whose AST depth exceeds ``max_depth``
   (default: derived from the interpreter's recursion limit) are rejected
-  *before* inference by a :class:`~repro.tree.DepthProbe`, which reads the
-  depth off the candidate's structural key, so deep trees can never trip
-  Python's recursion limit inside the checker in the first place.
+  *before* inference by a :class:`~repro.tree.DepthProbe`, which walks
+  only the candidate's unkeyed spine and reads ``HCKey.depth`` for every
+  subtree the keyer already holds, so deep trees can never trip Python's
+  recursion limit inside the checker in the first place.
 * **Self-healing reuse** — any exception from the snapshot route (a
   poisoned snapshot, a :class:`~repro.miniml.infer.TrailIntegrityError`)
   disarms the snapshot, counts ``oracle.prefix.fallbacks``, and
@@ -85,7 +86,7 @@ from repro.miniml.infer import (
     typecheck_program,
 )
 from repro.obs import NULL_EVENTS, NULL_METRICS
-from repro.tree import DepthProbe, StructuralKeyer
+from repro.tree import DepthProbe, StructuralKeyer, TreeTooDeep
 
 #: Sentinel for "derive ``max_depth`` from the interpreter's limit".
 AUTO_DEPTH = "auto"
@@ -194,9 +195,9 @@ class Oracle:
         if max_depth == AUTO_DEPTH:
             max_depth = default_max_depth()
         self.max_depth: Optional[int] = max_depth
-        #: The one structural keyer of a search: the depth guard, store
-        #: keys and the decl table all intern into it, and :meth:`reset`
-        #: clears it (the searcher reports its size as
+        #: The one structural keyer of a search: store keys and the decl
+        #: table intern into it, the depth guard reads depths off it, and
+        #: :meth:`reset` clears it (the searcher reports its size as
         #: ``search.keys.interned``).
         self.keyer = StructuralKeyer()
         self._depth_probe = (
@@ -500,7 +501,9 @@ class Oracle:
 
         Accounting order matters: the depth pre-check comes first (a
         too-deep candidate is rejected for free, before checking could
-        recurse into it); the budget gate comes next, so a call that
+        recurse into it; with a store attached the candidate is keyed
+        just before it, and a tree too deep to key is rejected the same
+        way); the budget gate comes next, so a call that
         raises :class:`BudgetExceeded` checked nothing and does not count
         toward ``calls``.  Finally, any unexpected exception from the
         checker is isolated: the candidate is rejected
@@ -519,23 +522,29 @@ class Oracle:
             return CheckResult(ok=False)
 
     def _check(self, program) -> CheckResult:
-        if self._depth_probe is not None and self._depth_probe.exceeds(
-            program, self.max_depth
-        ):
-            self.depth_rejections += 1
-            self.metrics.incr("oracle.depth_rejected")
-            return CheckResult(ok=False)
+        skey = None
+        if self._depth_probe is not None:
+            if self._store_active:
+                # The store needs the candidate's key anyway: keyed first,
+                # the guard's depth read is a memo hit at the root.  A
+                # tree too deep to key is too deep to check.
+                try:
+                    skey = self.keyer(program)
+                except TreeTooDeep:
+                    return self._reject_too_deep()
+            if self._depth_probe.exceeds(program, self.max_depth):
+                return self._reject_too_deep()
         if self.max_calls is not None and self.calls >= self.max_calls:
             self.metrics.incr("oracle.budget_exceeded")
             raise BudgetExceeded(self.max_calls)
         self.calls += 1
-        skey = None
         if self._store_active:
             # Disk tier: probed *after* the budget gate and call counting
             # — a store hit spends budget exactly like a real check, so
             # the budget-exhaustion point (and the whole downstream
             # search) is identical warm or cold.
-            skey = self.keyer(program)
+            if skey is None:
+                skey = self.keyer(program)
             try:
                 stored = self.store.get(skey)
             except Exception:
@@ -564,6 +573,11 @@ class Oracle:
         if skey is not None and self.crashes == crashes:
             self._store_write(skey, result)
         return result
+
+    def _reject_too_deep(self) -> CheckResult:
+        self.depth_rejections += 1
+        self.metrics.incr("oracle.depth_rejected")
+        return CheckResult(ok=False)
 
     def passes(self, program) -> bool:
         """The boolean question the searcher actually asks."""

@@ -22,6 +22,7 @@ of a single opaque wall-clock number.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -144,26 +145,33 @@ def run_timing_study(
     if max_files is not None:
         files = files[:max_files]
     result = TimingResult()
-    for name, kwargs in configurations.items():
-        registry = MetricsRegistry()
-        tracer = Tracer(metrics=registry, keep_events=False)
-        calls: List[int] = []
-        degraded = 0
-        for corpus_file in files:
-            with tracer.span(_FILE_SPAN):
+    tracers = {}
+    for name in configurations:
+        result.metrics[name] = MetricsRegistry()
+        tracers[name] = Tracer(metrics=result.metrics[name], keep_events=False)
+        result.oracle_calls[name] = []
+        result.degraded_runs[name] = 0
+    # Files outermost, configurations inside: a file's runs sit next to
+    # each other in time, so host drift over the study spreads over every
+    # curve instead of landing on whichever configuration ran last.  Each
+    # run starts from a full collection: otherwise the collector's full
+    # passes, which recur with the allocation pattern of one file's runs,
+    # keep charging one configuration for the garbage of the others.
+    for corpus_file in files:
+        for name, kwargs in configurations.items():
+            gc.collect()
+            with tracers[name].span(_FILE_SPAN):
                 outcome = explain(
                     corpus_file.program,
                     max_oracle_calls=max_oracle_calls,
                     deadline_seconds=deadline_seconds,
-                    tracer=tracer,
-                    metrics=registry,
+                    tracer=tracers[name],
+                    metrics=result.metrics[name],
                     **kwargs,
                 )
-            calls.append(outcome.oracle_calls)
+            result.oracle_calls[name].append(outcome.oracle_calls)
             if outcome.degraded:
-                degraded += 1
+                result.degraded_runs[name] += 1
+    for name, registry in result.metrics.items():
         result.curves[name] = sorted(registry.values_of(f"span.{_FILE_SPAN}.seconds"))
-        result.oracle_calls[name] = calls
-        result.degraded_runs[name] = degraded
-        result.metrics[name] = registry
     return result

@@ -142,13 +142,17 @@ def read_events(source: Union[str, os.PathLike, Iterable[str]]) -> List[Dict[str
     """Parse an event-log file (or iterable of lines) back into dicts.
 
     Validates the schema version of every line and raises
-    :class:`EventSchemaError` on an unknown version or a malformed line —
+    :class:`EventSchemaError` on an unknown version, a malformed line or
+    a file that does not decode as text —
     a truncated or future-format log must fail loudly, not aggregate
     half a run silently.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source) as handle:
-            lines = handle.readlines()
+            try:
+                lines = handle.readlines()
+            except UnicodeDecodeError as err:
+                raise EventSchemaError(f"not text ({err})") from None
     else:
         lines = list(source)
     events: List[Dict[str, Any]] = []

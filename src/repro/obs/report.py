@@ -167,12 +167,17 @@ class RunAggregate:
 def aggregate_files(paths: Sequence[str]) -> RunAggregate:
     """Fold the event logs at ``paths`` into one aggregate, in order.
 
-    Schema errors (:class:`~repro.obs.events.EventSchemaError`) propagate:
-    a file that is not an event log is an input error, not half a run.
+    Schema errors (:class:`~repro.obs.events.EventSchemaError`) propagate
+    with the offending path in front of the message: a file that is not an
+    event log is an input error, not half a run.
     """
     total = RunAggregate()
     for path in paths:
-        total.add_events(read_events(path), path)
+        try:
+            events = read_events(path)
+        except EventSchemaError as err:
+            raise EventSchemaError(f"{path}: {err}") from None
+        total.add_events(events, path)
     return total
 
 

@@ -166,9 +166,10 @@ def node_depth(root: Node) -> int:
     """Height of the subtree (a leaf has depth 1).
 
     Iterative (explicit stack) so it is safe on trees far deeper than the
-    interpreter's recursion limit.  The oracle's guard reads the same
-    number off :attr:`HCKey.depth` instead (see :class:`DepthProbe`); this
-    is the exact walk that defines it.
+    interpreter's recursion limit.  The oracle's guard measures the same
+    number with :meth:`StructuralKeyer.depth`, which reads
+    :attr:`HCKey.depth` for subtrees already keyed (see
+    :class:`DepthProbe`); this is the exact walk that defines it.
     """
     depths: dict = {}
     stack: list = [(root, None)]
@@ -254,7 +255,9 @@ class HCKey:
 
     ``depth`` is the keyed subtree's height (:func:`node_depth` of it),
     computed from the child keys in ``parts`` — so every interned key, and
-    every key rebuilt by unpickling, carries it for free.
+    every key rebuilt by unpickling, carries it for free.  The depth guard
+    reads it through :meth:`StructuralKeyer.depth` instead of re-walking
+    subtrees the search has already keyed.
     """
 
     __slots__ = ("parts", "depth", "_hash", "_digest")
@@ -362,6 +365,10 @@ class StructuralKeyer:
     whole search pipeline operates (``span``/``synthetic`` mutations do
     not participate in keys).  Call :meth:`clear` between searches to
     release the pinned trees.
+
+    :meth:`depth` measures a tree's height against the same memo without
+    keying it, which is all the oracle's depth guard needs: only the
+    verdict store and the declaration outcome table key programs.
     """
 
     __slots__ = ("_memo", "_intern")
@@ -415,18 +422,53 @@ class StructuralKeyer:
         memo[id(root)] = (root, key)
         return key
 
+    def depth(self, root: Node) -> int:
+        """:func:`node_depth` of ``root``, read off this keyer's keys.
+
+        A subtree already in the identity memo answers with its
+        :attr:`HCKey.depth`; only nodes this keyer has not keyed (a
+        candidate's rebuilt spine and its fresh replacement) are walked.
+        Nothing is interned.  Trees too deep to walk recursively raise
+        :class:`TreeTooDeep`, as keying does.
+        """
+        try:
+            return self._depth(root)
+        except RecursionError:
+            raise TreeTooDeep(
+                "tree is too deeply nested to measure its depth"
+            ) from None
+
+    def _depth(self, root: Node) -> int:
+        entry = self._memo.get(id(root))
+        if entry is not None:
+            return entry[1].depth
+        depth = 0
+        for name in _field_names(root.__class__):
+            value = getattr(root, name)
+            if isinstance(value, Node):
+                child = self._depth(value)
+                if child > depth:
+                    depth = child
+            elif isinstance(value, (list, tuple)):
+                for element in value:
+                    if isinstance(element, Node):
+                        child = self._depth(element)
+                        if child > depth:
+                            depth = child
+        return depth + 1
+
 
 class DepthProbe:
     """The oracle's depth guard (crash-avoidance pre-check).
 
     Rejects candidates deep enough to trip Python's recursion limit
     *inside* inference, where the resulting ``RecursionError`` would
-    otherwise surface mid-unification.  It has no memo or walk of its
-    own: it reads :attr:`HCKey.depth` off ``keyer``, the oracle's
-    :class:`StructuralKeyer`, whose identity memo makes the subtrees a
-    candidate shares with earlier ones free to key.  A tree too deep for
-    the keyer to key (:class:`TreeTooDeep`) is too deep for inference as
-    well.
+    otherwise surface mid-unification.  It has no memo of its own and
+    keys nothing: :meth:`StructuralKeyer.depth` on ``keyer``, the
+    oracle's keyer, reads :attr:`HCKey.depth` for every subtree the
+    search has already keyed (the base program's declarations) and walks
+    only the candidate's rebuilt spine.  A tree too deep for that walk
+    (:class:`TreeTooDeep`) is too deep for inference as well.
     """
 
     __slots__ = ("keyer",)
@@ -436,7 +478,7 @@ class DepthProbe:
 
     def exceeds(self, root: Node, limit: int) -> bool:
         try:
-            return self.keyer(root).depth > limit
+            return self.keyer.depth(root) > limit
         except TreeTooDeep:
             return True
 

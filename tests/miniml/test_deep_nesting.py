@@ -104,11 +104,21 @@ class TestDepthProbe:
         rewrapped = Program([DExpr(EApp(program.decls[0].expr, [EVar("y")]))])
         assert probe.exceeds(rewrapped, 100)
 
-    def test_probe_keys_into_the_keyer_it_is_given(self):
+    def test_probe_reads_the_keyer_it_is_given(self):
         keyer = StructuralKeyer()
         program = deep_app_chain(10)
-        assert not DepthProbe(keyer).exceeds(program, 100)
+        probe = DepthProbe(keyer)
+        # Nothing keyed yet: the probe walks the whole tree, keys nothing.
+        assert not probe.exceeds(program, 100)
+        assert keyer.interned == 0
+        keyer(program)
         assert keyer.interned == node_size(program)
+        # Keyed subtrees answer from HCKey.depth.  Grafting a deeper chain
+        # into the keyed tree in place (the search never mutates a keyed
+        # node) shows the probe reads the key instead of re-walking.
+        program.decls[0].expr.func = deep_app_chain(200).decls[0].expr
+        assert not probe.exceeds(program, 100)
+        assert keyer.interned == node_size(deep_app_chain(10))
 
 
 class TestInference:

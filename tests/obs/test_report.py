@@ -297,11 +297,37 @@ class TestMain:
         path.write_text(json.dumps(doc, indent=indent) + "\n")
         assert main([str(path)]) == EXIT_INPUT_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: line 1: ")
+        assert err.startswith(f"error: {path}: line 1: ")
         assert err.count("\n") == 1
         log = tmp_path / "e.jsonl"
         sample_event_log(log)
         assert main([str(log), "--diff", str(path)]) == EXIT_INPUT_ERROR
+
+    def test_rejected_file_argument_is_named(self, tmp_path, capsys):
+        good, bad = tmp_path / "e.jsonl", tmp_path / "README.md"
+        sample_event_log(good)
+        bad.write_text("# not an event log\n")
+        assert main([str(good), str(bad)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 1: not valid JSON")
+        assert err.count("\n") == 1
+
+    def test_undecodable_file_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        assert main([str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not text")
+        assert err.count("\n") == 1
+
+    def test_rejected_diff_baseline_is_named(self, tmp_path, capsys):
+        log, baseline = tmp_path / "e.jsonl", tmp_path / "base.jsonl"
+        sample_event_log(log)
+        baseline.write_text('{"v": 99, "seq": 0, "t": 0, "type": "x"}\n')
+        assert main([str(log), "--diff", str(baseline)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {baseline}: line 1: unknown event schema")
+        assert str(log) not in err
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR

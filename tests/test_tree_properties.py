@@ -155,3 +155,22 @@ class TestKeyDepthProperties:
         path, _ = nodes[pick % len(nodes)]
         candidate = replace_at(tree, path, graft)
         assert keyer(candidate).depth == node_depth(candidate)
+
+    @given(expr_trees(), expr_trees(), st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_measured_depth_is_node_depth(self, tree, graft, pick, graft_keyed):
+        # StructuralKeyer.depth walks what the keyer has not keyed and
+        # reads HCKey.depth for the rest; it interns nothing either way.
+        nodes = list(walk(tree))
+        path, _ = nodes[pick % len(nodes)]
+        candidate = replace_at(tree, path, graft)
+        cold = StructuralKeyer()
+        assert cold.depth(candidate) == node_depth(candidate)
+        assert cold.interned == 0
+        warm = StructuralKeyer()
+        warm(tree)
+        if graft_keyed:
+            warm(graft)
+        interned = warm.interned
+        assert warm.depth(candidate) == node_depth(candidate)
+        assert warm.interned == interned
