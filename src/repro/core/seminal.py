@@ -148,8 +148,8 @@ def explain(
     :mod:`repro.store`): a directory path (opened here and closed on the
     way out) or an already-open :class:`~repro.store.VerdictStore`, a
     session shared across searches: it is refreshed with segments other
-    processes published before the search and publishes this search's
-    verdicts and hit markers after it, but stays open for the caller.
+    processes published before the search and flushed with this search's
+    verdicts after it, but stays open for the caller.
     :func:`explain_many` keeps one such session per batch process.
     Warm runs skip re-checking candidates seen by any earlier
     run while keeping suggestions, ranks, ``oracle_calls`` and
@@ -217,7 +217,7 @@ def explain(
             if owns_store:
                 store_obj.close()
             else:
-                store_obj.publish()
+                store_obj.flush()
         except Exception:
             pass  # persisting the cache is best-effort; answers stand
         # A failed publish counts on the search whose verdicts it lost.
@@ -375,7 +375,7 @@ def explain_many(
     it for a serial batch and for re-runs, and closes it on the way out;
     forked workers inherit it.  Each file still refreshes the session
     with segments published since (by siblings or other runs) and
-    publishes its own verdicts and hit markers when it finishes, so an
+    publishes its own verdicts when it finishes, so an
     interrupted batch keeps every finished file's verdicts.
     """
     source_list = list(sources)

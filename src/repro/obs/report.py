@@ -79,6 +79,9 @@ class RunAggregate:
     rank_counts: Dict[int, int] = field(default_factory=dict)
     #: Phase -> shed count (from degradation reports / events).
     phases_shed: Dict[str, int] = field(default_factory=dict)
+    #: Crash samples from ``degradation`` events only: each search's
+    #: bounded sample, which ``--save`` writes back the same way (its
+    #: ``oracle_crash`` events carry the same crashes again).
     crash_samples: List[str] = field(default_factory=list)
     degraded_runs: int = 0
     elapsed_seconds: float = 0.0
@@ -147,10 +150,6 @@ class RunAggregate:
                 self.add_degradation(event)
             elif kind == "profile":
                 self.add_profile(event.get("hotspots") or [])
-            elif kind == "oracle_crash":
-                sample = event.get("error")
-                if sample:
-                    self.crash_samples.append(sample)
 
     # -- derived ---------------------------------------------------------
 

@@ -15,6 +15,7 @@ Contents:
   segment files published atomically (write-temp + rename) so concurrent
   processes share one directory without locks; corrupt or torn segments
   are skipped, never raised (the :mod:`repro.core.resilience` contract).
+  It holds verdicts and nothing else.
 * :mod:`repro.store.cli` — ``python -m repro cache stats|clear|compact``.
 """
 

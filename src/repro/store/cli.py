@@ -6,15 +6,17 @@ Subcommands::
     repro cache clear   --store PATH            delete every segment
     repro cache compact --store PATH [--max-bytes N]
                                                 drop stale/torn files, evict
-                                                least-recently-hit segments
+                                                oldest-published segments
                                                 until under the cap
 
-Exit codes: 0 on success, 2 on usage errors (matching the main CLI).
+Exit codes: 0 on success, 2 on usage errors (matching the main CLI),
+including a ``--store`` that is not an existing directory (never created).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -39,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--max-bytes",
                 type=int,
                 default=None,
-                help="evict least-recently-hit segments until total "
+                help="evict the oldest-published segments until total "
                 "segment bytes fit under this cap",
             )
     return parser
@@ -51,6 +53,9 @@ def cache_main(argv: Optional[List[str]] = None, out=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    if not os.path.isdir(args.store):
+        print(f"error: not a store directory: {args.store}", file=sys.stderr)
+        return 2
     store = VerdictStore(args.store, read_only=(args.action == "stats"))
     if args.action == "stats":
         stats = store.stats()

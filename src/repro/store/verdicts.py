@@ -5,7 +5,9 @@ On-disk layout (one directory per store)::
     store/
       seg-<stamp>-<pid>-<n>.jsonl   published segments (immutable)
       .tmp-<pid>-<n>                in-flight segments (ignored by readers)
-      hits/<segment-name>           last-hit markers (compaction recency)
+
+The store holds verdicts and nothing else; a ``hits/`` directory left by
+an older version (hit-recency markers) is ignored.
 
 Each segment is JSON Lines: a header line carrying the schema version and
 the checker fingerprint the segment was written under, then one line per
@@ -30,13 +32,13 @@ the session's next publish tries again under fresh names.
 Entries whose header fingerprint does not match the current
 :func:`~repro.store.fingerprint.checker_fingerprint` are counted as
 invalidated and not indexed; ``compact`` deletes such segments outright
-and enforces a byte-size cap by evicting the least-recently-hit segments
-first.
+and enforces a byte-size cap by evicting the oldest-published segments
+first (segment names begin with their publish stamp).
 
 One open store can serve many searches (a batch process keeps one
 session): :meth:`VerdictStore.refresh` loads only the segments published
-since the store last looked, and :meth:`VerdictStore.publish` writes a
-search's verdicts and hit markers without closing anything.
+since the store last looked, and :meth:`VerdictStore.flush` publishes a
+search's verdicts without closing anything.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import itertools
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -54,7 +56,6 @@ from .fingerprint import STORE_SCHEMA_VERSION, checker_fingerprint, key_digest
 _SEGMENT_PREFIX = "seg-"
 _SEGMENT_SUFFIX = ".jsonl"
 _TMP_PREFIX = ".tmp-"
-_HITS_DIR = "hits"
 
 #: Numbers this process's segments, across every store it opens: two
 #: stores on one path publishing in the same millisecond must not pick the
@@ -74,7 +75,6 @@ class StoredVerdict:
     ok: bool
     err: Optional[str] = None  # rendered checker message, when failing
     err_kind: Optional[str] = None  # error class tag (display fidelity)
-    segment: Optional[str] = None  # which segment served it (recency)
 
 
 @dataclass
@@ -89,26 +89,7 @@ class StoreStats:
     skipped_segments: int = 0
     skipped_lines: int = 0
     tmp_files: int = 0
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
     per_segment: List[Tuple[str, int, int]] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "segments": self.segments,
-            "entries": self.entries,
-            "bytes": self.bytes,
-            "invalidated": self.invalidated,
-            "skipped_segments": self.skipped_segments,
-            "skipped_lines": self.skipped_lines,
-            "tmp_files": self.tmp_files,
-            "per_segment": [
-                {"segment": name, "entries": entries, "bytes": size}
-                for name, entries, size in self.per_segment
-            ],
-        }
 
 
 class VerdictStore:
@@ -121,18 +102,15 @@ class VerdictStore:
     read_only:
         Open for probing only: :meth:`put` and :meth:`flush` become
         no-ops (``repro cache stats`` inspects a store this way).
-    clock:
-        Wall clock for segment names and hit-recency stamps.
 
     Buffered writes are published as a segment automatically once
     :data:`FLUSH_EVERY` of them are pending (they are also visible to
     :meth:`get` at once, so a single process never misses its own work).
     """
 
-    def __init__(self, path, *, read_only: bool = False, clock=time.time):
+    def __init__(self, path, *, read_only: bool = False):
         self.path = Path(path)
         self.read_only = read_only
-        self._clock = clock
         #: Segment reads and publishes that failed and degraded (read ->
         #: segment skipped, publish -> verdicts kept pending in memory).
         self.io_errors = 0
@@ -142,10 +120,6 @@ class VerdictStore:
         #: ones :meth:`refresh` never reads (again).
         self._seen: set = set()
         self._pending: List[dict] = []
-        self._hit_segments: Dict[str, float] = {}
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
         self.invalidated = 0
         self.skipped_segments = 0
         self.skipped_lines = 0
@@ -235,7 +209,6 @@ class VerdictStore:
                     ok=bool(raw["ok"]),
                     err=raw.get("err"),
                     err_kind=raw.get("ek"),
-                    segment=segment.name,
                 )
             except Exception:
                 # Torn tail of a crashed writer, or corruption: skip the
@@ -253,14 +226,7 @@ class VerdictStore:
 
     def get(self, structural_key: object) -> Optional[StoredVerdict]:
         """Probe for the current checker's verdict on one program."""
-        entry = self._index.get(key_digest(structural_key))
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        if entry.segment is not None:
-            self._hit_segments[entry.segment] = self._clock()
-        return entry
+        return self._index.get(key_digest(structural_key))
 
     def put(
         self,
@@ -278,7 +244,6 @@ class VerdictStore:
             return False  # already known: verdicts are deterministic
         self._index[digest] = StoredVerdict(ok=ok, err=err, err_kind=err_kind)
         self._pending.append({"k": digest, "ok": ok, "err": err, "ek": err_kind})
-        self.writes += 1
         # On multiples only: after a failed publish the pending verdicts
         # stay pending, and retrying on every later put would rewrite the
         # whole growing segment once per verdict.
@@ -307,7 +272,7 @@ class VerdictStore:
     def _next_names(self) -> Tuple[Path, Path]:
         n = next(_segment_numbers)
         pid = os.getpid()
-        stamp = int(self._clock() * 1000)
+        stamp = int(time.time() * 1000)
         tmp = self.path / f"{_TMP_PREFIX}{pid}-{n}"
         final = (
             self.path / f"{_SEGMENT_PREFIX}{stamp:013d}-{pid}-{n}{_SEGMENT_SUFFIX}"
@@ -338,44 +303,13 @@ class VerdictStore:
             except OSError:
                 pass
             return None
-        # The published verdicts now live in ``final``: name it on their
-        # index entries so a later hit in this session marks its recency.
-        for raw in self._pending:
-            digest = raw["k"]
-            entry = self._index.get(digest)
-            if entry is not None and entry.segment is None:
-                self._index[digest] = replace(entry, segment=final.name)
         self._seen.add(final.name)
         self._pending = []
         return final.name
 
-    def _write_hit_markers(self) -> None:
-        if self.read_only or not self._hit_segments:
-            return
-        hits_dir = self.path / _HITS_DIR
-        try:
-            hits_dir.mkdir(exist_ok=True)
-        except OSError:
-            return
-        for segment, stamp in self._hit_segments.items():
-            marker = hits_dir / segment
-            tmp = hits_dir / f"{_TMP_PREFIX}{os.getpid()}-{segment}"
-            try:
-                tmp.write_text(f"{stamp}\n", encoding="utf-8")
-                os.replace(tmp, marker)
-            except OSError:
-                continue
-        self._hit_segments = {}
-
-    def publish(self) -> None:
-        """Flush pending writes and persist hit-recency markers; the
-        store stays open for the next search."""
-        self.flush()
-        self._write_hit_markers()
-
     def close(self) -> None:
-        """Publish what is left (see :meth:`publish`)."""
-        self.publish()
+        """Publish what is left (see :meth:`flush`)."""
+        self.flush()
 
     def __enter__(self) -> "VerdictStore":
         return self
@@ -393,9 +327,6 @@ class VerdictStore:
             invalidated=self.invalidated,
             skipped_segments=self.skipped_segments,
             skipped_lines=self.skipped_lines,
-            hits=self.hits,
-            misses=self.misses,
-            writes=self.writes,
         )
         for segment in self._segment_files():
             try:
@@ -417,23 +348,18 @@ class VerdictStore:
         return stats
 
     def clear(self) -> int:
-        """Delete every segment, marker, and temp file.  Returns the
-        number of files removed."""
+        """Delete every segment and temp file.  Returns the number of
+        files removed."""
         removed = 0
         try:
             candidates = list(self.path.iterdir())
         except OSError:
             return 0
         for p in candidates:
-            if p.name == _HITS_DIR and p.is_dir():
-                for marker in list(p.iterdir()):
-                    removed += self._unlink(marker)
-                continue
             if p.name.startswith((_SEGMENT_PREFIX, _TMP_PREFIX)):
                 removed += self._unlink(p)
         self._index = {}
         self._pending = []
-        self._hit_segments = {}
         return removed
 
     @staticmethod
@@ -444,25 +370,10 @@ class VerdictStore:
         except OSError:
             return 0
 
-    def _last_hit(self, segment: Path) -> float:
-        """Recency key for eviction: the hit marker's stamp when present,
-        else the segment's own mtime (never hit since written)."""
-        marker = self.path / _HITS_DIR / segment.name
-        try:
-            return float(marker.read_text().strip())
-        except (OSError, ValueError):
-            pass
-        try:
-            return segment.stat().st_mtime
-        except OSError:
-            return 0.0
-
     def compact(self, max_bytes: Optional[int] = None) -> dict:
         """Trim the store: drop leftover temp files, delete segments whose
         schema version or checker fingerprint is stale, then — when ``max_bytes`` is given —
-        evict least-recently-hit segments until the cap is met."""
-        removed_segments = 0
-        removed_bytes = 0
+        evict the oldest-published segments until the cap is met."""
         removed_tmp = 0
         try:
             for p in list(self.path.iterdir()):
@@ -471,6 +382,7 @@ class VerdictStore:
         except OSError:
             pass
         live: List[Tuple[Path, int]] = []
+        evicted: List[Tuple[Path, int]] = []
         for segment in self._segment_files():
             try:
                 size = segment.stat().st_size
@@ -484,24 +396,15 @@ class VerdictStore:
             except Exception:
                 fresh = False
                 size = 0
-            if fresh:
-                live.append((segment, size))
-            else:
-                removed_segments += 1
-                removed_bytes += size
-                self._unlink(segment)
-                self._unlink(self.path / _HITS_DIR / segment.name)
+            (live if fresh else evicted).append((segment, size))
         if max_bytes is not None:
             total = sum(size for _, size in live)
-            # Coldest first; name as a deterministic tie-break.
-            live.sort(key=lambda item: (self._last_hit(item[0]), item[0].name))
+            # Oldest first: _segment_files() sorts by the publish stamp.
             while live and total > max_bytes:
-                segment, size = live.pop(0)
-                total -= size
-                removed_segments += 1
-                removed_bytes += size
-                self._unlink(segment)
-                self._unlink(self.path / _HITS_DIR / segment.name)
+                total -= live[0][1]
+                evicted.append(live.pop(0))
+        for segment, _ in evicted:
+            self._unlink(segment)
         remaining = self._segment_files()
         remaining_bytes = 0
         for segment in remaining:
@@ -510,8 +413,8 @@ class VerdictStore:
             except OSError:
                 continue
         return {
-            "removed_segments": removed_segments,
-            "removed_bytes": removed_bytes,
+            "removed_segments": len(evicted),
+            "removed_bytes": sum(size for _, size in evicted),
             "removed_tmp": removed_tmp,
             "remaining_segments": len(remaining),
             "remaining_bytes": remaining_bytes,

@@ -1,10 +1,13 @@
 """Tests for ``python -m repro report`` — aggregation and regression diff."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.obs import SCHEMA_VERSION, events_of, read_events
+from repro.core import explain
+from repro.faults import ChaosOracle, FaultPlan
+from repro.obs import SCHEMA_VERSION, EventLog, events_of, read_events
 from repro.obs.report import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
@@ -17,6 +20,8 @@ from repro.obs.report import (
     render_diff,
     save_aggregate,
 )
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def event_line(seq, type, **fields):
@@ -115,7 +120,7 @@ class TestAggregation:
         assert agg.degraded_runs == 1
         assert agg.rank_counts == {1: 1, 2: 1}
         assert agg.phases_shed == {"triage": 3}
-        assert agg.crash_samples  # from oracle_crash + degradation events
+        assert agg.crash_samples == ["Boom in infer"]  # degradation only
 
     def test_span_seconds_from_metrics_event(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -331,6 +336,29 @@ class TestMain:
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.json")]) == EXIT_INPUT_ERROR
+
+
+class TestCrashSamplesCountedOnce:
+    """A crashing search logs one ``oracle_crash`` event per crash and its
+    bounded sample again in the ``degradation`` event; the aggregate
+    takes the samples from the ``degradation`` event alone."""
+
+    def test_count_matches_the_degradation_event_and_survives_save(self, tmp_path):
+        log = tmp_path / "e.jsonl"
+        source = (EXAMPLES / "fig2.ml").read_text()
+        with EventLog(str(log)) as events:
+            explain(source, oracle=ChaosOracle(FaultPlan(crash_every=3)),
+                    events=events)
+        records = read_events(str(log))
+        crashes = events_of(records, "oracle_crash")
+        (degradation,) = events_of(records, "degradation")
+        samples = degradation["crash_samples"]
+        assert len(crashes) > len(samples) > 0
+        agg = aggregate_files([str(log)])
+        assert agg.crash_samples == samples
+        saved = tmp_path / "saved.jsonl"
+        save_aggregate(agg, str(saved))
+        assert aggregate_files([str(saved)]).crash_samples == samples
 
 
 class TestSaveAggregate:

@@ -54,6 +54,27 @@ class TestCacheSubcommand:
         assert main(["cache", "stats"]) == 2
 
 
+@pytest.mark.parametrize("action", ["stats", "clear", "compact"])
+class TestNotAStore:
+    """The subcommands inspect and trim a store; a ``--store`` that is not
+    an existing directory is a usage error that creates nothing."""
+
+    def test_missing_directory(self, tmp_path, capsys, action):
+        path = tmp_path / "typo" / "dir"
+        assert main(["cache", action, "--store", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_regular_file(self, tmp_path, capsys, action):
+        path = tmp_path / "store"
+        path.write_text("not a store")
+        assert main(["cache", action, "--store", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert path.read_text() == "not a store"
+
+
 class TestStoreFlag:
     def test_single_mode_warm_output_identical(self, tmp_path, capsys):
         source = tmp_path / "bad.ml"

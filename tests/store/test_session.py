@@ -3,8 +3,8 @@
 ``explain_many(store=path)`` opens one :class:`VerdictStore` for the whole
 batch (forked workers inherit it) instead of one per file.  The session
 must behave like per-file reopening in everything observable: entries,
-store hits and writes, hit-recency markers, and the invalidation count —
-while reading each published segment at most once.
+store hits and writes, compaction's eviction order, and the invalidation
+count — while reading each published segment at most once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.core import explain, explain_many
 from repro.corpus import generate_corpus
 from repro.miniml.pretty import pretty_program
 from repro.obs import MetricsRegistry
-from repro.store import STORE_SCHEMA_VERSION, VerdictStore
+from repro.store import STORE_SCHEMA_VERSION, VerdictStore, verdicts
 
 FIG2 = """\
 let map2 f aList bList =
@@ -148,10 +148,13 @@ class TestRefresh:
         assert len(read_by_session) == 1  # only the other store's
         assert read_by_session < segments
 
-    def test_two_stores_in_one_process_never_share_a_segment_name(self, tmp_path):
-        frozen = lambda: 1000.0  # both publish in the same millisecond
-        first = VerdictStore(tmp_path / "s", clock=frozen)
-        second = VerdictStore(tmp_path / "s", clock=frozen)
+    def test_two_stores_in_one_process_never_share_a_segment_name(
+        self, tmp_path, monkeypatch
+    ):
+        # Both publish in the same millisecond.
+        monkeypatch.setattr(verdicts, "time", _Ticks(step=0.0))
+        first = VerdictStore(tmp_path / "s")
+        second = VerdictStore(tmp_path / "s")
         first.put(("a",), True)
         second.put(("b",), True)
         assert first.flush() != second.flush()
@@ -172,56 +175,42 @@ class TestRefresh:
         assert session.skipped_segments == 0
 
 
-class _Clock:
-    """Deterministic stamps far past any real mtime, so a hit marker
-    always outranks an unhit segment's mtime in eviction order."""
+class _Ticks:
+    """Stands in for the store module's ``time``: deterministic publish
+    stamps, ``step`` seconds apart."""
 
-    def __init__(self):
-        self.now = 4.0e9
+    def __init__(self, step=1.0):
+        self.now = 1000.0
+        self.step = step
 
-    def __call__(self):
-        self.now += 1.0
+    def time(self):
+        self.now += self.step
         return self.now
 
 
 def _course_of_files(path, reopen_per_file):
-    """Three files each write one verdict; a fourth hits the first's.
-    Returns the name of the first file's segment."""
-    clock = _Clock()
-    session = None if reopen_per_file else VerdictStore(path, clock=clock)
-    first_segment = None
+    """Three files each publish one verdict; a fourth hits the first's."""
+    session = None if reopen_per_file else VerdictStore(path)
     for key in (("a",), ("b",), ("c",), None):
-        store = VerdictStore(path, clock=clock) if reopen_per_file else session
+        store = VerdictStore(path) if reopen_per_file else session
         store.refresh()
         if key is None:
-            assert store.get(("a",)).segment == first_segment
+            assert store.get(("a",)) is not None
         else:
             store.put(key, True)
-            name = store.flush()
-            first_segment = first_segment or name
-        store.publish()
-    return first_segment
+        store.flush()
 
 
-class TestHitRecencyInOneSession:
-    def test_flush_names_the_segment_on_its_entries(self, tmp_path):
-        store = VerdictStore(tmp_path / "s")
-        store.put(("a",), True)
-        assert store.get(("a",)).segment is None  # pending
-        name = store.flush()
-        assert store.get(("a",)).segment == name
-
-    @pytest.mark.parametrize("reopen_per_file", [False, True])
-    def test_hit_on_a_verdict_flushed_earlier_writes_its_marker(self, tmp_path, reopen_per_file):
-        path = tmp_path / "s"
-        first = _course_of_files(path, reopen_per_file)
-        assert (path / "hits" / first).exists()
-
-    def test_compaction_evicts_as_with_per_file_reopening(self, tmp_path):
+class TestCompactionInOneSession:
+    def test_compaction_evicts_as_with_per_file_reopening(self, tmp_path, monkeypatch):
+        """Oldest-published first either way: the hit on the first file's
+        verdict does not save its segment, and no run writes ``hits/``."""
+        monkeypatch.setattr(verdicts, "time", _Ticks())
         survivors = {}
         for reopen in (False, True):
             path = tmp_path / f"s-{reopen}"
             _course_of_files(path, reopen)
+            assert not (path / "hits").exists()
             one_segment = max(p.stat().st_size for p in path.glob("seg-*.jsonl"))
             VerdictStore(path).compact(max_bytes=one_segment)
             fresh = VerdictStore(path, read_only=True)
@@ -229,7 +218,7 @@ class TestHitRecencyInOneSession:
                 key for key in (("a",), ("b",), ("c",))
                 if fresh.get(key) is not None
             ]
-        assert survivors[False] == survivors[True] == [("a",)]
+        assert survivors[False] == survivors[True] == [("c",)]
 
 
 class TestInvalidatedCountedOnce:

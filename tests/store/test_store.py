@@ -46,7 +46,7 @@ class TestRoundTrip:
         assert store.put(KEY_A, False, err="boom", err_kind="mismatch")
         entry = store.get(KEY_A)
         assert entry == StoredVerdict(ok=False, err="boom", err_kind="mismatch")
-        assert (store.hits, store.misses, store.writes) == (1, 1, 1)
+        assert len(store) == 1
 
     def test_survives_reopen(self, tmp_path):
         with VerdictStore(tmp_path / "s") as store:
@@ -74,7 +74,9 @@ class TestRoundTrip:
         store = VerdictStore(tmp_path / "s")
         assert store.put(KEY_A, True)
         assert not store.put(KEY_A, True)
-        assert store.writes == 1
+        assert len(store) == 1
+        store.flush()
+        assert len(_segment(tmp_path / "s").read_text().splitlines()) == 2
 
     def test_read_only_never_writes(self, tmp_path):
         (tmp_path / "s").mkdir()
@@ -228,25 +230,23 @@ class TestCompaction:
         assert summary["removed_tmp"] == 1
         assert summary["remaining_segments"] == 1
 
-    def test_size_cap_evicts_least_recently_hit(self, tmp_path):
+    def test_size_cap_evicts_oldest_published_first(self, tmp_path):
         import time
 
         store = VerdictStore(tmp_path / "s")
+        names = []
         for key in (KEY_A, KEY_B, KEY_C):
             store.put(key, True)
-            store.flush()
-            time.sleep(0.01)  # distinct segment mtimes
+            names.append(store.flush())
+            time.sleep(0.01)  # distinct publish stamps
         store.close()
-        # Hit the *oldest* segment from a fresh reader so recency inverts
-        # written order: its marker stamp (now) beats the younger
-        # segments' mtimes.
+        # A hit on the oldest segment does not save it: the store keeps
+        # no recency, only publish order.
         reader = VerdictStore(tmp_path / "s")
-        reader.get(KEY_A)
+        assert reader.get(KEY_A) is not None
         reader.close()
-        time.sleep(0.01)
 
         survivor = VerdictStore(tmp_path / "s")
-        seg_a = survivor.get(KEY_A).segment
         one_size = max(
             p.stat().st_size for p in (tmp_path / "s").glob("seg-*.jsonl")
         )
@@ -254,7 +254,26 @@ class TestCompaction:
         assert summary["removed_segments"] == 2
         assert summary["remaining_bytes"] <= one_size
         remaining = [p.name for p in (tmp_path / "s").glob("seg-*.jsonl")]
-        assert remaining == [seg_a]  # the hit segment survived
+        assert remaining == names[-1:]  # the newest segment survived
+        fresh = VerdictStore(tmp_path / "s", read_only=True)
+        assert [fresh.get(k) is not None for k in (KEY_A, KEY_B, KEY_C)] == [
+            False, False, True
+        ]
+
+    def test_leftover_hits_directory_is_ignored(self, tmp_path):
+        # Older versions kept hit-recency markers under hits/; the store
+        # neither reads, writes nor deletes them.
+        with VerdictStore(tmp_path / "s") as store:
+            store.put(KEY_A, True)
+        hits = tmp_path / "s" / "hits"
+        hits.mkdir()
+        (hits / _segment(tmp_path / "s").name).write_text("4000000000.0\n")
+        store = VerdictStore(tmp_path / "s")
+        assert store.get(KEY_A).ok is True
+        assert store.compact(max_bytes=0)["removed_segments"] == 1
+        assert store.clear() == 0
+        assert [p.name for p in (tmp_path / "s").iterdir()] == ["hits"]
+        assert len(list(hits.iterdir())) == 1
 
     def test_clear_removes_everything(self, tmp_path):
         with VerdictStore(tmp_path / "s") as store:
@@ -281,6 +300,3 @@ class TestStats:
         assert stats.bytes > 0
         assert stats.tmp_files == 1
         assert stats.per_segment[0][1] == 2
-        as_dict = stats.as_dict()
-        assert as_dict["entries"] == 2
-        assert as_dict["per_segment"][0]["entries"] == 2

@@ -66,7 +66,7 @@ class TestFailedPublishes:
         store.put("b", False, "boom")
         assert store.flush() is None
         store.put("c", True)
-        store.publish()
+        store.flush()
         assert store.io_errors == 1
         fresh = VerdictStore(tmp_path / "s")
         assert len(fresh) == 3

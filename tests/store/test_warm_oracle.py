@@ -118,7 +118,9 @@ class TestOracleStoreTier:
         result = oracle.check(parse_program(ILL_TYPED))
         assert result.ok is False
         assert oracle.crashes == 1
-        assert (oracle.store_writes, store.writes, len(store)) == (0, 0, 0)
+        assert (oracle.store_writes, len(store)) == (0, 0)
+        store.close()
+        assert not list((tmp_path / "s").glob("seg-*"))
 
     def test_reset_keeps_store_attached(self, tmp_path):
         oracle = Oracle(store=VerdictStore(tmp_path / "s"))

@@ -9,6 +9,10 @@ isolation is unconditional (no ``strict`` switch).  The verdict store takes
 a failed segment read or publish once (no retry policy, no backoff sleep,
 no ``repro.core.retry`` module, no fault streaks in ``FlakyStore``) and
 auto-publishes at the constant :data:`~repro.store.verdicts.FLUSH_EVERY`.
+It keeps verdicts only: no hit-recency markers (``hits/``), no
+``publish()`` beside ``flush()``, no duplicate hit/miss/write counters
+(the oracle's ``store_*`` counters and ``oracle.store.*`` metrics are the
+record), and no ``clock=`` (segment names take the wall clock).
 The event log is the flight recorder's only run record: no ``--report``
 summary document, no Prometheus exporter, and histograms keep no bucket
 tallies and cap their samples at the constant
@@ -23,13 +27,13 @@ import pytest
 import repro.core
 import repro.obs
 from repro.cli import main
-from repro.core import Oracle, SearchConfig, explain
+from repro.core import Oracle, SearchConfig, explain, explain_many
 from repro.core.resilience import Deadline
 from repro.evaluation.timing import TimingResult
 from repro.faults import FlakyStore
 from repro.obs import MetricsRegistry, NullMetrics, NullTracer, Tracer
 from repro.obs.metrics import Histogram
-from repro.store import VerdictStore
+from repro.store import StoredVerdict, StoreStats, VerdictStore
 
 ILL_TYPED = "let f x = x + 1\nlet b = f true\n"
 
@@ -71,7 +75,8 @@ def test_deadline_rejects_soft_fraction():
 
 @pytest.mark.parametrize(
     "option, value",
-    [("retry_policy", None), ("sleep", lambda s: None), ("flush_every", 1)],
+    [("retry_policy", None), ("sleep", lambda s: None), ("flush_every", 1),
+     ("clock", lambda: 1000.0)],
 )
 def test_verdict_store_rejects(tmp_path, option, value):
     with pytest.raises(TypeError, match=option):
@@ -168,3 +173,31 @@ def test_report_has_one_reader(name):
 
     assert not hasattr(report, name)
     assert not hasattr(report.RunAggregate, name)
+
+
+@pytest.mark.parametrize("name", ["publish", "hits", "misses", "writes"])
+def test_verdict_store_keeps_no_recency_or_counters(tmp_path, name):
+    store = VerdictStore(tmp_path / "s")
+    assert not hasattr(store, name)
+    assert not hasattr(VerdictStore, name)
+
+
+def test_stored_verdict_names_no_segment():
+    assert not hasattr(StoredVerdict(ok=True), "segment")
+
+
+@pytest.mark.parametrize("name", ["as_dict", "hits", "misses", "writes"])
+def test_store_stats_has_no_counters_or_dict_form(name):
+    assert not hasattr(StoreStats(path="s"), name)
+
+
+def test_warm_batch_writes_no_hit_markers(tmp_path):
+    store = tmp_path / "s"
+    sources = [ILL_TYPED, ILL_TYPED]
+    explain_many(sources, jobs=1, store=store)
+    metrics = MetricsRegistry()
+    explain(ILL_TYPED, store=store, metrics=metrics)
+    explain_many(sources, jobs=1, store=store)
+    assert metrics.value("oracle.store.hits") > 0
+    assert not (store / "hits").exists()
+    assert all(p.name.startswith("seg-") for p in store.iterdir())
