@@ -32,7 +32,7 @@ from .enumerator import (  # noqa: F401
 )
 from .quickfix import AppliedFix, FixAllResult, apply_suggestion, fix_all  # noqa: F401
 from .messages import render_report, render_suggestion, replacement_type  # noqa: F401
-from .oracle import BudgetExceeded, IncrementalMismatch, Oracle  # noqa: F401
+from .oracle import BudgetExceeded, Oracle  # noqa: F401
 from .parallel import AUTO_JOBS, resolve_jobs  # noqa: F401
 from .ranker import rank  # noqa: F401
 from .resilience import (  # noqa: F401

@@ -152,42 +152,6 @@ class DeclTable:
         return cached
 
 
-class DeclDepGraph:
-    """Forward reachability over declaration def/use summaries.
-
-    Built from per-declaration ``(uses, defs)`` pairs; answers "which
-    declarations at index > i can observe a change to the bindings
-    introduced at i?" with the same shadowing-aware propagation
-    :func:`plan_replay` uses.
-    """
-
-    def __init__(self, use_defs: Sequence[Tuple[FrozenSet[Name], FrozenSet[Name]]]):
-        self._uses = [frozenset(u) for u, _ in use_defs]
-        self._defs = [frozenset(d) for _, d in use_defs]
-
-    def __len__(self) -> int:
-        return len(self._uses)
-
-    def uses(self, index: int) -> FrozenSet[Name]:
-        return self._uses[index]
-
-    def defs(self, index: int) -> FrozenSet[Name]:
-        return self._defs[index]
-
-    def dependents_of(self, index: int) -> List[int]:
-        """Indices > ``index`` that can observe a change to its bindings."""
-        dirty: Set[Name] = set(self._defs[index])
-        out: List[int] = []
-        for j in range(index + 1, len(self._uses)):
-            if self._uses[j] & dirty:
-                out.append(j)
-                dirty |= self._defs[j]
-            else:
-                # Unaffected re-definition shadows the dirty binding.
-                dirty -= self._defs[j]
-        return out
-
-
 def _forward_plan(
     n: int,
     seeds: Set[int],

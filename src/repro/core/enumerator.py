@@ -210,14 +210,6 @@ class MiniMLEnumerator:
         #: correctness (the oracle rejects anything that does not check).
         self.custom_rules: List[Callable[[Node, Path], List[ChangeNode]]] = list(custom_rules)
 
-    def register(self, rule: Callable[[Node, Path], List[ChangeNode]]) -> None:
-        """Add a custom change generator: ``rule(node, path) -> [ChangeNode]``.
-
-        The generator is consulted for every node the searcher visits; use
-        :func:`constructive_change` to build its changes.
-        """
-        self.custom_rules.append(rule)
-
     # -- public API ------------------------------------------------------
 
     def changes(self, node: Node, path: Path) -> List[ChangeNode]:

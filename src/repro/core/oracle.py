@@ -26,10 +26,8 @@ behind exactly that interface, adding:
 
   A candidate that edits the prefix takes the table or a from-scratch
   check instead (the snapshot stays armed for the next candidate that
-  shares it), so the answers are identical either way.
-  ``cross_check=True`` re-runs every reused answer from scratch and
-  raises :class:`IncrementalMismatch` on disagreement — the assertion
-  mode the equivalence tests exercise.
+  shares it), so the answers are identical either way.  The tests
+  compare every reused answer with a from-scratch check.
 
 Fault tolerance (the resilience layer, see :mod:`repro.core.resilience`):
 the oracle is the trust boundary between the search and an arbitrary
@@ -42,19 +40,19 @@ them kill the search:
   rejected": :meth:`check` returns a failing ``CheckResult``, counts
   ``oracle.crashes``, and keeps a bounded sample of tracebacks for the
   degradation report.
-* **Depth pre-check** — candidates whose AST depth exceeds ``max_depth``
-  (default: derived from the interpreter's recursion limit) are rejected
-  *before* inference by a :class:`~repro.tree.DepthProbe`, which walks
-  only the candidate's unkeyed spine and reads ``HCKey.depth`` for every
-  subtree the keyer already holds, so deep trees can never trip Python's
-  recursion limit inside the checker in the first place.
+* **Depth pre-check** — candidates whose AST depth exceeds
+  :func:`default_max_depth` (derived from the interpreter's recursion
+  limit) are rejected *before* inference by a
+  :class:`~repro.tree.DepthProbe`, which walks only the candidate's
+  unkeyed spine and reads ``HCKey.depth`` for every subtree the keyer
+  already holds, so deep trees can never trip Python's recursion limit
+  inside the checker in the first place.
 * **Self-healing reuse** — any exception from the snapshot route (a
   poisoned snapshot, a :class:`~repro.miniml.infer.TrailIntegrityError`)
   disarms the snapshot, counts ``oracle.prefix.fallbacks``, and
   transparently answers the candidate from the decl table or from
   scratch; a failure inside the table route drops the table
-  (``oracle.decl.fallbacks``) the same way.  The cross-check assertion
-  mode still raises, so tests keep their equivalence assertion.
+  (``oracle.decl.fallbacks``) the same way.
 
 Telemetry: an oracle holding a :class:`~repro.obs.MetricsRegistry` counts
 ``oracle.calls`` (and the ``.ok``/``.fail`` split),
@@ -75,7 +73,7 @@ from __future__ import annotations
 
 import sys
 import traceback
-from typing import List, Optional, Protocol, Union
+from typing import List, Optional, Protocol
 
 from repro.miniml.errors import MiniMLTypeError
 from repro.miniml.infer import (
@@ -87,9 +85,6 @@ from repro.miniml.infer import (
 )
 from repro.obs import NULL_EVENTS, NULL_METRICS
 from repro.tree import DepthProbe, StructuralKeyer, TreeTooDeep
-
-#: Sentinel for "derive ``max_depth`` from the interpreter's limit".
-AUTO_DEPTH = "auto"
 
 #: How many crash messages an oracle keeps in :attr:`Oracle.crash_samples`
 #: per search (every crash is still counted).
@@ -113,12 +108,6 @@ class BudgetExceeded(Exception):
     def __init__(self, budget: int):
         super().__init__(f"oracle budget of {budget} calls exceeded")
         self.budget = budget
-
-
-class IncrementalMismatch(AssertionError):
-    """A reused (snapshot or decl-table) answer diverged from the
-    from-scratch answer — a soundness bug, surfaced only in ``cross_check``
-    mode."""
 
 
 class TypecheckFn(Protocol):
@@ -162,15 +151,9 @@ class Oracle:
     metrics:
         A :class:`~repro.obs.MetricsRegistry` to count into (default: the
         shared no-op registry).
-    cross_check:
-        Re-check every reused answer from scratch and raise
-        :class:`IncrementalMismatch` if the answers differ.  Test/debug
-        mode: it deliberately pays the full cost it normally saves.
-    max_depth:
-        Reject candidates whose AST depth exceeds this before invoking the
-        checker (``oracle.depth_rejected``; never counted as a call).  The
-        default :data:`AUTO_DEPTH` derives a limit from the interpreter's
-        recursion limit; ``None`` disables the pre-check.
+
+    Candidates deeper than :func:`default_max_depth` are rejected before
+    the checker runs (``oracle.depth_rejected``; never counted as a call).
     """
 
     def __init__(
@@ -178,8 +161,6 @@ class Oracle:
         typecheck: Optional[TypecheckFn] = None,
         max_calls: Optional[int] = None,
         metrics=None,
-        cross_check: bool = False,
-        max_depth: Union[int, str, None] = AUTO_DEPTH,
         events=None,
         store=None,
     ):
@@ -192,20 +173,15 @@ class Oracle:
         self.crashes = 0
         self.depth_rejections = 0
         self.crash_samples: List[str] = []
-        if max_depth == AUTO_DEPTH:
-            max_depth = default_max_depth()
-        self.max_depth: Optional[int] = max_depth
+        self.max_depth = default_max_depth()
         #: The one structural keyer of a search: store keys and the decl
         #: table intern into it, the depth guard reads depths off it, and
         #: :meth:`reset` clears it (the searcher reports its size as
         #: ``search.keys.interned``).
         self.keyer = StructuralKeyer()
-        self._depth_probe = (
-            DepthProbe(self.keyer) if max_depth is not None else None
-        )
+        self._depth_probe = DepthProbe(self.keyer)
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.events = events if events is not None else NULL_EVENTS
-        self.cross_check = cross_check
         #: Reuse is on exactly when the checker is MiniML's own: only it
         #: has a snapshot and a decl table to reuse.
         self._reuse = typecheck is None
@@ -249,8 +225,7 @@ class Oracle:
         calls]`` line, which must be byte-identical warm or cold) but
         *not* toward the ``oracle.calls`` metric or the reuse counters
         (``full_checks``, ``oracle.prefix.reused``, ...), which count work
-        the checker actually did.  Disabled under ``cross_check`` (the
-        point of that mode is to re-run checks, not to skip them).
+        the checker actually did.
         """
         self.store = store
         n = store.take_invalidated()
@@ -269,10 +244,6 @@ class Oracle:
         if errors:
             self.metrics.incr("oracle.store.io_errors", errors)
             self.events.emit("store_io_error", errors=errors)
-
-    @property
-    def _store_active(self) -> bool:
-        return self.store is not None and not self.cross_check
 
     def _stored_result(self, entry) -> CheckResult:
         error = None
@@ -329,10 +300,6 @@ class Oracle:
     # ------------------------------------------------------------------
     # Declaration outcome table (dependency-pruned re-checking)
     # ------------------------------------------------------------------
-
-    @property
-    def decl_table_armed(self) -> bool:
-        return self._decl_table is not None or self._decl_pending is not None
 
     def arm_decl_table(self, program) -> bool:
         """Arm the per-declaration outcome table for a baseline program.
@@ -392,7 +359,7 @@ class Oracle:
                 program,
                 self._decl_table,
                 key_fn=self.keyer,
-                freeze_errors=self._store_active or self.cross_check,
+                freeze_errors=self.store is not None,
             )
             if self._decl_table.free_vars:
                 # Replayed against the table's live weak schemes, under a
@@ -435,13 +402,12 @@ class Oracle:
         # armed for the next candidate that shares the prefix.
         if snapshot is not None and snapshot.matches(program):
             # Check the suffix against the live armed state and roll the
-            # trail back.  Errors that outlive the rollback (store
-            # persistence, cross-checking) are rendered *before* undo
-            # un-unifies the types they reference.
+            # trail back.  An error the store persists outlives the
+            # rollback, so it is rendered *before* undo un-unifies the
+            # types it references.
             try:
                 result = snapshot.check(
-                    program,
-                    freeze_errors=self._store_active or self.cross_check,
+                    program, freeze_errors=self.store is not None
                 )
             except Exception as err:
                 # Self-healing: a crash on the snapshot route (poisoned
@@ -456,8 +422,6 @@ class Oracle:
                 self._account_trail(result)
                 self.prefix_reused += 1
                 self.metrics.incr("oracle.prefix.reused")
-                if self.cross_check:
-                    self._assert_equivalent(program, result)
                 return result
         served = self._decl_tier(program)
         if served is not None:
@@ -467,30 +431,10 @@ class Oracle:
             # are byte-identical to a from-scratch oracle's.
             self.full_checks += 1
             self.metrics.incr("oracle.full_checks")
-            if self.cross_check:
-                self._assert_equivalent(
-                    program, served, metric="oracle.decl.crosschecked"
-                )
             return served
         self.full_checks += 1
         self.metrics.incr("oracle.full_checks")
         return self._typecheck(program)
-
-    def _assert_equivalent(
-        self, program, reused: CheckResult,
-        metric: str = "oracle.prefix.crosschecked",
-    ) -> None:
-        """Cross-check a reused answer against a from-scratch run."""
-        self.metrics.incr(metric)
-        full = self._typecheck(program)
-        if reused.ok != full.ok or (
-            not full.ok and _error_text(reused) != _error_text(full)
-        ):
-            raise IncrementalMismatch(
-                "incremental oracle diverged from from-scratch answer:\n"
-                f"  incremental: ok={reused.ok} error={_error_text(reused)!r}\n"
-                f"  from-scratch: ok={full.ok} error={_error_text(full)!r}"
-            )
 
     # ------------------------------------------------------------------
     # The oracle interface
@@ -508,43 +452,39 @@ class Oracle:
         toward ``calls``.  Finally, any unexpected exception from the
         checker is isolated: the candidate is rejected
         (``ok=False``) and the crash is counted instead of propagated.
-        Only :class:`BudgetExceeded` and the ``cross_check`` assertion
-        :class:`IncrementalMismatch` ever escape.
+        Only :class:`BudgetExceeded` ever escapes.
         """
         try:
             return self._check(program)
-        except (BudgetExceeded, IncrementalMismatch):
+        except BudgetExceeded:
             raise
         except Exception as err:
-            # Bookkeeping crashes (e.g. structural keying of a deep tree
-            # with the depth pre-check disabled) — still candidate-reject.
+            # Bookkeeping crashes (a store key or depth read that blew
+            # up) — still candidate-reject.
             self._record_crash(err)
             return CheckResult(ok=False)
 
     def _check(self, program) -> CheckResult:
         skey = None
-        if self._depth_probe is not None:
-            if self._store_active:
-                # The store needs the candidate's key anyway: keyed first,
-                # the guard's depth read is a memo hit at the root.  A
-                # tree too deep to key is too deep to check.
-                try:
-                    skey = self.keyer(program)
-                except TreeTooDeep:
-                    return self._reject_too_deep()
-            if self._depth_probe.exceeds(program, self.max_depth):
+        if self.store is not None:
+            # The store needs the candidate's key anyway: keyed first,
+            # the guard's depth read is a memo hit at the root.  A tree
+            # too deep to key is too deep to check.
+            try:
+                skey = self.keyer(program)
+            except TreeTooDeep:
                 return self._reject_too_deep()
+        if self._depth_probe.exceeds(program, self.max_depth):
+            return self._reject_too_deep()
         if self.max_calls is not None and self.calls >= self.max_calls:
             self.metrics.incr("oracle.budget_exceeded")
             raise BudgetExceeded(self.max_calls)
         self.calls += 1
-        if self._store_active:
+        if skey is not None:
             # Disk tier: probed *after* the budget gate and call counting
             # — a store hit spends budget exactly like a real check, so
             # the budget-exhaustion point (and the whole downstream
             # search) is identical warm or cold.
-            if skey is None:
-                skey = self.keyer(program)
             try:
                 stored = self.store.get(skey)
             except Exception:
@@ -560,8 +500,6 @@ class Oracle:
         crashes = self.crashes
         try:
             result = self._check_once(program)
-        except IncrementalMismatch:
-            raise
         except Exception as err:
             self._record_crash(err)
             result = CheckResult(ok=False)

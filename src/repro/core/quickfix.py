@@ -30,6 +30,9 @@ from repro.tree import Node, walk
 from .changes import KIND_ADAPT, Suggestion
 from .seminal import ExplainResult, explain
 
+#: The most fixes :func:`fix_all` applies before it stops.
+MAX_ROUNDS = 10
+
 
 def is_appliable(suggestion: Suggestion) -> bool:
     """Whether a suggestion denotes a concrete patch.
@@ -112,13 +115,10 @@ class FixAllResult:
     last: Optional[ExplainResult] = None
 
 
-def fix_all(
-    source: str,
-    max_rounds: int = 10,
-    **explain_kwargs,
-) -> FixAllResult:
+def fix_all(source: str, **explain_kwargs) -> FixAllResult:
     """Repeatedly apply the top-ranked suggestion until the program
-    type-checks (or no progress can be made).
+    type-checks (or no progress can be made, or :data:`MAX_ROUNDS` fixes
+    were applied).
 
     This models the fix-one-error-and-recompile loop; triage makes it
     converge on multi-error programs because each round repairs one
@@ -127,7 +127,7 @@ def fix_all(
     current = source
     applied: List[str] = []
     last: Optional[ExplainResult] = None
-    for round_index in range(max_rounds):
+    for round_index in range(MAX_ROUNDS):
         last = explain(current, **explain_kwargs)
         if last.ok:
             return FixAllResult(current, ok=True, rounds=round_index, applied=applied, last=last)

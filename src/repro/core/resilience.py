@@ -24,15 +24,13 @@ Pieces:
   which reasons fired (``budget``/``deadline``/``crash``/``fallback``),
   how many oracle crashes and prefix fallbacks occurred, which phases were
   shed, elapsed wall clock, and a bounded sample of crash tracebacks.
-
-The clock is injectable for deterministic tests.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 #: The four ways a search degrades (``DegradationReport.reasons`` entries).
 REASON_BUDGET = "budget"
@@ -73,19 +71,14 @@ class Deadline:
     shedding optional phases, is :data:`SHED_FRACTION` of the budget.
     """
 
-    __slots__ = ("seconds", "_clock", "_start")
+    __slots__ = ("seconds", "_start")
 
-    def __init__(
-        self,
-        seconds: Optional[float],
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, seconds: Optional[float]):
         self.seconds = seconds
-        self._clock = clock
-        self._start = clock()
+        self._start = time.monotonic()
 
     def elapsed(self) -> float:
-        return self._clock() - self._start
+        return time.monotonic() - self._start
 
     def remaining(self) -> Optional[float]:
         if self.seconds is None:

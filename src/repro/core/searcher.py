@@ -64,13 +64,19 @@ from .resilience import (
 )
 
 
+#: The paper's "nontrivial number of descendants" (Section 2.4): a subtree
+#: of at most this many nodes is simply reported as removable rather than
+#: triaged.
+TRIAGE_THRESHOLD = 5
+#: How deeply triage may nest inside triage.
+MAX_TRIAGE_DEPTH = 3
+
+
 @dataclass
 class SearchConfig:
     """Tunables for the search procedure.
 
-    ``triage_threshold`` is the paper's "nontrivial number of descendants":
-    a subtree smaller than this is simply reported as removable rather than
-    triaged.  ``max_triage_depth`` bounds nested triage.
+    ``enable_triage=False`` is the paper's "without triage" configuration;
     ``disabled_rules`` feeds the enumerator (ablation studies).
     """
 
@@ -83,9 +89,6 @@ class SearchConfig:
     #: sheds its optional phases (constructive changes, adaptation, triage).
     deadline_seconds: Optional[float] = None
     enable_triage: bool = True
-    enable_adaptation: bool = True
-    triage_threshold: int = 5
-    max_triage_depth: int = 3
     disabled_rules: Sequence[str] = ()
     #: Sibling-removal strategy for triage contexts (Section 2.4 discusses
     #: the design space): "greedy" is the paper's cumulative one-at-a-time
@@ -169,7 +172,6 @@ class Searcher:
     def __init__(
         self,
         oracle: Optional[Oracle] = None,
-        enumerator: Optional[MiniMLEnumerator] = None,
         config: Optional[SearchConfig] = None,
         tracer=None,
         metrics=None,
@@ -191,14 +193,12 @@ class Searcher:
             self.oracle, "events", NULL_EVENTS
         ) is NULL_EVENTS:
             self.oracle.events = self.events
-        self.enumerator = enumerator or MiniMLEnumerator(
+        self.enumerator = MiniMLEnumerator(
             self.config.disabled_rules,
             eager=self.config.eager_enumeration,
             custom_rules=self.config.custom_rules,
             metrics=self.metrics,
         )
-        if self.metrics is not NULL_METRICS and self.enumerator.metrics is NULL_METRICS:
-            self.enumerator.metrics = self.metrics
         self.stats = SearchStats()
         self.degradation = DegradationReport()
         self._deadline: Optional[Deadline] = None
@@ -246,8 +246,9 @@ class Searcher:
         """
         self.oracle.reset()
         self.stats = SearchStats()
+        # The budget the oracle enforces: a caller's oracle carries its own.
         report = DegradationReport(
-            budget=self.config.max_oracle_calls,
+            budget=self.oracle.max_calls,
             deadline_seconds=self.config.deadline_seconds,
         )
         report.attach_events(self.events)
@@ -411,11 +412,7 @@ class Searcher:
         # 4. Adaptation to context (expressions only).  Build the adapted
         #    expression once: the replacement reported in the Change must be
         #    the very object the oracle tested, not a second wrapping.
-        if (
-            self.config.enable_adaptation
-            and isinstance(node, Expr)
-            and not self._shed("adaptation")
-        ):
+        if isinstance(node, Expr) and not self._shed("adaptation"):
             adapted_node = adapt_expr(node)
             adapted = replace_at(root, path, adapted_node)
             self._tick("adaptation_tests")
@@ -459,8 +456,8 @@ class Searcher:
         if (
             only_removal
             and self.config.enable_triage
-            and triage_depth < self.config.max_triage_depth
-            and node_size(node) > self.config.triage_threshold
+            and triage_depth < MAX_TRIAGE_DEPTH
+            and node_size(node) > TRIAGE_THRESHOLD
         ):
             from .triage import triage_node
 
@@ -544,8 +541,6 @@ class Searcher:
         variable."
         """
         if not isinstance(node, EVar):
-            return
-        if not self.config.enable_adaptation:
             return
         self._tick("adaptation_tests")
         if not self._passes(replace_at(root, path, adapt_expr(node))):

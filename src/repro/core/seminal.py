@@ -93,10 +93,8 @@ def explain(
     source: Union[str, Program],
     *,
     enable_triage: bool = True,
-    enable_adaptation: bool = True,
     max_oracle_calls: Optional[int] = 20000,
     deadline_seconds: Optional[float] = None,
-    triage_threshold: int = 5,
     disabled_rules: Sequence[str] = (),
     oracle: Optional[Oracle] = None,
     triage_strategy: str = "greedy",
@@ -117,7 +115,9 @@ def explain(
     declaration outcome table, see :class:`~repro.core.oracle.Oracle`);
     answers are byte-identical to ``oracle=Oracle(typecheck=...)`` around
     plain :func:`~repro.miniml.infer.typecheck_program`, which checks
-    every candidate from scratch.
+    every candidate from scratch.  A passed ``oracle`` carries its own
+    budget: its ``max_calls`` wins over ``max_oracle_calls``, and the
+    result's ``degradation.budget`` records the one enforced.
 
     The call is best-effort by contract (see :mod:`repro.core.resilience`):
     running out of the oracle budget or the optional wall-clock
@@ -194,8 +194,6 @@ def explain(
         max_oracle_calls=max_oracle_calls,
         deadline_seconds=deadline_seconds,
         enable_triage=enable_triage,
-        enable_adaptation=enable_adaptation,
-        triage_threshold=triage_threshold,
         disabled_rules=disabled_rules,
         triage_strategy=triage_strategy,
         eager_enumeration=eager_enumeration,

@@ -89,14 +89,6 @@ class StudyResult:
             return 0.0
         return sum(1 for o in self.outcomes if o.both_unhelpful) / len(self.outcomes)
 
-    @property
-    def times_full(self) -> List[float]:
-        return sorted(o.seconds_full for o in self.outcomes)
-
-    @property
-    def times_no_triage(self) -> List[float]:
-        return sorted(o.seconds_no_triage for o in self.outcomes)
-
 
 def analyze_file(
     corpus_file: CorpusFile,

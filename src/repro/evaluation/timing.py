@@ -95,31 +95,6 @@ class TimingResult:
             if span != _FILE_SPAN
         }
 
-    def render_breakdown(self, name: str) -> str:
-        """One-configuration per-phase summary (calls and seconds)."""
-        calls = self.phase_breakdown(name)
-        seconds = self.phase_seconds(name)
-        lines = [f"{name}:"]
-        lines.append(
-            "  oracle calls by phase: "
-            + " ".join(f"{k.split('.')[-1]}={v}" for k, v in calls.items())
-        )
-        reuse = self.oracle_breakdown(name)
-        if any(reuse.values()):
-            lines.append(
-                "  prefix reuse: "
-                + " ".join(f"{k.split('.')[-1]}={v}" for k, v in reuse.items())
-            )
-        degraded = self.degraded_runs.get(name, 0)
-        if degraded:
-            lines.append(f"  degraded runs: {degraded}")
-        if seconds:
-            lines.append(
-                "  seconds by span: "
-                + " ".join(f"{k}={v:.3f}" for k, v in sorted(seconds.items()))
-            )
-        return "\n".join(lines)
-
 
 def run_timing_study(
     corpus: Corpus,

@@ -241,8 +241,3 @@ def decl_use_def(decl: A.Decl) -> DeclUseDef:
     elif isinstance(decl, A.DExpr):
         _expr_uses(decl.expr, frozenset(), uses)
     return DeclUseDef(uses=frozenset(uses), defs=frozenset(defs))
-
-
-def program_use_defs(program: A.Program) -> List[DeclUseDef]:
-    """Def/use summaries for every declaration of a program, in order."""
-    return [decl_use_def(decl) for decl in program.decls]

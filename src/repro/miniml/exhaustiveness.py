@@ -238,15 +238,14 @@ def check_cases(cases: List[MatchCase], env: TypeEnv, node: Node,
     return warnings
 
 
-def match_warnings(program: Program, env: Optional[TypeEnv] = None) -> List[MatchWarning]:
+def match_warnings(program: Program) -> List[MatchWarning]:
     """All exhaustiveness/redundancy warnings in a program.
 
     ``try`` handlers are exempt from the exhaustiveness requirement (an
     unhandled exception re-raises; OCaml does not warn there either), but
     their arms can still be flagged unused.
     """
-    base = env if env is not None else default_env()
-    env = _declare_types(program, base)
+    env = _declare_types(program, default_env())
     warnings: List[MatchWarning] = []
     for _, node in walk(program):
         if isinstance(node, (EMatch, EFunction)):

@@ -184,9 +184,8 @@ class Inferencer:
     independent oracle calls.
     """
 
-    def __init__(self, env: Optional[TypeEnv] = None, record_types: bool = False):
-        base = env if env is not None else _default_base()
-        self.root_env = base.fork()
+    def __init__(self, record_types: bool = False):
+        self.root_env = _default_base().fork()
         self.level = 0
         #: When ``record_types`` is set, maps ``id(expr)`` to its inferred
         #: type — the analogue of OCaml's ``-annot`` output.  Message
@@ -208,13 +207,6 @@ class Inferencer:
     # ------------------------------------------------------------------
     # Programs and declarations
     # ------------------------------------------------------------------
-
-    def check_program(self, program: Program) -> Dict[str, Scheme]:
-        env = self.root_env.child()
-        top_level: Dict[str, Scheme] = {}
-        for decl in program.decls:
-            self.check_decl(env, decl, top_level)
-        return top_level
 
     def check_decl(self, env: TypeEnv, decl, top_level: Dict[str, Scheme]) -> None:
         """Check one top-level declaration, extending ``env``/``top_level``."""
@@ -969,9 +961,7 @@ class SpeculativeState:
         )
 
 
-def snapshot_prefix(
-    program: Program, upto: int, env: Optional[TypeEnv] = None
-) -> Optional[SpeculativeState]:
+def snapshot_prefix(program: Program, upto: int) -> Optional[SpeculativeState]:
     """Type-check ``program.decls[:upto]`` and arm the resulting state.
 
     Returns ``None`` when the prefix is ill-typed (a snapshot of a failing
@@ -980,7 +970,7 @@ def snapshot_prefix(
     """
     if upto <= 0:
         return None
-    inferencer = Inferencer(env)
+    inferencer = Inferencer()
     values_env = inferencer.root_env.child()
     top_level: Dict[str, Scheme] = {}
     try:
@@ -993,11 +983,7 @@ def snapshot_prefix(
     )
 
 
-def typecheck_program(
-    program: Program,
-    env: Optional[TypeEnv] = None,
-    record_types: bool = False,
-) -> CheckResult:
+def typecheck_program(program: Program, record_types: bool = False) -> CheckResult:
     """Type-check a whole program; never raises, returns a :class:`CheckResult`.
 
     This is the function the SEMINAL oracle wraps, and the from-scratch
@@ -1005,7 +991,7 @@ def typecheck_program(
     built per call (cheap relative to inference) so repeated oracle calls
     on mutated ASTs cannot interfere through shared unification state.
     """
-    inferencer = Inferencer(env, record_types=record_types)
+    inferencer = Inferencer(record_types=record_types)
     return _check_decls(
         inferencer, inferencer.root_env.child(), program.decls, {}
     )
@@ -1073,7 +1059,7 @@ def _scheme_weak_vars(scheme: Scheme) -> List[TVar]:
     return [v for v in free_type_vars(scheme.body) if id(v) not in quantified]
 
 
-def record_decl_table(program: Program, env: Optional[TypeEnv] = None, key_fn=None):
+def record_decl_table(program: Program, key_fn=None):
     """Fully infer ``program`` once, recording per-declaration outcomes.
 
     Returns ``(table, result)``: the :class:`repro.core.depgraph.DeclTable`
@@ -1097,8 +1083,7 @@ def record_decl_table(program: Program, env: Optional[TypeEnv] = None, key_fn=No
     if key_fn is None:
         from repro.tree import structural_key as key_fn  # type: ignore[no-redef]
 
-    base = env if env is not None else _default_base()
-    inferencer = Inferencer(base)
+    inferencer = Inferencer()
     child = inferencer.root_env.child()
     top_level: Dict[str, Scheme] = {}
     entries: List[DeclOutcome] = []
@@ -1180,7 +1165,6 @@ def record_decl_table(program: Program, env: Optional[TypeEnv] = None, key_fn=No
 def replay_decl_table(
     program: Program,
     table,
-    env: Optional[TypeEnv] = None,
     key_fn=None,
     freeze_errors: bool = True,
 ) -> CheckResult:
@@ -1203,12 +1187,12 @@ def replay_decl_table(
     """
     if table.free_vars:
         return _trailed(
-            Trail(), lambda: _replay(program, table, env, key_fn), freeze_errors
+            Trail(), lambda: _replay(program, table, key_fn), freeze_errors
         )
-    return _replay(program, table, env, key_fn)
+    return _replay(program, table, key_fn)
 
 
-def _replay(program: Program, table, env: Optional[TypeEnv], key_fn) -> CheckResult:
+def _replay(program: Program, table, key_fn) -> CheckResult:
     from repro.core.depgraph import PLAN_REPLAY, plan_replay
     from .deps import decl_use_def
 
@@ -1252,8 +1236,7 @@ def _replay(program: Program, table, env: Optional[TypeEnv], key_fn) -> CheckRes
             use_defs.append((use_def.uses, use_def.defs))
     plan = plan_replay(table, skeys, use_defs)
 
-    base = env if env is not None else _default_base()
-    inferencer = Inferencer(base)
+    inferencer = Inferencer()
     child = inferencer.root_env.child()
     top_level: Dict[str, Scheme] = {}
     #: Canonical schemes of program-bound names as of the current position.
@@ -1317,8 +1300,8 @@ def _replay(program: Program, table, env: Optional[TypeEnv], key_fn) -> CheckRes
     return CheckResult(ok=True, top_level=top_level, **counts())
 
 
-def typecheck_source(source: str, env: Optional[TypeEnv] = None) -> CheckResult:
+def typecheck_source(source: str) -> CheckResult:
     """Parse then type-check MiniML source text."""
     from .parser import parse_program
 
-    return typecheck_program(parse_program(source), env)
+    return typecheck_program(parse_program(source))

@@ -116,12 +116,12 @@ class TypeEnv:
         self.values[name] = scheme
 
     def lookup(self, name: str) -> Optional[Scheme]:
-        env: Optional[TypeEnv] = self
-        while env is not None:
-            scheme = env.values.get(name)
+        scope: Optional[TypeEnv] = self
+        while scope is not None:
+            scheme = scope.values.get(name)
             if scheme is not None:
                 return scheme
-            env = env.parent
+            scope = scope.parent
         return None
 
     def lookup_ctor(self, name: str) -> Optional[CtorInfo]:

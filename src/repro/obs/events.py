@@ -37,7 +37,7 @@ import io
 import json
 import os
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 #: Bump on any backwards-incompatible change to the line format; readers
 #: reject lines whose ``v`` they do not understand (no silent misparses).
@@ -56,24 +56,16 @@ class EventLog:
     sink:
         A path (opened for writing, closed by :meth:`close`) or any
         file-like object with ``write`` (left open — the caller owns it).
-    clock:
-        Monotonic clock, injectable for deterministic tests.
     """
 
-    def __init__(
-        self,
-        sink: Union[str, os.PathLike, io.TextIOBase, Any],
-        *,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self, sink: Union[str, os.PathLike, io.TextIOBase, Any]):
         if hasattr(sink, "write"):
             self._handle = sink
             self._owns_handle = False
         else:
             self._handle = open(sink, "w")
             self._owns_handle = True
-        self._clock = clock
-        self._epoch = clock()
+        self._epoch = time.monotonic()
         self._seq = 0
         self._closed = False
         self.emit("log_started", pid=os.getpid(), wall_time=time.time())
@@ -88,7 +80,7 @@ class EventLog:
         record: Dict[str, Any] = {
             "v": SCHEMA_VERSION,
             "seq": self._seq,
-            "t": round(self._clock() - self._epoch, 6),
+            "t": round(time.monotonic() - self._epoch, 6),
             "type": type,
         }
         record.update(fields)

@@ -274,8 +274,10 @@ class VerdictStore:
         pid = os.getpid()
         stamp = int(time.time() * 1000)
         tmp = self.path / f"{_TMP_PREFIX}{pid}-{n}"
+        # Zero-padded so that names sort in publish order within one
+        # millisecond of one process (``-2`` before ``-10``).
         final = (
-            self.path / f"{_SEGMENT_PREFIX}{stamp:013d}-{pid}-{n}{_SEGMENT_SUFFIX}"
+            self.path / f"{_SEGMENT_PREFIX}{stamp:013d}-{pid}-{n:09d}{_SEGMENT_SUFFIX}"
         )
         return tmp, final
 

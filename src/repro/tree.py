@@ -517,12 +517,6 @@ def mark_synthetic(node: Node) -> Node:
     return node
 
 
-def spanned(node: Node, span: Optional[Span]) -> Node:
-    """Attach a span (in place) and return the node, for parser convenience."""
-    node.span = span
-    return node
-
-
 def ancestor_paths(path: Path) -> Iterator[Path]:
     """Yield every proper prefix of ``path``, longest first (excluding itself)."""
     for i in range(len(path) - 1, -1, -1):

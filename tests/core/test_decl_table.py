@@ -9,7 +9,7 @@ only ever cost speed (degrading replays to real checks), never answers.
 
 import pytest
 
-from repro.core import Oracle, explain
+from repro.core import explain
 from repro.core.messages import render_suggestion
 from repro.corpus import generate_corpus
 from repro.miniml import parse_program
@@ -20,6 +20,7 @@ from repro.miniml.infer import (
     typecheck_program,
 )
 from repro.obs.metrics import MetricsRegistry
+from tests.core.reference_checking import ReferenceCheckingOracle
 
 WELL_TYPED = """\
 let base = 10
@@ -207,24 +208,32 @@ class TestDegradation:
 
 
 class TestCrossCheckSweep:
-    """ISSUE acceptance gate: cross_check over the corpus, zero mismatches.
+    """Every check of a corpus search against the from-scratch reference.
 
-    ``cross_check=True`` re-derives every table-served verdict from
-    scratch in-process and raises ``IncrementalMismatch`` on any
-    divergence — so a clean sweep *is* the proof."""
+    :class:`ReferenceCheckingOracle` re-derives each answered check with
+    plain ``typecheck_program`` and raises on any divergence, so a clean
+    sweep is the proof.  With a store attached the rendered messages are
+    compared as well."""
 
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
     @pytest.mark.parametrize("scale,seed", [(0.1, 7)])
-    def test_corpus_sweep_zero_mismatches(self, scale, seed):
+    def test_corpus_sweep_zero_mismatches(self, scale, seed, with_store, tmp_path):
         corpus = generate_corpus(scale=scale, seed=seed).representatives
-        crosschecked = 0
+        metrics = MetricsRegistry()
+        compared = 0
         for corpus_file in corpus:
-            metrics = MetricsRegistry()
-            oracle = Oracle(cross_check=True, metrics=metrics)
-            checked = explain(corpus_file.program, oracle=oracle)
+            oracle = ReferenceCheckingOracle(metrics=metrics)
+            checked = explain(
+                corpus_file.program,
+                oracle=oracle,
+                store=tmp_path / "s" if with_store else None,
+            )
             plain = explain(corpus_file.program)
             assert checked.ok == plain.ok
             assert [render_suggestion(s) for s in checked.suggestions] == [
                 render_suggestion(s) for s in plain.suggestions
             ]
-            crosschecked += metrics.value("oracle.decl.crosschecked")
-        assert crosschecked > 0
+            compared += oracle.compared
+        assert compared > 0
+        assert metrics.value("oracle.decl.replayed") > 0
+        assert metrics.value("oracle.prefix.reused") > 0

@@ -1,7 +1,6 @@
 """Checker-agnostic dependency planning (`repro.core.depgraph`).
 
-These tests drive :class:`DeclDepGraph` and :func:`plan_replay` with
-hand-built def/use summaries — no MiniML involved — so the propagation
+These tests drive :func:`plan_replay` with hand-built def/use summaries — no MiniML involved — so the propagation
 rules (dirty seeding, shadow cuts, rename invalidation, weak cliques) are
 each pinned in isolation.
 """
@@ -9,17 +8,12 @@ each pinned in isolation.
 from repro.core.depgraph import (
     PLAN_CHECK,
     PLAN_REPLAY,
-    DeclDepGraph,
     DeclOutcome,
     DeclTable,
     plan_replay,
 )
 
 V = lambda n: ("value", n)  # noqa: E731
-
-
-def _graph(*pairs):
-    return DeclDepGraph([(frozenset(u), frozenset(d)) for u, d in pairs])
 
 
 def _table(*entries):
@@ -48,38 +42,42 @@ def _plan(table, changed_indices, use_defs=None):
     return plan_replay(table, skeys, use_defs)
 
 
-class TestDependentsOf:
+class TestDependents:
+    """Which later declarations a change to declaration 0 reaches."""
+
     def test_direct_dependent(self):
-        g = _graph(([], [V("a")]), ([V("a")], [V("b")]), ([], [V("c")]))
-        assert g.dependents_of(0) == [1]
+        table = _table(
+            ([], [V("a")], []), ([V("a")], [V("b")], []), ([], [V("c")], [])
+        )
+        assert _plan(table, {0}) == [PLAN_CHECK, PLAN_CHECK, PLAN_REPLAY]
 
     def test_transitive_dependent(self):
-        g = _graph(
-            ([], [V("a")]),
-            ([V("a")], [V("b")]),
-            ([V("b")], [V("c")]),
+        table = _table(
+            ([], [V("a")], []),
+            ([V("a")], [V("b")], []),
+            ([V("b")], [V("c")], []),
         )
-        assert g.dependents_of(0) == [1, 2]
+        assert _plan(table, {0}) == [PLAN_CHECK, PLAN_CHECK, PLAN_CHECK]
 
     def test_shadow_cuts_the_edge(self):
         # decl 1 re-defines `a` without using it: decl 2's use of `a`
         # resolves to decl 1, so changing decl 0 cannot reach decl 2.
-        g = _graph(
-            ([], [V("a")]),
-            ([], [V("a")]),
-            ([V("a")], []),
+        table = _table(
+            ([], [V("a")], []),
+            ([], [V("a")], []),
+            ([V("a")], [], []),
         )
-        assert g.dependents_of(0) == []
+        assert _plan(table, {0}) == [PLAN_CHECK, PLAN_REPLAY, PLAN_REPLAY]
 
     def test_dependent_redefinition_stays_dirty(self):
         # decl 1 both uses and re-defines `a`: later users still observe
         # the change (through decl 1's re-inferred binding).
-        g = _graph(
-            ([], [V("a")]),
-            ([V("a")], [V("a")]),
-            ([V("a")], []),
+        table = _table(
+            ([], [V("a")], []),
+            ([V("a")], [V("a")], []),
+            ([V("a")], [], []),
         )
-        assert g.dependents_of(0) == [1, 2]
+        assert _plan(table, {0}) == [PLAN_CHECK, PLAN_CHECK, PLAN_CHECK]
 
 
 class TestPlanReplay:

@@ -11,6 +11,7 @@ deep, before any store traffic.
 
 import pytest
 
+import repro.core.oracle as oracle_module
 from repro.core import Oracle
 from repro.core.enumerator import MiniMLEnumerator, wildcard_for
 from repro.corpus.generator import generate_corpus
@@ -119,10 +120,15 @@ class TestStoreFirstOrder:
         assert visits == [program]
         assert oracle.store_misses == 1
 
-    def test_over_limit_candidate_with_store_touches_no_store(self, tmp_path):
+    def test_over_limit_candidate_with_store_touches_no_store(
+        self, tmp_path, monkeypatch
+    ):
         program = deep_app_chain(10)
+        monkeypatch.setattr(
+            oracle_module, "default_max_depth", lambda: node_depth(program) - 1
+        )
         with VerdictStore(tmp_path) as store:
-            oracle = Oracle(store=store, max_depth=node_depth(program) - 1)
+            oracle = Oracle(store=store)
             assert oracle.check(program).ok is False
         assert oracle.depth_rejections == 1
         assert oracle.calls == 0

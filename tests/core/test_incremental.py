@@ -7,9 +7,9 @@ whose first ``k`` declarations type-check, checking its suffix against the
 must return the same verdict — and on failure, the same rendered error —
 as inference from the empty environment.  These tests exercise the
 contract directly at the infer layer, then property-style over generated
-corpus programs through the full search (with the oracle's ``cross_check``
-assertion mode on, so every reused answer is re-derived from scratch and
-compared in-process).
+corpus programs through the full search (with
+:class:`~tests.core.reference_checking.ReferenceCheckingOracle`, which
+re-derives every answered check from scratch and compares it in-process).
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.core.seminal import explain
 from repro.miniml import parse_program
 from repro.miniml.ast_nodes import Program
 from repro.miniml.infer import snapshot_prefix, typecheck_program
+from tests.core.reference_checking import ReferenceCheckingOracle
 
 #: Ill-typed programs with at least one passing leading declaration,
 #: covering the declaration forms a snapshot must capture: values,
@@ -137,8 +138,9 @@ class TestFreeVariableIsolation:
 
 
 class TestCorpusAgreement:
-    """Property-style: over generated corpus programs, a search with the
-    incremental oracle (cross-check mode on) and a search with the
+    """Property-style: over generated corpus programs, a search whose
+    every answered check is compared with the from-scratch reference
+    (messages too, when a store is attached) and a search with the
     from-scratch reference oracle must agree bit-for-bit — same verdict,
     same oracle-call count, same rendered suggestions in the same order."""
 
@@ -154,10 +156,15 @@ class TestCorpusAgreement:
         )
         return [f.program for f in files[:6]]
 
-    def test_search_results_identical(self, corpus_programs):
+    @pytest.mark.parametrize("with_store", [False, True], ids=["no-store", "store"])
+    def test_search_results_identical(self, corpus_programs, with_store, tmp_path):
         for program in corpus_programs:
             baseline = explain(program, oracle=Oracle(typecheck=typecheck_program))
-            checked = explain(program, oracle=Oracle(cross_check=True))
+            oracle = ReferenceCheckingOracle()
+            checked = explain(
+                program, oracle=oracle, store=tmp_path / "s" if with_store else None
+            )
+            assert oracle.compared > 0
             assert checked.ok == baseline.ok
             assert checked.oracle_calls == baseline.oracle_calls
             assert checked.bad_decl_index == baseline.bad_decl_index

@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro.core.oracle import BudgetExceeded, IncrementalMismatch, Oracle
+from repro.core.oracle import BudgetExceeded, Oracle
 from repro.miniml import parse_program
 from repro.miniml.ast_nodes import Program
 from repro.miniml.infer import SpeculativeState, typecheck_program
 from repro.obs import MetricsRegistry
+from tests.core.reference_checking import (
+    ReferenceCheckingOracle,
+    ReferenceMismatch,
+)
 
 
 @pytest.fixture
@@ -240,18 +244,20 @@ class TestPrefixReuse:
         assert registry.value("oracle.full_checks") == 0
 
 
-class TestCrossCheck:
+class TestReferenceCheck:
+    """The test-side oracle the per-check sweeps run through."""
+
     def test_consistent_answers_pass(self, two_decl_bad):
         registry = MetricsRegistry()
-        oracle = Oracle(cross_check=True, metrics=registry)
+        oracle = ReferenceCheckingOracle(metrics=registry)
         oracle.arm_prefix(two_decl_bad, 1)
         assert not oracle.passes(two_decl_bad)
-        assert registry.value("oracle.prefix.crosschecked") == 1
+        assert oracle.compared == 1
+        assert registry.value("oracle.prefix.reused") == 1
 
     def test_divergence_raises(self, two_decl_bad, monkeypatch):
         # A snapshot that answers "ok" on the incremental path while the
-        # from-scratch check says "fail" must be caught by the assertion
-        # mode.
+        # from-scratch check says "fail" must be caught.
         from repro.miniml.infer import CheckResult
 
         monkeypatch.setattr(
@@ -259,7 +265,7 @@ class TestCrossCheck:
             "check",
             lambda self, program, freeze_errors=True: CheckResult(ok=True),
         )
-        oracle = Oracle(cross_check=True)
+        oracle = ReferenceCheckingOracle()
         assert oracle.arm_prefix(two_decl_bad, 1)
-        with pytest.raises(IncrementalMismatch):
+        with pytest.raises(ReferenceMismatch):
             oracle.check(two_decl_bad)

@@ -28,10 +28,9 @@ def int_to_string_literal(node, path):
 
 
 class TestRegistration:
-    def test_register_adds_rule(self):
-        enum = MiniMLEnumerator()
-        enum.register(int_to_string_literal)
-        changes = enum.changes(parse_expr("42"), ())
+    def test_search_config_rules_reach_the_enumerator(self):
+        searcher = Searcher(config=SearchConfig(custom_rules=[int_to_string_literal]))
+        changes = searcher.enumerator.changes(parse_expr("42"), ())
         rules = {cn.change.rule for cn in changes}
         assert "int-to-string-literal" in rules
 

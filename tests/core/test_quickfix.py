@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.quickfix as quickfix_module
 from repro.core import apply_suggestion, explain, fix_all
 from repro.miniml import typecheck_source
 
@@ -87,10 +88,12 @@ class TestFixAll:
         assert len(result.applied) == 1
         assert "replace" in result.applied[0]
 
-    def test_round_limit_respected(self):
+    def test_round_limit_respected(self, monkeypatch):
+        monkeypatch.setattr(quickfix_module, "MAX_ROUNDS", 1)
         src = 'let f a = (a + true) + (4 + "hi")'
-        result = fix_all(src, max_rounds=1)
-        assert result.rounds <= 1
+        result = fix_all(src)
+        assert result.rounds == 1  # two errors: the default limit fixes both
+        assert not result.ok
 
     def test_kwargs_forwarded(self):
         result = fix_all(FIG8, enable_triage=False)

@@ -5,7 +5,9 @@ exhaustion and oracle crashes never escape ``explain()`` — the caller always
 gets the suggestions found so far plus an accurate ``DegradationReport``.
 """
 
+import io
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,6 @@ from repro.core import (
     Deadline,
     DeadlineExceeded,
     DegradationReport,
-    IncrementalMismatch,
     Oracle,
     REASON_BUDGET,
     REASON_CRASH,
@@ -26,6 +27,7 @@ from repro.core import (
     explain,
 )
 from repro.core.oracle import CRASH_SAMPLE_LIMIT
+import repro.core.resilience as resilience_module
 from repro.core.resilience import SHED_FRACTION
 from repro.miniml.infer import (
     CheckResult,
@@ -34,21 +36,29 @@ from repro.miniml.infer import (
     typecheck_program,
 )
 from repro.miniml.parser import parse_program
-from repro.obs import MetricsRegistry
+from repro.obs import EventLog, MetricsRegistry, events_of, read_events
 from repro.store import VerdictStore
 
 
 class FakeClock:
-    """A hand-cranked monotonic clock for deterministic deadline tests."""
+    """Stands in for the resilience module's ``time``: a hand-cranked
+    monotonic clock for deterministic deadline tests."""
 
     def __init__(self, now: float = 0.0):
         self.now = now
 
-    def __call__(self) -> float:
+    def monotonic(self) -> float:
         return self.now
 
     def advance(self, dt: float) -> None:
         self.now += dt
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(resilience_module, "time", fake)
+    return fake
 
 
 TWO_DECLS = "let x = 1\nlet y = x + true"
@@ -60,18 +70,16 @@ TWO_DECLS = "let x = 1\nlet y = x + true"
 
 
 class TestDeadline:
-    def test_elapsed_and_remaining(self):
-        clock = FakeClock()
-        deadline = Deadline(10.0, clock=clock)
+    def test_elapsed_and_remaining(self, clock):
+        deadline = Deadline(10.0)
         assert deadline.elapsed() == 0.0
         assert deadline.remaining() == 10.0
         clock.advance(4.0)
         assert deadline.elapsed() == 4.0
         assert deadline.remaining() == 6.0
 
-    def test_expiry(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock)
+    def test_expiry(self, clock):
+        deadline = Deadline(1.0)
         assert not deadline.expired()
         clock.advance(0.999)
         assert not deadline.expired()
@@ -79,27 +87,24 @@ class TestDeadline:
         assert deadline.expired()
         assert deadline.remaining() == 0.0
 
-    def test_soft_horizon_before_hard(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock)
+    def test_soft_horizon_before_hard(self, clock):
+        deadline = Deadline(1.0)
         clock.advance(0.84)
         assert not deadline.soft_expired()
         clock.advance(0.02)
         assert deadline.soft_expired()
         assert not deadline.expired()
 
-    def test_none_never_expires(self):
-        clock = FakeClock()
-        deadline = Deadline(None, clock=clock)
+    def test_none_never_expires(self, clock):
+        deadline = Deadline(None)
         clock.advance(1e9)
         assert not deadline.expired()
         assert not deadline.soft_expired()
         assert deadline.remaining() is None
         assert deadline.elapsed() == pytest.approx(1e9)
 
-    def test_remaining_clamped_at_zero(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock)
+    def test_remaining_clamped_at_zero(self, clock):
+        deadline = Deadline(1.0)
         clock.advance(5.0)
         assert deadline.remaining() == 0.0
 
@@ -299,21 +304,6 @@ class TestSelfHealing:
         assert oracle.crashes == 1
         assert not oracle.prefix_armed
 
-    def test_cross_check_mismatch_still_raises(self, monkeypatch):
-        # The assertion mode must survive the crash guard: a divergence is
-        # a soundness bug, not a fault to degrade through.  The snapshot
-        # says yes; from scratch, TWO_DECLS is ill-typed.
-        monkeypatch.setattr(
-            SpeculativeState,
-            "check",
-            lambda self, program, freeze_errors=True: CheckResult(ok=True),
-        )
-        oracle = Oracle(cross_check=True)
-        program = parse_program(TWO_DECLS)
-        assert oracle.arm_prefix(program, 1)
-        with pytest.raises(IncrementalMismatch):
-            oracle.check(program)
-
 
 # ---------------------------------------------------------------------------
 # Re-arming the prefix snapshot never serves an earlier verdict
@@ -350,16 +340,21 @@ def _deep_program(depth: int):
     return Program([DExpr(expr)])
 
 
+@pytest.fixture
+def depth_limit_10(monkeypatch):
+    monkeypatch.setattr(oracle_module, "default_max_depth", lambda: 10)
+
+
 class TestDepthPreCheck:
-    def test_deep_candidate_rejected_without_a_call(self):
-        oracle = Oracle(max_depth=10)
+    def test_deep_candidate_rejected_without_a_call(self, depth_limit_10):
+        oracle = Oracle()
         result = oracle.check(_deep_program(50))
         assert result.ok is False
         assert oracle.depth_rejections == 1
         assert oracle.calls == 0  # never reached the checker
 
-    def test_shallow_candidate_passes_the_guard(self):
-        oracle = Oracle(max_depth=10)
+    def test_shallow_candidate_passes_the_guard(self, depth_limit_10):
+        oracle = Oracle()
         oracle.check(parse_program("let x = 1"))
         assert oracle.depth_rejections == 0
         assert oracle.calls == 1
@@ -368,19 +363,6 @@ class TestDepthPreCheck:
         oracle = Oracle()
         assert oracle.max_depth == max(64, sys.getrecursionlimit() // 6)
 
-    def test_none_disables_the_guard(self):
-        from repro.miniml.errors import NestingTooDeepError
-
-        oracle = Oracle(max_depth=None)
-        assert oracle._depth_probe is None
-        # The checker's own RecursionError conversion then catches the
-        # deep tree: a graceful rejection, not a propagated crash.
-        result = oracle.check(_deep_program(sys.getrecursionlimit() * 2))
-        assert result.ok is False
-        assert isinstance(result.error, NestingTooDeepError)
-        assert oracle.depth_rejections == 0
-        assert oracle.calls == 1
-
 
 # ---------------------------------------------------------------------------
 # The searcher's deadline machinery
@@ -388,19 +370,17 @@ class TestDepthPreCheck:
 
 
 class TestSearcherDeadline:
-    def test_tick_raises_past_the_hard_deadline(self):
-        clock = FakeClock()
+    def test_tick_raises_past_the_hard_deadline(self, clock):
         searcher = Searcher()
-        searcher._deadline = Deadline(1.0, clock=clock)
+        searcher._deadline = Deadline(1.0)
         searcher._tick("removal_tests")  # within budget: no raise
         clock.advance(2.0)
         with pytest.raises(DeadlineExceeded):
             searcher._tick("removal_tests")
 
-    def test_shed_past_the_soft_horizon(self):
-        clock = FakeClock()
+    def test_shed_past_the_soft_horizon(self, clock):
         searcher = Searcher()
-        searcher._deadline = Deadline(1.0, clock=clock)
+        searcher._deadline = Deadline(1.0)
         assert not searcher._shed("triage")
         clock.advance(0.84)
         assert not searcher._shed("triage")
@@ -475,6 +455,23 @@ class TestExplainDegradation:
         result = explain(TWO_DECLS, oracle=oracle)
         oracle.reset()
         assert result.degradation.reasons == [REASON_BUDGET]
+
+    def test_passed_oracle_budget_is_the_one_recorded(self):
+        # The passed oracle has no budget, so max_oracle_calls is not
+        # enforced: the report must not claim a budget of 5.
+        fig2 = Path(__file__).parents[2] / "examples" / "fig2.ml"
+        result = explain(fig2.read_text(), max_oracle_calls=5, oracle=Oracle())
+        assert result.oracle_calls > 5
+        assert not result.budget_exhausted
+        assert result.degradation.budget is None
+
+    def test_passed_oracle_max_calls_in_result_and_event(self):
+        sink = io.StringIO()
+        result = explain(TWO_DECLS, oracle=Oracle(max_calls=3), events=EventLog(sink))
+        assert result.budget_exhausted
+        assert result.degradation.budget == 3
+        [event] = events_of(read_events(sink.getvalue().splitlines()), "degradation")
+        assert event["budget"] == 3
 
     def test_search_config_carries_deadline(self):
         config = SearchConfig(deadline_seconds=2.5)

@@ -186,10 +186,6 @@ class TestBudget:
 
 
 class TestConfigKnobs:
-    def test_disable_adaptation(self):
-        result = explain(TestAdaptation.SRC, enable_adaptation=False)
-        assert all(s.kind != KIND_ADAPT for s in result.suggestions)
-
     def test_disabled_rules_respected(self):
         result = explain(FIG2, disabled_rules=["curry-params"])
         assert all(s.change.rule != "curry-params" for s in result.suggestions)

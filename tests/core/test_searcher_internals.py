@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.core.searcher as searcher_module
 from repro.core import Oracle, SearchConfig, Searcher
 from repro.core.enumerator import wildcard_for
 from repro.miniml import parse_program
@@ -86,18 +87,21 @@ let lst = map2 (fun (x, y) -> x + y) [1;2;3] [4;5;6]
 class TestOnlyRemovalLogic:
     def test_small_node_not_triaged(self):
         # 1 + true is below the triage threshold: plain removal suggestions.
-        searcher = make_searcher(triage_threshold=5)
+        assert searcher_module.TRIAGE_THRESHOLD == 5
+        searcher = make_searcher()
         outcome = searcher.search_program(parse_program("let x = 1 + true"))
         assert all(not s.triaged for s in outcome.suggestions)
 
-    def test_threshold_zero_triages_eagerly(self):
-        searcher = make_searcher(triage_threshold=0)
+    def test_threshold_zero_triages_eagerly(self, monkeypatch):
+        monkeypatch.setattr(searcher_module, "TRIAGE_THRESHOLD", 0)
+        searcher = make_searcher()
         src = 'let f a = (a + true) + (4 + "hi")'
         outcome = searcher.search_program(parse_program(src))
         assert any(s.triaged for s in outcome.suggestions)
 
-    def test_max_triage_depth_zero_disables_triage(self):
-        searcher = make_searcher(max_triage_depth=0)
+    def test_max_triage_depth_zero_disables_triage(self, monkeypatch):
+        monkeypatch.setattr(searcher_module, "MAX_TRIAGE_DEPTH", 0)
+        searcher = make_searcher()
         src = 'let f a = (a + true) + (4 + "hi")'
         outcome = searcher.search_program(parse_program(src))
         assert all(not s.triaged for s in outcome.suggestions)

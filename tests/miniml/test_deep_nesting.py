@@ -142,15 +142,19 @@ class TestInference:
         assert oracle.depth_rejections == 1
         assert oracle.calls == 0
 
-    def test_unkeyable_tree_rejected_not_crashed(self):
+    def test_unkeyable_tree_rejected_not_crashed(self, monkeypatch):
         # A depth limit above the tree's depth: only the keyer's
         # TreeTooDeep can reject it, and it must count as too deep.
+        import repro.core.oracle as oracle_module
         from repro.core import Oracle
 
         program = deep_app_chain(PATHOLOGICAL)
         with pytest.raises(TreeTooDeep):
             StructuralKeyer()(program)
-        oracle = Oracle(max_depth=PATHOLOGICAL * 10)
+        monkeypatch.setattr(
+            oracle_module, "default_max_depth", lambda: PATHOLOGICAL * 10
+        )
+        oracle = Oracle()
         result = oracle.check(program)
         assert result.ok is False
         assert oracle.depth_rejections == 1

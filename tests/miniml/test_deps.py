@@ -14,7 +14,6 @@ from repro.miniml.deps import (
     NS_VALUE,
     decl_use_def,
     pattern_names,
-    program_use_defs,
 )
 
 
@@ -135,10 +134,11 @@ class TestTypeAndExceptionDecls:
 
 
 class TestProgramLevel:
-    def test_program_use_defs_in_order(self):
-        uds = program_use_defs(
-            parse_program("let a = 1\nlet b = a\nlet a = b")
-        )
+    def test_use_defs_in_declaration_order(self):
+        uds = [
+            decl_use_def(decl)
+            for decl in parse_program("let a = 1\nlet b = a\nlet a = b").decls
+        ]
         assert [ud.defs for ud in uds] == [
             frozenset({(NS_VALUE, "a")}),
             frozenset({(NS_VALUE, "b")}),

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro.obs.events as events_module
 from repro.core import explain
 from repro.core.resilience import DegradationReport
 from repro.obs import (
@@ -22,16 +23,20 @@ from repro.obs import (
 
 
 class FakeClock:
-    """Deterministic monotonic clock: advances by ``step`` per reading."""
+    """Stands in for the event module's ``time``: a deterministic
+    monotonic clock that advances by ``step`` per reading."""
 
     def __init__(self, step=0.5):
         self.now = 100.0
         self.step = step
 
-    def __call__(self):
+    def monotonic(self):
         value = self.now
         self.now += self.step
         return value
+
+    def time(self):
+        return 0.0
 
 
 class TestEventLog:
@@ -55,9 +60,10 @@ class TestEventLog:
         events = read_events(sink.getvalue().splitlines())
         assert [e["seq"] for e in events] == list(range(len(events)))
 
-    def test_timestamps_from_injected_clock(self):
+    def test_timestamps_from_injected_clock(self, monkeypatch):
+        monkeypatch.setattr(events_module, "time", FakeClock(step=0.5))
         sink = io.StringIO()
-        log = EventLog(sink, clock=FakeClock(step=0.5))
+        log = EventLog(sink)
         log.emit("tick")
         events = read_events(sink.getvalue().splitlines())
         # Epoch read at construction, then one reading per emit.

@@ -220,6 +220,26 @@ class TestCompactionInOneSession:
             ]
         assert survivors[False] == survivors[True] == [("c",)]
 
+    def test_segments_of_one_millisecond_evict_in_publish_order(
+        self, tmp_path, monkeypatch
+    ):
+        # Twelve publishes in one millisecond: the segment names must sort
+        # in publish order (``-2`` before ``-10``), so compacting down to
+        # one segment keeps the newest.
+        monkeypatch.setattr(verdicts, "time", _Ticks(step=0.0))
+        path = tmp_path / "s"
+        store = VerdictStore(path)
+        keys = [(f"k{i}",) for i in range(12)]
+        for key in keys:
+            store.put(key, True)
+            store.flush()
+        names = [p.name for p in path.glob("seg-*.jsonl")]
+        assert len(names) == 12
+        one_segment = max(p.stat().st_size for p in path.glob("seg-*.jsonl"))
+        VerdictStore(path).compact(max_bytes=one_segment)
+        fresh = VerdictStore(path, read_only=True)
+        assert [key for key in keys if fresh.get(key) is not None] == [keys[-1]]
+
 
 class TestInvalidatedCountedOnce:
     def test_batch_reports_stale_entries_once(self, tmp_path):

@@ -17,21 +17,44 @@ The event log is the flight recorder's only run record: no ``--report``
 summary document, no Prometheus exporter, and histograms keep no bucket
 tallies and cap their samples at the constant
 :data:`~repro.obs.metrics.SAMPLE_CAP`.
+No option is kept that only tests set: the oracle has no ``cross_check``
+mode (the tests compare answers with the reference themselves) and no
+``max_depth`` (the guard always runs at ``default_max_depth()``), the
+triage threshold and depth are the constants
+:data:`~repro.core.searcher.TRIAGE_THRESHOLD` and
+:data:`~repro.core.searcher.MAX_TRIAGE_DEPTH`, adaptation always runs, the
+searcher builds its own enumerator, the checker's entry points take no
+``env``, deadlines and event logs read the monotonic clock, and
+:func:`~repro.core.fix_all` stops after the constant
+:data:`~repro.core.quickfix.MAX_ROUNDS`.
 A caller still passing one of the old options gets an error naming it.
 """
 
 import importlib
+import inspect
+import io
 
 import pytest
 
 import repro.core
 import repro.obs
 from repro.cli import main
-from repro.core import Oracle, SearchConfig, explain, explain_many
+import repro.core.oracle
+from repro.core import Oracle, SearchConfig, Searcher, explain, explain_many, fix_all
 from repro.core.resilience import Deadline
 from repro.evaluation.timing import TimingResult
 from repro.faults import FlakyStore
-from repro.obs import MetricsRegistry, NullMetrics, NullTracer, Tracer
+from repro.miniml import parse_program
+from repro.miniml.exhaustiveness import match_warnings
+from repro.miniml.infer import (
+    Inferencer,
+    record_decl_table,
+    replay_decl_table,
+    snapshot_prefix,
+    typecheck_program,
+    typecheck_source,
+)
+from repro.obs import EventLog, MetricsRegistry, NullMetrics, NullTracer, Tracer
 from repro.obs.metrics import Histogram
 from repro.store import StoredVerdict, StoreStats, VerdictStore
 
@@ -201,3 +224,107 @@ def test_warm_batch_writes_no_hit_markers(tmp_path):
     assert metrics.value("oracle.store.hits") > 0
     assert not (store / "hits").exists()
     assert all(p.name.startswith("seg-") for p in store.iterdir())
+
+
+@pytest.mark.parametrize("option, value", [("cross_check", True), ("max_depth", 10)])
+def test_oracle_rejects_test_only_options(option, value):
+    with pytest.raises(TypeError, match=option):
+        Oracle(**{option: value})
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("triage_threshold", 0), ("max_triage_depth", 0), ("enable_adaptation", False)],
+)
+def test_search_config_rejects_test_only_options(option, value):
+    with pytest.raises(TypeError, match=option):
+        SearchConfig(**{option: value})
+
+
+@pytest.mark.parametrize(
+    "option, value", [("triage_threshold", 0), ("enable_adaptation", False)]
+)
+def test_explain_rejects_test_only_options(option, value):
+    with pytest.raises(TypeError, match=option):
+        explain(ILL_TYPED, **{option: value})
+
+
+def test_searcher_rejects_enumerator():
+    with pytest.raises(TypeError, match="enumerator"):
+        Searcher(enumerator=None)
+
+
+def _program():
+    return parse_program(ILL_TYPED)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("Inferencer", lambda: Inferencer(env=None)),
+        ("typecheck_program", lambda: typecheck_program(_program(), env=None)),
+        ("typecheck_source", lambda: typecheck_source(ILL_TYPED, env=None)),
+        ("snapshot_prefix", lambda: snapshot_prefix(_program(), 1, env=None)),
+        ("record_decl_table", lambda: record_decl_table(_program(), env=None)),
+        ("replay_decl_table",
+         lambda: replay_decl_table(_program(), record_decl_table(_program())[0],
+                                   env=None)),
+        ("match_warnings", lambda: match_warnings(_program(), env=None)),
+    ],
+)
+def test_checker_entry_points_reject_env(name, call):
+    with pytest.raises(TypeError, match="env"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: Deadline(1.0, clock=lambda: 0.0),
+     lambda: EventLog(io.StringIO(), clock=lambda: 0.0)],
+    ids=["Deadline", "EventLog"],
+)
+def test_clock_is_not_injectable(call):
+    with pytest.raises(TypeError, match="clock"):
+        call()
+
+
+def test_fix_all_rejects_max_rounds():
+    with pytest.raises(TypeError, match="max_rounds"):
+        fix_all(ILL_TYPED, max_rounds=1)
+
+
+@pytest.mark.parametrize("name", ["IncrementalMismatch", "AUTO_DEPTH"])
+def test_oracle_module_exports_no_cross_check_or_auto_depth(name):
+    assert not hasattr(repro.core.oracle, name)
+    assert not hasattr(repro.core, name)
+
+
+#: Every settable value along the search stack, by entry point.  A new
+#: keyword option has to be added here, and it needs a caller outside the
+#: tests to earn its place.
+OPTION_CENSUS = [
+    (explain, [
+        "source", "enable_triage", "max_oracle_calls", "deadline_seconds",
+        "disabled_rules", "oracle", "triage_strategy", "eager_enumeration",
+        "custom_rules", "tracer", "metrics", "events", "label", "store",
+    ]),
+    (Searcher, ["oracle", "config", "tracer", "metrics", "events"]),
+    (Oracle, ["typecheck", "max_calls", "metrics", "events", "store"]),
+    (SearchConfig, [
+        "max_oracle_calls", "deadline_seconds", "enable_triage",
+        "disabled_rules", "triage_strategy", "eager_enumeration", "custom_rules",
+    ]),
+    (Inferencer, ["record_types"]),
+    (typecheck_program, ["program", "record_types"]),
+    (typecheck_source, ["source"]),
+    (snapshot_prefix, ["program", "upto"]),
+    (record_decl_table, ["program", "key_fn"]),
+    (replay_decl_table, ["program", "table", "key_fn", "freeze_errors"]),
+]
+
+
+@pytest.mark.parametrize(
+    "target, params", OPTION_CENSUS, ids=[t.__name__ for t, _ in OPTION_CENSUS]
+)
+def test_option_census(target, params):
+    assert list(inspect.signature(target).parameters) == params
