@@ -175,6 +175,9 @@ def explain(
     events.emit("search_started", label=label, decls=len(program.decls))
     store_obj = None
     owns_store = False
+    # A caller's oracle gets back whatever store it had before this call.
+    restore_store = False
+    previous_store = None
     if store is not None:
         if isinstance(store, VerdictStore):
             store_obj = store
@@ -189,6 +192,8 @@ def explain(
                 store=store_obj,
             )
         else:
+            restore_store = True
+            previous_store = oracle.store
             oracle.attach_store(store_obj)
     config = SearchConfig(
         max_oracle_calls=max_oracle_calls,
@@ -206,29 +211,33 @@ def explain(
         metrics=registry,
         events=events,
     )
-    outcome = searcher.search_program(program)
-    with tracer.span("rank", candidates=len(outcome.suggestions)):
-        ranked = rank(outcome.suggestions)
-    registry.incr("rank.suggestions_ranked", len(ranked))
-    if store_obj is not None:
-        try:
-            if owns_store:
-                store_obj.close()
-            else:
-                store_obj.flush()
-        except Exception:
-            pass  # persisting the cache is best-effort; answers stand
-        # A failed publish counts on the search whose verdicts it lost.
-        searcher.oracle.drain_store_io()
-        if events.enabled:
-            events.emit(
-                "store",
-                label=label,
-                path=str(store_obj.path),
-                hits=searcher.oracle.store_hits,
-                misses=searcher.oracle.store_misses,
-                writes=searcher.oracle.store_writes,
-            )
+    try:
+        outcome = searcher.search_program(program)
+        with tracer.span("rank", candidates=len(outcome.suggestions)):
+            ranked = rank(outcome.suggestions)
+        registry.incr("rank.suggestions_ranked", len(ranked))
+        if store_obj is not None:
+            try:
+                if owns_store:
+                    store_obj.close()
+                else:
+                    store_obj.flush()
+            except Exception:
+                pass  # persisting the cache is best-effort; answers stand
+            # A failed publish counts on the search whose verdicts it lost.
+            searcher.oracle.drain_store_io()
+            if events.enabled:
+                events.emit(
+                    "store",
+                    label=label,
+                    path=str(store_obj.path),
+                    hits=searcher.oracle.store_hits,
+                    misses=searcher.oracle.store_misses,
+                    writes=searcher.oracle.store_writes,
+                )
+    finally:
+        if restore_store:
+            oracle.store = previous_store
     if events.enabled:
         if ranked:
             events.emit("suggestions", label=label, ranks=suggestion_rows(ranked))

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for MiniML.
+"""Recursive-descent parser for MiniML, precedence climbing for infix operators.
 
 The grammar is the Caml fragment the paper's programs use.  Operator
 precedence (loosest to tightest) follows OCaml closely enough that every
@@ -8,6 +8,10 @@ example in the paper parses with the intended shape:
 ``||`` < ``&&`` < comparisons < ``@``/``^`` < ``::`` < additive <
 multiplicative < unary < application < field access < atoms.
 
+The infix levels from ``:=`` to multiplicative are one loop over the
+table :data:`_BINARY` rather than a function per level, so an operand
+costs a few frames however many levels sit above it.
+
 Curried applications are flattened into one :class:`EApp` node (``f a b c``
 has three argument children), which is the shape the triage algorithm of
 Section 2.4 iterates over.
@@ -16,8 +20,6 @@ Section 2.4 iterates over.
 from __future__ import annotations
 
 from typing import List, Optional
-
-from repro.tree import Span
 
 from .ast_nodes import (
     Binding,
@@ -66,7 +68,7 @@ from .ast_nodes import (
     TypeExpr,
     VariantCase,
 )
-from .lexer import tokenize
+from .lexer import scan
 from .tokens import Token, TokenKind
 
 
@@ -80,72 +82,112 @@ class ParseError(Exception):
         self.token = token
 
 
-# Tokens that can begin an atomic expression; used to detect application.
-_ATOM_STARTERS_OP = {"(", "[", "{", "!"}
+_EOF = TokenKind.EOF
+_CHAR = TokenKind.CHAR
+_INT = TokenKind.INT
+_FLOAT = TokenKind.FLOAT
+_STRING = TokenKind.STRING
+_LIDENT = TokenKind.LIDENT
+_UIDENT = TokenKind.UIDENT
+
+#: Infix operators, loosest level first: text -> (level, right-associative).
+_BINARY = {
+    text: (level, right)
+    for level, (texts, right) in enumerate(
+        [
+            ((":=", "<-"), True),
+            (("||",), True),
+            (("&&",), True),
+            (("=", "==", "!=", "<>", "<", ">", "<=", ">="), False),
+            (("@", "^"), True),
+            (("::",), True),
+            (("+", "-", "+.", "-."), False),
+            (("*", "/", "*.", "/.", "mod"), False),
+        ]
+    )
+    for text in texts
+}
+
+# The operators and keywords that begin an atomic expression (which is how
+# an application's next argument is found) or an atomic pattern.  Every
+# literal and identifier begins both.
+_ATOM_WORDS = frozenset({"(", "[", "{", "!", "true", "false", "begin"})
+_PATTERN_ATOM_WORDS = frozenset({"(", "[", "_", "true", "false"})
 
 
-def _is_atom_start(tok: Token) -> bool:
-    if tok.kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING, TokenKind.LIDENT, TokenKind.UIDENT):
-        return True
-    if tok.kind is TokenKind.KEYWORD and tok.text in ("true", "false", "begin"):
-        return True
-    return tok.kind is TokenKind.OP and tok.text in _ATOM_STARTERS_OP
+def _starts_pattern_atom(tag) -> bool:
+    if tag.__class__ is str:
+        return tag in _PATTERN_ATOM_WORDS
+    return tag is not _EOF and tag is not _CHAR
 
 
 class Parser:
-    """One-token-lookahead recursive-descent parser."""
+    """One-token-lookahead recursive-descent parser.
+
+    It reads the columns of a :class:`~repro.miniml.lexer.TokenStream`:
+    ``tok`` is the current token's tag, an operator's or keyword's text or
+    another token's kind, so most decisions are one comparison.  Token
+    positions are token indices; a :class:`Token` is built only for a
+    :class:`ParseError`.
+    """
 
     def __init__(self, source: str):
-        self.tokens = tokenize(source)
+        self.stream = scan(source)
+        self.tags = self.stream.tags
+        self.texts = self.stream.texts
         self.index = 0
+        #: The current token's tag, ``tags[index]``; only :meth:`_next` moves it.
+        self.tok = self.tags[0]
 
     # ------------------------------------------------------------------
     # Token-stream helpers
     # ------------------------------------------------------------------
 
-    @property
-    def tok(self) -> Token:
-        return self.tokens[self.index]
+    def token(self, index: Optional[int] = None) -> Token:
+        """The token at ``index``, by default the current one."""
+        return self.stream.token(self.index if index is None else index)
 
-    def _peek(self, ahead: int = 1) -> Token:
-        index = min(self.index + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+    def _next(self) -> int:
+        """Consume the current token; return its index."""
+        index = self.index
+        if self.tok is not _EOF:
+            self.index = index + 1
+            self.tok = self.tags[index + 1]
+        return index
 
-    def _next(self) -> Token:
-        tok = self.tok
-        if tok.kind is not TokenKind.EOF:
-            self.index += 1
-        return tok
-
-    def _expect_op(self, text: str) -> Token:
-        if not self.tok.is_op(text):
-            raise ParseError(f"expected {text!r}", self.tok)
+    def _expect_op(self, text: str) -> int:
+        if self.tok != text:
+            raise ParseError(f"expected {text!r}", self.token())
         return self._next()
 
-    def _expect_kw(self, text: str) -> Token:
-        if not self.tok.is_kw(text):
-            raise ParseError(f"expected keyword {text!r}", self.tok)
+    def _expect_kw(self, text: str) -> int:
+        if self.tok != text:
+            raise ParseError(f"expected keyword {text!r}", self.token())
         return self._next()
 
-    def _eat_op(self, text: str) -> bool:
-        if self.tok.is_op(text):
+    def _eat(self, text: str) -> bool:
+        """Consume the current token if it is the operator or keyword ``text``."""
+        if self.tok == text:
             self._next()
             return True
         return False
 
-    def _eat_kw(self, text: str) -> bool:
-        if self.tok.is_kw(text):
-            self._next()
-            return True
-        return False
+    def _name(self) -> str:
+        """Consume the current token; return its text."""
+        return self.texts[self._next()]
 
-    def _span_from(self, start: Token) -> Span:
-        end = self.tokens[max(self.index - 1, 0)].span
-        s = start.span
-        return Span(s.start_line, s.start_col, end.end_line, end.end_col, s.start_offset, end.end_offset)
+    def _finish(self, node, start: int):
+        """Give ``node`` the span from the token at ``start`` to the end of
+        the last consumed token."""
+        node.span = self.stream.span(start, self.index - 1)
+        return node
 
-    def _finish(self, node, start: Token):
-        node.span = self._span_from(start)
+    def _leaf(self, node):
+        """Consume the current token as the whole of ``node``."""
+        index = self.index
+        node.span = self.stream.span(index, index)
+        self.index = index + 1
+        self.tok = self.tags[index + 1]
         return node
 
     # ------------------------------------------------------------------
@@ -153,36 +195,37 @@ class Parser:
     # ------------------------------------------------------------------
 
     def parse_program(self) -> Program:
-        start = self.tok
+        start = self.index
         decls = []
-        while self.tok.kind is not TokenKind.EOF:
-            while self._eat_op(";;"):
+        while self.tok is not _EOF:
+            while self._eat(";;"):
                 pass
-            if self.tok.kind is TokenKind.EOF:
+            if self.tok is _EOF:
                 break
             decls.append(self.parse_decl())
         return self._finish(Program(decls), start)
 
     def parse_decl(self):
-        start = self.tok
-        if self.tok.is_kw("let"):
+        start = self.index
+        tok = self.tok
+        if tok == "let":
             self._next()
-            rec = self._eat_kw("rec")
+            rec = self._eat("rec")
             bindings = self._parse_bindings()
-            if self._eat_kw("in"):
+            if self._eat("in"):
                 # A top-level ``let ... in e`` is an expression statement.
                 body = self.parse_expr()
                 let_expr = self._finish(ELet(rec, bindings, body), start)
                 return self._finish(DExpr(let_expr), start)
             return self._finish(DLet(rec, bindings), start)
-        if self.tok.is_kw("type"):
+        if tok == "type":
             return self._parse_type_decl()
-        if self.tok.is_kw("exception"):
+        if tok == "exception":
             self._next()
-            if self.tok.kind is not TokenKind.UIDENT:
-                raise ParseError("expected exception name", self.tok)
-            name = self._next().text
-            arg = self.parse_type_expr() if self._eat_kw("of") else None
+            if self.tok is not _UIDENT:
+                raise ParseError("expected exception name", self.token())
+            name = self._name()
+            arg = self.parse_type_expr() if self._eat("of") else None
             return self._finish(DException(name, arg), start)
         expr = self.parse_expr()
         return self._finish(DExpr(expr), start)
@@ -190,22 +233,21 @@ class Parser:
     def _parse_type_decl(self) -> DType:
         start = self._expect_kw("type")
         params: List[str] = []
-        if self.tok.kind is TokenKind.CHAR:  # a type variable like 'a
-            params.append(self._next().text.lstrip("'"))
-        elif self.tok.is_op("("):
-            self._next()
+        if self.tok is _CHAR:  # a type variable like 'a
+            params.append(self._name().lstrip("'"))
+        elif self._eat("("):
             while True:
-                if self.tok.kind is not TokenKind.CHAR:
-                    raise ParseError("expected type variable", self.tok)
-                params.append(self._next().text.lstrip("'"))
-                if not self._eat_op(","):
+                if self.tok is not _CHAR:
+                    raise ParseError("expected type variable", self.token())
+                params.append(self._name().lstrip("'"))
+                if not self._eat(","):
                     break
             self._expect_op(")")
-        if self.tok.kind is not TokenKind.LIDENT:
-            raise ParseError("expected type name", self.tok)
-        name = self._next().text
+        if self.tok is not _LIDENT:
+            raise ParseError("expected type name", self.token())
+        name = self._name()
         self._expect_op("=")
-        if self.tok.is_op("{"):
+        if self.tok == "{":
             return self._finish(DType(name, params, record_fields=self._parse_record_decl()), start)
         variants = self._parse_variants()
         return self._finish(DType(name, params, variants=variants), start)
@@ -214,47 +256,47 @@ class Parser:
         self._expect_op("{")
         fields = []
         while True:
-            fstart = self.tok
-            mutable = self._eat_kw("mutable")
-            if self.tok.kind is not TokenKind.LIDENT:
-                raise ParseError("expected field name", self.tok)
-            fname = self._next().text
+            fstart = self.index
+            mutable = self._eat("mutable")
+            if self.tok is not _LIDENT:
+                raise ParseError("expected field name", self.token())
+            fname = self._name()
             self._expect_op(":")
             ftype = self.parse_type_expr()
             fields.append(self._finish(FieldDecl(fname, ftype, mutable), fstart))
-            if not self._eat_op(";"):
+            if not self._eat(";"):
                 break
-            if self.tok.is_op("}"):
+            if self.tok == "}":
                 break
         self._expect_op("}")
         return fields
 
     def _parse_variants(self) -> List[VariantCase]:
-        self._eat_op("|")
+        self._eat("|")
         variants = []
         while True:
-            vstart = self.tok
-            if self.tok.kind is not TokenKind.UIDENT:
-                raise ParseError("expected constructor name", self.tok)
-            cname = self._next().text
-            arg = self.parse_type_expr() if self._eat_kw("of") else None
+            vstart = self.index
+            if self.tok is not _UIDENT:
+                raise ParseError("expected constructor name", self.token())
+            cname = self._name()
+            arg = self.parse_type_expr() if self._eat("of") else None
             variants.append(self._finish(VariantCase(cname, arg), vstart))
-            if not self._eat_op("|"):
+            if not self._eat("|"):
                 break
         return variants
 
     def _parse_bindings(self) -> List[Binding]:
         bindings = [self._parse_binding()]
-        while self._eat_kw("and"):
+        while self._eat("and"):
             bindings.append(self._parse_binding())
         return bindings
 
     def _parse_binding(self) -> Binding:
-        start = self.tok
+        start = self.index
         # Collect pattern atoms until '='.  One atom: plain binding.
         # Several atoms whose first is a variable: function-definition sugar.
         atoms = [self.parse_pattern_atom()]
-        while not self.tok.is_op("=") and _is_pattern_atom_start(self.tok):
+        while _starts_pattern_atom(self.tok):
             atoms.append(self.parse_pattern_atom())
         self._expect_op("=")
         expr = self.parse_expr()
@@ -263,7 +305,7 @@ class Parser:
             return self._finish(Binding(atoms[0], expr), start)
         head = atoms[0]
         if not isinstance(head, PVar):
-            raise ParseError("function definition must be named by a variable", start)
+            raise ParseError("function definition must be named by a variable", self.token(start))
         fun = EFun(atoms[1:], expr)
         fun.span = expr.span
         return self._finish(
@@ -271,40 +313,37 @@ class Parser:
         )
 
     # ------------------------------------------------------------------
-    # Expressions (precedence climbing, loosest first)
+    # Expressions (loosest first)
     # ------------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self._parse_seq()
-
-    def _parse_seq(self) -> Expr:
-        start = self.tok
+        start = self.index
         expr = self._parse_control()
-        if self.tok.is_op(";"):
+        if self.tok == ";":
             self._next()
-            rest = self._parse_seq()  # right-associative, like OCaml
+            rest = self.parse_expr()  # right-associative, like OCaml
             return self._finish(ESeq(expr, rest), start)
         return expr
 
     def _parse_control(self) -> Expr:
         tok = self.tok
-        if tok.is_kw("let"):
+        if tok == "let":
             return self._parse_let_expr()
-        if tok.is_kw("fun"):
+        if tok == "fun":
             return self._parse_fun()
-        if tok.is_kw("function"):
+        if tok == "function":
             return self._parse_function()
-        if tok.is_kw("match"):
+        if tok == "match":
             return self._parse_match()
-        if tok.is_kw("try"):
+        if tok == "try":
             return self._parse_try()
-        if tok.is_kw("if"):
+        if tok == "if":
             return self._parse_if()
         return self._parse_tuple_level()
 
     def _parse_let_expr(self) -> ELet:
         start = self._expect_kw("let")
-        rec = self._eat_kw("rec")
+        rec = self._eat("rec")
         bindings = self._parse_bindings()
         self._expect_kw("in")
         body = self.parse_expr()
@@ -313,7 +352,7 @@ class Parser:
     def _parse_fun(self) -> EFun:
         start = self._expect_kw("fun")
         params = [self.parse_pattern_atom()]
-        while _is_pattern_atom_start(self.tok) and not self.tok.is_op("->"):
+        while _starts_pattern_atom(self.tok):
             params.append(self.parse_pattern_atom())
         self._expect_op("->")
         body = self.parse_expr()
@@ -336,17 +375,17 @@ class Parser:
         return self._finish(ETry(body, self._parse_cases()), start)
 
     def _parse_cases(self) -> List[MatchCase]:
-        self._eat_op("|")
+        self._eat("|")
         cases = []
         while True:
-            cstart = self.tok
+            cstart = self.index
             pattern = self.parse_pattern()
-            if self.tok.is_kw("when"):
-                raise ParseError("pattern guards ('when') are not supported in MiniML", self.tok)
+            if self.tok == "when":
+                raise ParseError("pattern guards ('when') are not supported in MiniML", self.token())
             self._expect_op("->")
             body = self.parse_expr()
             cases.append(self._finish(MatchCase(pattern, body), cstart))
-            if not self._eat_op("|"):
+            if not self._eat("|"):
                 break
         return cases
 
@@ -355,101 +394,65 @@ class Parser:
         cond = self.parse_expr()
         self._expect_kw("then")
         then_branch = self._parse_control()
-        else_branch = self._parse_control() if self._eat_kw("else") else None
+        else_branch = self._parse_control() if self._eat("else") else None
         return self._finish(EIf(cond, then_branch, else_branch), start)
 
     def _parse_tuple_level(self) -> Expr:
-        start = self.tok
-        first = self._parse_assign_level()
-        if not self.tok.is_op(","):
+        start = self.index
+        first = self._parse_binary(0)
+        if self.tok != ",":
             return first
         items = [first]
-        while self._eat_op(","):
-            items.append(self._parse_assign_level())
+        while self._eat(","):
+            items.append(self._parse_binary(0))
         return self._finish(ETuple(items), start)
 
-    def _parse_assign_level(self) -> Expr:
-        start = self.tok
-        lhs = self._parse_or_level()
-        if self.tok.is_op(":="):
-            self._next()
-            rhs = self._parse_assign_level()
-            return self._finish(EBinop(":=", lhs, rhs), start)
-        if self.tok.is_op("<-"):
-            self._next()
-            rhs = self._parse_assign_level()
-            if isinstance(lhs, EFieldGet):
-                return self._finish(EFieldSet(lhs.record, lhs.field_name, rhs), start)
-            raise ParseError("'<-' requires a record field on the left", start)
-        return lhs
-
-    def _binary_left(self, ops: List[str], next_level) -> Expr:
-        start = self.tok
-        expr = next_level()
-        while self.tok.kind is TokenKind.OP and self.tok.text in ops or (
-            "mod" in ops and self.tok.is_kw("mod")
-        ):
-            op = self._next().text
-            right = next_level()
-            expr = self._finish(EBinop(op, expr, right), start)
-        return expr
-
-    def _binary_right(self, ops: List[str], next_level, this_level) -> Expr:
-        start = self.tok
-        left = next_level()
-        if self.tok.kind is TokenKind.OP and self.tok.text in ops:
-            op = self._next().text
-            right = this_level()
-            return self._finish(EBinop(op, left, right), start)
-        return left
-
-    def _parse_or_level(self) -> Expr:
-        return self._binary_right(["||"], self._parse_and_level, self._parse_or_level)
-
-    def _parse_and_level(self) -> Expr:
-        return self._binary_right(["&&"], self._parse_cmp_level, self._parse_and_level)
-
-    def _parse_cmp_level(self) -> Expr:
-        return self._binary_left(
-            ["=", "==", "!=", "<>", "<", ">", "<=", ">="], self._parse_concat_level
-        )
-
-    def _parse_concat_level(self) -> Expr:
-        return self._binary_right(["@", "^"], self._parse_cons_level, self._parse_concat_level)
-
-    def _parse_cons_level(self) -> Expr:
-        start = self.tok
-        head = self._parse_add_level()
-        if self.tok.is_op("::"):
-            self._next()
-            tail = self._parse_cons_level()
-            return self._finish(ECons(head, tail), start)
-        return head
-
-    def _parse_add_level(self) -> Expr:
-        return self._binary_left(["+", "-", "+.", "-."], self._parse_mul_level)
-
-    def _parse_mul_level(self) -> Expr:
-        return self._binary_left(["*", "/", "*.", "/.", "mod"], self._parse_unary)
+    def _parse_binary(self, min_level: int) -> Expr:
+        """An operand, then every infix operator of level ``min_level`` or
+        tighter.  A right-associative operator's right side takes its own
+        level, a left-associative one's only the tighter levels."""
+        start = self.index
+        left = self._parse_unary() if self.tok == "-" else self._parse_app()
+        while True:
+            entry = _BINARY.get(self.tok)
+            if entry is None or entry[0] < min_level:
+                return left
+            level, right_assoc = entry
+            op = self.texts[self._next()]
+            right = self._parse_binary(level if right_assoc else level + 1)
+            if op == "::":
+                node = ECons(left, right)
+            elif op == "<-":
+                if not isinstance(left, EFieldGet):
+                    raise ParseError("'<-' requires a record field on the left", self.token(start))
+                node = EFieldSet(left.record, left.field_name, right)
+            else:
+                node = EBinop(op, left, right)
+            left = self._finish(node, start)
 
     def _parse_unary(self) -> Expr:
-        tok = self.tok
-        if tok.is_op("-"):
-            self._next()
+        if self.tok == "-":
+            start = self._next()
             operand = self._parse_unary()
             # Fold negation into integer/float literals for natural printing.
             if isinstance(operand, EConst) and operand.kind in ("int", "float"):
                 node = EConst(-operand.value, operand.kind)  # type: ignore[operator]
-                return self._finish(node, tok)
-            return self._finish(EUnop("-", operand), tok)
+                return self._finish(node, start)
+            return self._finish(EUnop("-", operand), start)
         return self._parse_app()
 
     def _parse_app(self) -> Expr:
-        start = self.tok
-        func = self._parse_postfix()
+        start = self.index
+        func = self._parse_atom()
         args: List[Expr] = []
-        while _is_atom_start(self.tok):
-            args.append(self._parse_postfix())
+        while True:
+            tok = self.tok
+            if tok.__class__ is str:
+                if tok not in _ATOM_WORDS:
+                    break
+            elif tok is _EOF or tok is _CHAR:
+                break
+            args.append(self._parse_atom())
         if not args:
             return func
         if isinstance(func, EConstructor) and func.arg is None and len(args) == 1:
@@ -457,256 +460,232 @@ class Parser:
             return self._finish(EConstructor(func.name, args[0]), start)
         return self._finish(EApp(func, args), start)
 
-    def _parse_postfix(self) -> Expr:
-        start = self.tok
-        expr = self._parse_atom()
-        while self.tok.is_op(".") and self._peek().kind is TokenKind.LIDENT:
-            self._next()
-            field_name = self._next().text
-            expr = self._finish(EFieldGet(expr, field_name), start)
-        return expr
-
     def _parse_atom(self) -> Expr:
+        """An atom and the field accesses that follow it (``r.f.g``)."""
+        start = self.index
         tok = self.tok
-        if tok.kind is TokenKind.INT:
+        if tok is _LIDENT:
+            expr = self._leaf(EVar(self.texts[start]))
+        elif tok is _INT:
+            expr = self._leaf(EConst(int(self.texts[start]), "int"))
+        elif tok == "(":
             self._next()
-            return self._finish(EConst(tok.value, "int"), tok)
-        if tok.kind is TokenKind.FLOAT:
-            self._next()
-            return self._finish(EConst(tok.value, "float"), tok)
-        if tok.kind is TokenKind.STRING:
-            self._next()
-            return self._finish(EConst(tok.value, "string"), tok)
-        if tok.is_kw("true") or tok.is_kw("false"):
-            self._next()
-            return self._finish(EConst(tok.text == "true", "bool"), tok)
-        if tok.kind is TokenKind.LIDENT:
-            self._next()
-            return self._finish(EVar(tok.text), tok)
-        if tok.kind is TokenKind.UIDENT:
-            self._next()
-            return self._finish(EConstructor(tok.text), tok)
-        if tok.is_kw("raise"):
+            if self._eat(")"):
+                expr = self._finish(EConst(None, "unit"), start)
+            else:
+                expr = self.parse_expr()
+                if self._eat(":"):
+                    annot_type = self.parse_type_expr()
+                    self._expect_op(")")
+                    expr = self._finish(EAnnot(expr, annot_type), start)
+                else:
+                    self._expect_op(")")
+                    self._finish(expr, start)
+        elif tok is _UIDENT:
+            expr = self._leaf(EConstructor(self.texts[start]))
+        elif tok is _STRING:
+            expr = self._leaf(EConst(self.texts[start], "string"))
+        elif tok is _FLOAT:
+            expr = self._leaf(EConst(float(self.texts[start]), "float"))
+        elif tok == "true" or tok == "false":
+            expr = self._leaf(EConst(tok == "true", "bool"))
+        elif tok == "[":
+            expr = self._parse_list()
+        elif tok == "raise":
             # ``raise`` behaves like the ordinary function exn -> 'a it is in
             # OCaml, so it must be usable inside operator expressions
             # (``1 + raise Foo``) — the search wildcard depends on this.
             self._next()
             exn = self._parse_app()
-            return self._finish(ERaise(exn), tok)
-        if tok.is_op("!"):
+            expr = self._finish(ERaise(exn), start)
+        elif tok == "!":
             self._next()
-            operand = self._parse_postfix()
-            return self._finish(EUnop("!", operand), tok)
-        if tok.is_op("("):
+            operand = self._parse_atom()
+            expr = self._finish(EUnop("!", operand), start)
+        elif tok == "{":
+            expr = self._parse_record()
+        elif tok == "begin":
             self._next()
-            if self._eat_op(")"):
-                return self._finish(EConst(None, "unit"), tok)
-            inner = self.parse_expr()
-            if self._eat_op(":"):
-                annot_type = self.parse_type_expr()
-                self._expect_op(")")
-                return self._finish(EAnnot(inner, annot_type), tok)
-            self._expect_op(")")
-            inner.span = self._span_from(tok)
-            return inner
-        if tok.is_kw("begin"):
-            self._next()
-            inner = self.parse_expr()
+            expr = self.parse_expr()
             self._expect_kw("end")
-            return inner
-        if tok.is_op("["):
+        else:
+            raise ParseError("expected an expression", self.token())
+        while self.tok == "." and self.tags[self.index + 1] is _LIDENT:
             self._next()
-            if self._eat_op("]"):
-                return self._finish(EList([]), tok)
-            items = [self._parse_tuple_level()]
-            while self._eat_op(";"):
-                if self.tok.is_op("]"):
-                    break
-                items.append(self._parse_tuple_level())
-            self._expect_op("]")
-            return self._finish(EList(items), tok)
-        if tok.is_op("{"):
-            self._next()
-            fields = []
-            while True:
-                fstart = self.tok
-                if self.tok.kind is not TokenKind.LIDENT:
-                    raise ParseError("expected record field name", self.tok)
-                fname = self._next().text
-                self._expect_op("=")
-                fexpr = self._parse_tuple_level()
-                fields.append(self._finish(RecordField(fname, fexpr), fstart))
-                if not self._eat_op(";"):
-                    break
-                if self.tok.is_op("}"):
-                    break
-            self._expect_op("}")
-            return self._finish(ERecord(fields), tok)
-        raise ParseError("expected an expression", tok)
+            expr = self._finish(EFieldGet(expr, self._name()), start)
+        return expr
+
+    def _parse_list(self) -> EList:
+        start = self._expect_op("[")
+        if self._eat("]"):
+            return self._finish(EList([]), start)
+        items = [self._parse_tuple_level()]
+        while self._eat(";"):
+            if self.tok == "]":
+                break
+            items.append(self._parse_tuple_level())
+        self._expect_op("]")
+        return self._finish(EList(items), start)
+
+    def _parse_record(self) -> ERecord:
+        start = self._expect_op("{")
+        fields = []
+        while True:
+            fstart = self.index
+            if self.tok is not _LIDENT:
+                raise ParseError("expected record field name", self.token())
+            fname = self._name()
+            self._expect_op("=")
+            fexpr = self._parse_tuple_level()
+            fields.append(self._finish(RecordField(fname, fexpr), fstart))
+            if not self._eat(";"):
+                break
+            if self.tok == "}":
+                break
+        self._expect_op("}")
+        return self._finish(ERecord(fields), start)
 
     # ------------------------------------------------------------------
     # Patterns
     # ------------------------------------------------------------------
 
     def parse_pattern(self) -> Pattern:
-        start = self.tok
+        start = self.index
         first = self._parse_pattern_cons()
-        if not self.tok.is_op(","):
+        if self.tok != ",":
             return first
         items = [first]
-        while self._eat_op(","):
+        while self._eat(","):
             items.append(self._parse_pattern_cons())
         return self._finish(PTuple(items), start)
 
     def _parse_pattern_cons(self) -> Pattern:
-        start = self.tok
-        head = self._parse_pattern_app()
-        if self.tok.is_op("::"):
+        start = self.index
+        if self.tok is _UIDENT:
+            name = self._name()
+            arg = self.parse_pattern_atom() if _starts_pattern_atom(self.tok) else None
+            head = self._finish(PConstructor(name, arg), start)
+        else:
+            head = self.parse_pattern_atom()
+        if self.tok == "::":
             self._next()
             tail = self._parse_pattern_cons()
             return self._finish(PCons(head, tail), start)
         return head
 
-    def _parse_pattern_app(self) -> Pattern:
-        tok = self.tok
-        if tok.kind is TokenKind.UIDENT:
-            self._next()
-            arg = None
-            if _is_pattern_atom_start(self.tok):
-                arg = self.parse_pattern_atom()
-            return self._finish(PConstructor(tok.text, arg), tok)
-        return self.parse_pattern_atom()
-
     def parse_pattern_atom(self) -> Pattern:
+        start = self.index
         tok = self.tok
-        if tok.is_op("_"):
+        if tok is _LIDENT:
+            return self._leaf(PVar(self.texts[start]))
+        if tok == "_":
+            return self._leaf(PWild())
+        if tok == "(":
             self._next()
-            return self._finish(PWild(), tok)
-        if tok.kind is TokenKind.LIDENT:
-            self._next()
-            return self._finish(PVar(tok.text), tok)
-        if tok.kind is TokenKind.INT:
-            self._next()
-            return self._finish(PConst(tok.value, "int"), tok)
-        if tok.kind is TokenKind.FLOAT:
-            self._next()
-            return self._finish(PConst(tok.value, "float"), tok)
-        if tok.kind is TokenKind.STRING:
-            self._next()
-            return self._finish(PConst(tok.value, "string"), tok)
-        if tok.is_kw("true") or tok.is_kw("false"):
-            self._next()
-            return self._finish(PConst(tok.text == "true", "bool"), tok)
-        if tok.kind is TokenKind.UIDENT:
-            self._next()
-            return self._finish(PConstructor(tok.text), tok)
-        if tok.is_op("-") and self._peek().kind in (TokenKind.INT, TokenKind.FLOAT):
-            self._next()
-            num = self._next()
-            kind = "int" if num.kind is TokenKind.INT else "float"
-            return self._finish(PConst(-num.value, kind), tok)
-        if tok.is_op("("):
-            self._next()
-            if self._eat_op(")"):
-                return self._finish(PConst(None, "unit"), tok)
+            if self._eat(")"):
+                return self._finish(PConst(None, "unit"), start)
             inner = self.parse_pattern()
             self._expect_op(")")
-            inner.span = self._span_from(tok)
+            self._finish(inner, start)
             return inner
-        if tok.is_op("["):
+        if tok is _INT:
+            return self._leaf(PConst(int(self.texts[start]), "int"))
+        if tok is _UIDENT:
+            return self._leaf(PConstructor(self.texts[start]))
+        if tok is _STRING:
+            return self._leaf(PConst(self.texts[start], "string"))
+        if tok is _FLOAT:
+            return self._leaf(PConst(float(self.texts[start]), "float"))
+        if tok == "true" or tok == "false":
+            return self._leaf(PConst(tok == "true", "bool"))
+        if tok == "-" and self.tags[start + 1] in (_INT, _FLOAT):
             self._next()
-            if self._eat_op("]"):
-                return self._finish(PList([]), tok)
+            num = self._next()
+            if self.tags[num] is _INT:
+                return self._finish(PConst(-int(self.texts[num]), "int"), start)
+            return self._finish(PConst(-float(self.texts[num]), "float"), start)
+        if tok == "[":
+            self._next()
+            if self._eat("]"):
+                return self._finish(PList([]), start)
             items = [self.parse_pattern()]
-            while self._eat_op(";"):
-                if self.tok.is_op("]"):
+            while self._eat(";"):
+                if self.tok == "]":
                     break
                 items.append(self.parse_pattern())
             self._expect_op("]")
-            return self._finish(PList(items), tok)
-        raise ParseError("expected a pattern", tok)
+            return self._finish(PList(items), start)
+        raise ParseError("expected a pattern", self.token())
 
     # ------------------------------------------------------------------
     # Type expressions
     # ------------------------------------------------------------------
 
     def parse_type_expr(self) -> TypeExpr:
-        start = self.tok
+        start = self.index
         left = self._parse_type_tuple()
-        if self._eat_op("->"):
+        if self._eat("->"):
             right = self.parse_type_expr()
             return self._finish(TEArrow(left, right), start)
         return left
 
     def _parse_type_tuple(self) -> TypeExpr:
-        start = self.tok
+        start = self.index
         first = self._parse_type_app()
-        if not self.tok.is_op("*"):
+        if self.tok != "*":
             return first
         items = [first]
-        while self._eat_op("*"):
+        while self._eat("*"):
             items.append(self._parse_type_app())
         return self._finish(TETuple(items), start)
 
     def _parse_type_app(self) -> TypeExpr:
-        start = self.tok
+        start = self.index
         base = self._parse_type_atom()
         # Postfix constructors: ``int list``, ``move list list`` ...
-        while self.tok.kind is TokenKind.LIDENT:
-            name = self._next().text
-            base = self._finish(TEName(name, [base]), start)
+        while self.tok is _LIDENT:
+            base = self._finish(TEName(self._name(), [base]), start)
         return base
 
     def _parse_type_atom(self) -> TypeExpr:
+        start = self.index
         tok = self.tok
-        if tok.kind is TokenKind.CHAR:  # a 'a-style type variable
-            self._next()
-            return self._finish(TEVar(tok.text.lstrip("'")), tok)
-        if tok.kind is TokenKind.LIDENT:
-            self._next()
-            return self._finish(TEName(tok.text, []), tok)
-        if tok.is_op("("):
+        if tok is _CHAR:  # a 'a-style type variable
+            return self._leaf(TEVar(self.texts[start].lstrip("'")))
+        if tok is _LIDENT:
+            return self._leaf(TEName(self.texts[start], []))
+        if tok == "(":
             self._next()
             first = self.parse_type_expr()
-            if self.tok.is_op(","):
+            if self.tok == ",":
                 args = [first]
-                while self._eat_op(","):
+                while self._eat(","):
                     args.append(self.parse_type_expr())
                 self._expect_op(")")
-                if self.tok.kind is not TokenKind.LIDENT:
-                    raise ParseError("expected type constructor after argument list", self.tok)
-                name = self._next().text
-                return self._finish(TEName(name, args), tok)
+                if self.tok is not _LIDENT:
+                    raise ParseError("expected type constructor after argument list", self.token())
+                return self._finish(TEName(self._name(), args), start)
             self._expect_op(")")
             # Allow ``(move list) list`` style postfix application.
-            while self.tok.kind is TokenKind.LIDENT:
-                name = self._next().text
-                first = self._finish(TEName(name, [first]), tok)
+            while self.tok is _LIDENT:
+                first = self._finish(TEName(self._name(), [first]), start)
             return first
-        raise ParseError("expected a type", tok)
-
-
-def _is_pattern_atom_start(tok: Token) -> bool:
-    if tok.kind in (TokenKind.INT, TokenKind.FLOAT, TokenKind.STRING, TokenKind.LIDENT, TokenKind.UIDENT):
-        return True
-    if tok.kind is TokenKind.KEYWORD and tok.text in ("true", "false"):
-        return True
-    return tok.kind is TokenKind.OP and tok.text in ("(", "[", "_")
+        raise ParseError("expected a type", self.token())
 
 
 def parse_program(source: str) -> Program:
     """Parse a whole MiniML source file into a :class:`Program`.
 
-    Programs nested deeper than the recursive-descent parser's stack
-    headroom are rejected with a :class:`ParseError` rather than leaking
-    the interpreter's :class:`RecursionError`.
+    Programs nested deeper than the parser's stack headroom are rejected
+    with a :class:`ParseError` rather than leaking the interpreter's
+    :class:`RecursionError`.
     """
     parser = Parser(source)
     try:
         return parser.parse_program()
     except RecursionError:
         raise ParseError(
-            "program is nested too deeply to parse", parser.tok
+            "program is nested too deeply to parse", parser.token()
         ) from None
 
 
@@ -714,6 +693,6 @@ def parse_expr(source: str) -> Expr:
     """Parse a single MiniML expression (convenience for tests/examples)."""
     parser = Parser(source)
     expr = parser.parse_expr()
-    if parser.tok.kind is not TokenKind.EOF:
-        raise ParseError("trailing input after expression", parser.tok)
+    if parser.tok is not _EOF:
+        raise ParseError("trailing input after expression", parser.token())
     return expr

@@ -107,11 +107,5 @@ class Token:
     value: Any
     span: Span
 
-    def is_op(self, text: str) -> bool:
-        return self.kind is TokenKind.OP and self.text == text
-
-    def is_kw(self, text: str) -> bool:
-        return self.kind is TokenKind.KEYWORD and self.text == text
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r})"

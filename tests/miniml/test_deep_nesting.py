@@ -36,6 +36,24 @@ def deep_app_chain(depth: int) -> Program:
     return Program([DExpr(expr)])
 
 
+def ill_typed_application_chain(depth: int) -> str:
+    """``f (f (... (1 + true)))``, ``depth`` applications deep, as source."""
+    return "let f x = x\nlet y = " + "f (" * depth + "1 + true" + ")" * depth + "\n"
+
+
+def deepest_parsing(source_of) -> int:
+    """The largest ``depth`` for which ``source_of(depth)`` parses here."""
+    low, high = 1, PATHOLOGICAL  # parses at ``low``, not at ``high``
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            parse_program(source_of(mid))
+            low = mid
+        except ParseError:
+            high = mid
+    return low
+
+
 class TestParser:
     def test_deep_parens_raise_parse_error(self):
         source = "let x = " + "(" * PATHOLOGICAL + "1" + ")" * PATHOLOGICAL
@@ -44,12 +62,76 @@ class TestParser:
         assert "nested too deeply" in str(excinfo.value)
 
     def test_reasonable_nesting_still_parses(self):
-        # The expression grammar's descent chain costs ~20 frames per
-        # nesting level, so human-plausible depths sit well inside the
+        # A parenthesized expression costs 6 frames per nesting level
+        # (the atom, parse_expr, the control, tuple and infix levels, the
+        # application), so human-plausible depths sit well inside the
         # interpreter limit while 2x the limit is far beyond it.
         source = "let x = " + "(" * 30 + "1" + ")" * 30
         program = parse_program(source)
         assert len(program.decls) == 1
+
+    def test_three_times_the_old_nesting_limit_parses(self):
+        # A parser with a function per precedence level spent ~23 frames
+        # per paren level and took at most 43 levels under the default
+        # limit; the precedence-climbing parser takes three times that.
+        depth = 3 * 43
+        program = parse_program("let x = " + "(" * depth + "1" + ")" * depth)
+        assert len(program.decls) == 1
+
+    def test_deep_application_reaches_the_oracle(self, monkeypatch):
+        # 120 nested applications: past what a function per precedence
+        # level could parse.  Under the oracle's depth ceiling inference
+        # checks it; over it, the depth guard rejects it unchecked.
+        import repro.core.oracle as oracle_module
+        from repro.core import Oracle
+
+        depth = 120
+        source = "let f x = x\nlet y = " + "f (" * depth + "1" + ")" * depth
+        program = parse_program(source)
+        assert node_depth(program) > depth
+        assert Oracle().check(program).ok
+        monkeypatch.setattr(oracle_module, "default_max_depth", lambda: depth // 2)
+        oracle = Oracle()
+        assert oracle.check(program).ok is False
+        assert oracle.depth_rejections == 1
+        assert oracle.calls == 0
+
+
+class TestEndToEndAtTheParseCeiling:
+    """An ill-typed source as deep as the parser takes goes through the
+    whole search (enumerator, tree walks, pretty-printer, inference,
+    ranking) without a RecursionError escaping."""
+
+    def test_explain_at_the_ceiling(self):
+        from repro.core.seminal import explain
+
+        depth = deepest_parsing(ill_typed_application_chain)
+        assert depth > 3 * 43  # far past a function per precedence level
+        result = explain(ill_typed_application_chain(depth))
+        assert result.ok is False
+        assert result.suggestions
+        assert "Try replacing" in result.render()
+
+    def test_cli_at_the_ceiling(self, tmp_path, capsys):
+        # The CLI calls the parser a frame or so deeper than this test
+        # does, so the first depths down from the ceiling may still be
+        # too deep for it: each must be a clean exit 2 naming the
+        # nesting, and a few levels down the full search must answer.
+        from repro.cli import main
+
+        path = tmp_path / "deep.ml"
+        ceiling = deepest_parsing(ill_typed_application_chain)
+        for depth in range(ceiling, ceiling - 5, -1):
+            path.write_text(ill_typed_application_chain(depth))
+            code = main([str(path)])
+            captured = capsys.readouterr()
+            if code != 2:
+                break
+            assert captured.err.startswith("error: 2:")
+            assert "nested too deeply to parse" in captured.err
+        assert code == 1
+        assert "Try replacing" in captured.out
+        assert captured.err == ""
 
 
 class TestTreeKeying:

@@ -101,6 +101,45 @@ class TestOneOpenPerProcess:
         assert _opens(log) == Counter({os.getpid(): 2})
 
 
+class TestCallersOracleGetsItsStoreBack:
+    """``explain(oracle=o, store=...)`` lends ``o`` the store for one call."""
+
+    def test_store_explain_opened_is_detached_after_the_call(self, tmp_path):
+        from repro.core import Oracle
+
+        path = tmp_path / "s"
+        oracle = Oracle()
+        explain("let x = 1 + true", oracle=oracle, store=path)
+        assert oracle.store is None
+        assert oracle.store_writes > 0
+        assert VerdictStore(path).stats().segments == 1
+        explain("let y = 2 + true", oracle=oracle)
+        # The second call had no store: nothing written, nothing published.
+        assert oracle.store is None
+        assert oracle.store_writes == 0
+        assert VerdictStore(path).stats().segments == 1
+
+    def test_oracle_keeps_the_session_it_had(self, tmp_path):
+        from repro.core import Oracle
+
+        own = VerdictStore(tmp_path / "own")
+        oracle = Oracle(store=own)
+        explain("let x = 1 + true", oracle=oracle, store=tmp_path / "lent")
+        assert oracle.store is own
+
+    def test_callers_session_passed_as_store_stays_usable(self, tmp_path):
+        from repro.core import Oracle
+
+        session = VerdictStore(tmp_path / "s")
+        oracle = Oracle()
+        cold = explain(ILL_TYPED, oracle=oracle, store=session)
+        assert oracle.store is None
+        warm = explain(ILL_TYPED, store=session)
+        assert warm.render() == cold.render()
+        assert len(session) > 0
+        session.close()
+
+
 class TestRefresh:
     def test_refresh_serves_a_segment_published_mid_batch(self, tmp_path, monkeypatch):
         """A second store on the same path publishes FIG2's verdicts
