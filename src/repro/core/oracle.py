@@ -20,14 +20,16 @@ behind exactly that interface, adding:
     point, against the live armed state, with an undo trail rolling the
     state back afterwards;
   - the *declaration outcome table*: armed before the initial check
-    (:meth:`Oracle.arm_decl_table`), it answers every other check —
-    chiefly localization's prefixes — by replaying recorded schemes for
-    declarations a change cannot affect.
+    (:meth:`Oracle.arm_decl_table`), its recording pass *is* that check,
+    and it then answers every program whose declarations are a
+    key-equal prefix of the baseline — localization's prefix scan —
+    from the recorded outcomes, without inferring anything.
 
-  A candidate that edits the prefix takes the table or a from-scratch
-  check instead (the snapshot stays armed for the next candidate that
-  shares it), so the answers are identical either way.  The tests
-  compare every reused answer with a from-scratch check.
+  Every other check (a candidate that edits the snapshot's prefix, or
+  any check when no snapshot is armed) is a from-scratch check; the
+  snapshot stays armed for the next candidate that shares it, so the
+  answers are identical either way.  The tests compare every reused
+  answer with a from-scratch check.
 
 Fault tolerance (the resilience layer, see :mod:`repro.core.resilience`):
 the oracle is the trust boundary between the search and an arbitrary
@@ -298,7 +300,7 @@ class Oracle:
         return True
 
     # ------------------------------------------------------------------
-    # Declaration outcome table (dependency-pruned re-checking)
+    # Declaration outcome table (unchanged-prefix answers)
     # ------------------------------------------------------------------
 
     def arm_decl_table(self, program) -> bool:
@@ -308,10 +310,9 @@ class Oracle:
         lazy: the recording pass runs on the first check that reaches the
         full (non-snapshot) path — which for the searcher is that initial
         check itself, so recording costs nothing beyond the check the
-        search was going to pay anyway.  Once recorded, every full-path
-        check replays unaffected declarations from the table and really
-        re-infers only the changed ones and their dependents.  No-op
-        (False) for a custom checker.
+        search was going to pay anyway.  Once recorded, the table answers
+        every full-path check of a key-equal prefix of the baseline
+        without inferring anything.  No-op (False) for a custom checker.
         """
         self._decl_table = None
         self._decl_pending = None
@@ -328,15 +329,15 @@ class Oracle:
         """Serve a full-path check from the declaration outcome table.
 
         Returns ``None`` when the tier cannot answer (not armed, recording
-        produced no table) — the caller falls through to a plain full
-        check.  Any exception inside the tier degrades the same way: the
-        table is dropped, ``oracle.decl.fallbacks`` counts the incident,
-        and the plain check supplies the (always correct) answer.
+        produced no table, ``program`` is not an unchanged prefix of the
+        baseline) — the caller falls through to a plain full check.  Any
+        exception inside the tier degrades the same way: the table is
+        dropped, ``oracle.decl.fallbacks`` counts the incident, and the
+        plain check supplies the (always correct) answer.
         """
         if self._decl_table is None and self._decl_pending is None:
             return None
         try:
-            extra_checked = 0
             if self._decl_table is None:
                 baseline = self._decl_pending
                 self._decl_pending = None
@@ -353,21 +354,12 @@ class Oracle:
                     return base_result
                 # The recording pass inferred the baseline's declarations
                 # on behalf of this check; attribute that cost here.
-                extra_checked = base_result.decls_checked
+                if base_result.decls_checked:
+                    self.metrics.incr(
+                        "oracle.decl.checked", base_result.decls_checked
+                    )
             # The table interns declaration keys into the oracle's keyer.
-            result = replay_decl_table(
-                program,
-                self._decl_table,
-                key_fn=self.keyer,
-                freeze_errors=self.store is not None,
-            )
-            if self._decl_table.free_vars:
-                # Replayed against the table's live weak schemes, under a
-                # trail the replay rolled back itself.
-                self._account_trail(result)
-            if extra_checked:
-                result.decls_checked += extra_checked
-            return result
+            return replay_decl_table(program, self._decl_table, key_fn=self.keyer)
         except Exception:
             self._drop_decl_table()
             self.metrics.incr("oracle.decl.fallbacks")
@@ -384,15 +376,12 @@ class Oracle:
         checked = getattr(result, "decls_checked", 0)
         replayed = getattr(result, "decls_replayed", 0)
         skipped = getattr(result, "decls_skipped", 0)
-        degraded = getattr(result, "decls_degraded", 0)
         if checked:
             self.metrics.incr("oracle.decl.checked", checked)
         if replayed:
             self.metrics.incr("oracle.decl.replayed", replayed)
         if skipped:
             self.metrics.incr("oracle.decl.skipped", skipped)
-        if degraded:
-            self.metrics.incr("oracle.decl.degraded", degraded)
 
     def _check_once(self, program) -> CheckResult:
         """One logical typecheck, via the armed prefix when possible."""
@@ -423,18 +412,14 @@ class Oracle:
                 self.prefix_reused += 1
                 self.metrics.incr("oracle.prefix.reused")
                 return result
-        served = self._decl_tier(program)
-        if served is not None:
-            # Table-served answers are full checks for every existing
-            # counter (calls, full_checks): the pruning shows up only in
-            # the oracle.decl.* family, so suggestions, ranks, and --stats
-            # are byte-identical to a from-scratch oracle's.
-            self.full_checks += 1
-            self.metrics.incr("oracle.full_checks")
-            return served
+        # Table-served answers are full checks for every existing counter
+        # (calls, full_checks): the table shows up only in the
+        # oracle.decl.* family, so suggestions, ranks, and --stats are
+        # byte-identical to a from-scratch oracle's.
         self.full_checks += 1
         self.metrics.incr("oracle.full_checks")
-        return self._typecheck(program)
+        served = self._decl_tier(program)
+        return served if served is not None else self._typecheck(program)
 
     # ------------------------------------------------------------------
     # The oracle interface

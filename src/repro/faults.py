@@ -17,9 +17,10 @@ deterministic schedule —
 * **snapshot poisoning** (``poison_snapshot_after``): once armed, the
   prefix snapshot is wrapped so any use of it explodes, exercising the
   oracle's self-healing snapshot fallback (``oracle.prefix.fallbacks``);
-* **stale declaration tables** (``stale_decl_table``): every Nth check
-  marks the armed outcome table stale, so replays must degrade to real
-  checks;
+* **decl-table poisoning** (``poison_decl_table_after``): once recorded,
+  the declaration outcome table's first entry is replaced by one that
+  explodes when read, exercising the oracle's table fallback
+  (``oracle.decl.fallbacks``) and the from-scratch check behind it;
 * **flaky store I/O** (a :class:`FlakyStore` passed as ``store=``):
   ``OSError`` from the verdict store's segment read/write seams on a
   deterministic schedule, exercising the store's fail-once
@@ -55,6 +56,10 @@ class SnapshotPoisoned(RuntimeError):
     """An injected failure from using a poisoned prefix snapshot."""
 
 
+class DeclTablePoisoned(RuntimeError):
+    """An injected failure from reading a poisoned decl-table entry."""
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """One deterministic schedule of injected failures.
@@ -76,10 +81,10 @@ class FaultPlan:
     flip_verdict_every: Optional[int] = None
     #: Poison the armed prefix snapshot from the Nth check onward.
     poison_snapshot_after: Optional[int] = None
-    #: Mark the armed declaration outcome table stale on every Nth check:
-    #: every replay-time fingerprint verification must then refuse,
-    #: degrading replays to real checks — correct answers, never wrong.
-    stale_decl_table: Optional[int] = None
+    #: Poison the recorded declaration outcome table from the Nth check
+    #: onward: the table route raises, the oracle drops the table, and a
+    #: from-scratch check answers — correct answers, never wrong.
+    poison_decl_table_after: Optional[int] = None
 
     @property
     def active(self) -> bool:
@@ -111,15 +116,15 @@ def standard_fault_plans() -> Dict[str, FaultPlan]:
         "snapshot-poison": FaultPlan(
             name="snapshot-poison", poison_snapshot_after=1
         ),
-        "stale-decl-table": FaultPlan(
-            name="stale-decl-table", stale_decl_table=1
+        "decl-table-poison": FaultPlan(
+            name="decl-table-poison", poison_decl_table_after=1
         ),
     }
 
 
 #: Template for :attr:`ChaosOracle.injected` (one key per fault family).
 _INJECTED_ZERO: Dict[str, int] = {
-    "crash": 0, "latency": 0, "flip": 0, "snapshot": 0, "stale": 0,
+    "crash": 0, "latency": 0, "flip": 0, "snapshot": 0, "table": 0,
 }
 
 
@@ -138,6 +143,16 @@ class _PoisonedSnapshot:
 
     def __getattr__(self, name):
         raise SnapshotPoisoned(f"poisoned snapshot attribute access: {name!r}")
+
+
+class _PoisonedEntry:
+    """Stands in for a decl-table entry and explodes the moment the table
+    route reads it — the shape of a corrupted-table bug."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        raise DeclTablePoisoned(f"poisoned decl-table entry access: {name!r}")
 
 
 class ChaosOracle(Oracle):
@@ -196,15 +211,15 @@ class ChaosOracle(Oracle):
             self.injected["snapshot"] += 1
             self._snapshot = _PoisonedSnapshot(self._snapshot)
         if (
-            plan.stale_decl_table
-            and n % plan.stale_decl_table == 0
-            and self._decl_table is not None
+            plan.poison_decl_table_after is not None
+            and n >= plan.poison_decl_table_after
+            and self._decl_table
+            and not isinstance(self._decl_table[0], _PoisonedEntry)
         ):
-            # A stale table must *degrade* — every replay refuses its
-            # fingerprint verification and re-checks for real — never
-            # serve a wrong answer.
-            self.injected["stale"] += 1
-            self._decl_table.stale = True
+            # A poisoned table must *degrade* — the oracle drops it and
+            # checks from scratch — never serve a wrong answer.
+            self.injected["table"] += 1
+            self._decl_table = (_PoisonedEntry(),) + self._decl_table[1:]
         if plan.crash_every and n % plan.crash_every == 0:
             self.injected["crash"] += 1
             raise plan.crash_exception()

@@ -22,7 +22,7 @@ The checker knows nothing about SEMINAL: the search wildcard is a plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .ast_nodes import (
     Binding,
@@ -100,7 +100,6 @@ from .types import (
     TVar,
     Trail,
     Type,
-    free_type_vars,
     generalize,
     instantiate,
     monotype,
@@ -138,12 +137,11 @@ class CheckResult:
     node_types: Dict[int, object] = field(default_factory=dict)
     #: Declaration accounting for the oracle's reuse telemetry: how many
     #: top-level declarations this pass really inferred, how many it
-    #: replayed from a recorded outcome table, how many it skipped via a
-    #: prefix snapshot, and how many planned replays degraded to checks.
+    #: answered from a recorded outcome table, and how many it skipped via
+    #: a prefix snapshot.
     decls_checked: int = 0
     decls_replayed: int = 0
     decls_skipped: int = 0
-    decls_degraded: int = 0
     #: Trail entries undone after a check against shared live state (the
     #: ``oracle.trail.rolled_back`` telemetry; see :func:`_trailed`).
     rolled_back: int = 0
@@ -194,7 +192,7 @@ class Inferencer:
         self.record_types = record_types
         self.node_types: Dict[int, Type] = {}
         #: Top-level declarations actually inferred by this pass (the
-        #: denominator of the dependency-pruning win).
+        #: ``oracle.decl.checked`` telemetry).
         self.decls_checked = 0
 
     # ------------------------------------------------------------------
@@ -208,8 +206,11 @@ class Inferencer:
     # Programs and declarations
     # ------------------------------------------------------------------
 
-    def check_decl(self, env: TypeEnv, decl, top_level: Dict[str, Scheme]) -> None:
-        """Check one top-level declaration, extending ``env``/``top_level``."""
+    def check_decl(
+        self, env: TypeEnv, decl, top_level: Dict[str, Scheme]
+    ) -> Optional[Dict[str, Scheme]]:
+        """Check one top-level declaration, extending ``env``/``top_level``;
+        returns the schemes a ``let`` bound."""
         self.decls_checked += 1
         if isinstance(decl, DType):
             self._declare_type(decl)
@@ -218,6 +219,7 @@ class Inferencer:
         elif isinstance(decl, DLet):
             bound = self._check_bindings(env, decl.rec, decl.bindings)
             top_level.update(bound)
+            return bound
         elif isinstance(decl, DExpr):
             self.infer_expr(env, decl.expr)
         else:  # pragma: no cover - parser produces nothing else
@@ -810,9 +812,9 @@ class TrailIntegrityError(RuntimeError):
     """The speculative undo could not restore the armed state exactly.
 
     Raised when rolling the trail back fails (or the trail was tampered
-    with mid-check).  The armed :class:`SpeculativeState` or outcome table
-    must be considered corrupt: the oracle discards it and answers the
-    check from scratch.
+    with mid-check).  The armed :class:`SpeculativeState` must be
+    considered corrupt: the oracle discards it and answers the check
+    another way.
     """
 
 
@@ -998,147 +1000,54 @@ def typecheck_program(program: Program, record_types: bool = False) -> CheckResu
 
 
 # ---------------------------------------------------------------------------
-# Declaration outcome tables: the record/replay passes behind the oracle's
-# table route (dependency-pruned re-checking).  Planning lives in
-# :mod:`repro.core.depgraph`; def/use extraction in :mod:`repro.miniml.deps`.
+# The declaration outcome table behind the oracle's table route: one
+# recorded from-scratch pass, answering the baseline's unchanged prefixes.
 # ---------------------------------------------------------------------------
 
 
-def _scheme_fingerprint(scheme: Scheme) -> str:
-    """A canonical rendering of a scheme, stable under type-variable renaming.
+class DeclOutcome(NamedTuple):
+    """One recorded baseline declaration.
 
-    Variables are named by first appearance — quantified ones as ``q<n>``,
-    free (value-restriction weak) ones as ``w<n>`` — so two alpha-equivalent
-    schemes print identically regardless of the underlying ``TVar`` ids.
-    Two closed schemes with equal fingerprints are interchangeable for
-    inference, which is what replay-time verification relies on.
+    ``key`` is its structural key, ``bindings`` the value bindings it
+    introduced, and ``error`` the checker's error when it is the first
+    failing declaration (recording stops there).
     """
-    quantified = {id(v) for v in scheme.vars}
-    names: Dict[int, str] = {}
-    parts: List[str] = []
 
-    def walk(t: Type) -> None:
-        t = resolve(t)
-        if isinstance(t, TVar):
-            key = id(t)
-            name = names.get(key)
-            if name is None:
-                prefix = "q" if key in quantified else "w"
-                name = names[key] = f"{prefix}{len(names)}"
-            parts.append(name)
-        elif isinstance(t, TCon):
-            parts.append(t.name)
-            if t.args:
-                parts.append("(")
-                for arg in t.args:
-                    walk(arg)
-                    parts.append(",")
-                parts.append(")")
-        elif isinstance(t, TArrow):
-            parts.append("(")
-            walk(t.param)
-            parts.append("->")
-            walk(t.result)
-            parts.append(")")
-        elif isinstance(t, TTuple):
-            parts.append("{")
-            for item in t.items:
-                walk(item)
-                parts.append("*")
-            parts.append("}")
-        else:  # pragma: no cover - no other Type constructors exist
-            parts.append(repr(t))
-
-    walk(scheme.body)
-    return "".join(parts)
-
-
-def _scheme_weak_vars(scheme: Scheme) -> List[TVar]:
-    """Free (un-generalized) type variables of a scheme's body."""
-    quantified = {id(v) for v in scheme.vars}
-    return [v for v in free_type_vars(scheme.body) if id(v) not in quantified]
+    key: object
+    bindings: Dict[str, Scheme]
+    error: Optional[MiniMLTypeError] = None
 
 
 def record_decl_table(program: Program, key_fn=None):
-    """Fully infer ``program`` once, recording per-declaration outcomes.
+    """Fully infer ``program`` once, recording one outcome per declaration.
 
-    Returns ``(table, result)``: the :class:`repro.core.depgraph.DeclTable`
-    for later :func:`replay_decl_table` calls, and the pass's
-    :class:`CheckResult` (this *is* a complete check — the caller should
-    use it instead of running a second pass).  ``table`` is ``None`` when
-    no meaningful table could be built (e.g. the pass blew the recursion
-    guard mid-inference).
-
-    The table covers every declaration up to and including the first
-    failing one; for a well-typed program it covers them all.  Schemes are
-    recorded by reference and fingerprinted *after* the pass completes, so
-    value-restriction weak variables carry their end-of-pass constraints —
-    the same state a from-scratch check of the identical program reaches.
-    Which bindings are weak is decided as each is bound, before any later
-    declaration pins its variables (see ``DeclOutcome.weak_names``).
+    Returns ``(table, result)``: a tuple of :class:`DeclOutcome` for later
+    :func:`replay_decl_table` calls, and the pass's :class:`CheckResult`
+    (this *is* a complete check — the caller should use it instead of
+    running a second pass).  The table covers every declaration up to and
+    including the first failing one.  ``table`` is ``None`` when the pass
+    blew the recursion guard mid-inference.  Every declaration is keyed
+    through ``key_fn`` before it is inferred.
     """
-    from repro.core.depgraph import DeclOutcome, DeclTable
-    from .deps import NS_VALUE, decl_use_def
-
     if key_fn is None:
         from repro.tree import structural_key as key_fn  # type: ignore[no-redef]
 
     inferencer = Inferencer()
-    child = inferencer.root_env.child()
+    env = inferencer.root_env.child()
     top_level: Dict[str, Scheme] = {}
-    entries: List[DeclOutcome] = []
-    used_slices: List[Dict[str, Scheme]] = []
-    bound_so_far: set = set()
-    result: Optional[CheckResult] = None
-    free_vars: List[TVar] = []
-    seen_vars: set = set()
-
+    table: List[DeclOutcome] = []
     for decl in program.decls:
-        use_def = decl_use_def(decl)
-        # The env slice this declaration sees: schemes of used names bound
-        # by *earlier declarations of this program* (base-env bindings are
-        # identical for every candidate and need no verification).
-        used: Dict[str, Scheme] = {}
-        for ns, name in use_def.uses:
-            if ns == NS_VALUE and name in bound_so_far:
-                scheme = child.lookup(name)
-                if scheme is not None:
-                    used[name] = scheme
-        entry = DeclOutcome(skey=key_fn(decl), uses=use_def.uses, defs=use_def.defs)
-        entries.append(entry)
-        used_slices.append(used)
+        key = key_fn(decl)
         try:
-            if isinstance(decl, DLet):
-                inferencer.decls_checked += 1
-                bound = inferencer._check_bindings(child, decl.rec, decl.bindings)
-                top_level.update(bound)
-                entry.bindings = dict(bound)
-                bound_so_far.update(bound)
-                # Weakness is judged as bound: a later declaration (even
-                # the failing one, part-way) may pin the variable, and
-                # the end-of-pass scheme would then carry a constraint a
-                # candidate that edits that declaration no longer makes.
-                weak: List[str] = []
-                for name, scheme in bound.items():
-                    weak_vars = _scheme_weak_vars(scheme)
-                    if weak_vars:
-                        weak.append(name)
-                        for v in weak_vars:
-                            if id(v) not in seen_vars:
-                                seen_vars.add(id(v))
-                                free_vars.append(v)
-                entry.weak_names = frozenset(weak)
-            else:
-                inferencer.check_decl(child, decl, top_level)
+            bindings = inferencer.check_decl(env, decl, top_level)
         except MiniMLTypeError as err:
-            entry.error = err
-            result = CheckResult(
+            table.append(DeclOutcome(key, {}, err))
+            return tuple(table), CheckResult(
                 ok=False,
                 error=err,
                 node_types=inferencer.node_types,
                 decls_checked=inferencer.decls_checked,
             )
-            break
         except RecursionError:
             # No sound table: inference state is unknown mid-blowup.
             return None, CheckResult(
@@ -1146,158 +1055,42 @@ def record_decl_table(program: Program, key_fn=None):
                 error=NestingTooDeepError(),
                 decls_checked=inferencer.decls_checked,
             )
-    if result is None:
-        result = CheckResult(
-            ok=True,
-            top_level=top_level,
-            node_types=inferencer.node_types,
-            decls_checked=inferencer.decls_checked,
-        )
-
-    # Fingerprint everything at end-of-pass, when unification has settled.
-    for entry, used in zip(entries, used_slices):
-        entry.env_fp = {name: _scheme_fingerprint(s) for name, s in used.items()}
-        for name, scheme in entry.bindings.items():
-            entry.scheme_fp[name] = _scheme_fingerprint(scheme)
-    return DeclTable(entries=entries, free_vars=tuple(free_vars)), result
+        table.append(DeclOutcome(key, bindings or {}))
+    return tuple(table), CheckResult(
+        ok=True,
+        top_level=top_level,
+        node_types=inferencer.node_types,
+        decls_checked=inferencer.decls_checked,
+    )
 
 
 def replay_decl_table(
-    program: Program,
-    table,
-    key_fn=None,
-    freeze_errors: bool = True,
-) -> CheckResult:
-    """Check ``program`` against a recorded outcome table.
+    program: Program, table, key_fn=None
+) -> Optional[CheckResult]:
+    """Answer ``program`` from a recorded table, or return ``None``.
 
-    Declarations the planner proves unaffected by the candidate's changes
-    replay their recorded schemes; changed declarations and their
-    dependents are really re-inferred.  A replayed declaration whose
-    used-names environment slice no longer matches the recorded
-    fingerprints — which a sound plan never produces, but a stale or
-    corrupted table can — degrades itself and everything after it to real
-    checks, so the answer is never wrong.
-
-    Recorded schemes are bound *live*.  When the value restriction left
-    weak variables in them (``table.free_vars``), the pass runs under its
-    own :class:`~.types.Trail` and every link it applies to those
-    variables is undone before returning (see :func:`_trailed`, which
-    ``freeze_errors`` is passed to), so the table comes back pristine for
-    the next pass.
+    The table answers a program whose declarations are key-equal to the
+    baseline's up to the program's end or the baseline's first failing
+    declaration, whichever comes first — every prefix of the baseline
+    (localization's prefix scan) and the baseline itself.  Inference is
+    sequential, so such a program reaches the verdict the recorded pass
+    reached there.  Nothing is inferred and no recorded state is touched.
+    Any other program gets ``None``, and the caller checks it another way.
     """
-    if table.free_vars:
-        return _trailed(
-            Trail(), lambda: _replay(program, table, key_fn), freeze_errors
-        )
-    return _replay(program, table, key_fn)
-
-
-def _replay(program: Program, table, key_fn) -> CheckResult:
-    from repro.core.depgraph import PLAN_REPLAY, plan_replay
-    from .deps import decl_use_def
-
     if key_fn is None:
         from repro.tree import structural_key as key_fn  # type: ignore[no-redef]
 
     decls = program.decls
-    entries = table.entries
-    skeys = [key_fn(decl) for decl in decls]
-
-    if (
-        not table.stale
-        and len(decls) <= len(entries)
-        and table.self_consistent
-        and all(skeys[i] == entries[i].skey for i in range(len(decls)))
-    ):
-        # Pure-prefix fast path: the candidate is an unchanged prefix of
-        # the recorded baseline (the localization scan's bread and
-        # butter), so the plan is trivially all-replay and the verdict is
-        # already in the table — no environment, no inferencer, and the
-        # per-entry fingerprint verification collapses to the table's
-        # (cached) internal consistency.
-        fast_top: Dict[str, Scheme] = {}
-        fast_replayed = 0
-        for i in range(len(decls)):
-            entry = entries[i]
-            fast_replayed += 1
-            if entry.error is not None:
-                return CheckResult(
-                    ok=False, error=entry.error, decls_replayed=fast_replayed
-                )
-            fast_top.update(entry.bindings)
-        return CheckResult(ok=True, top_level=fast_top, decls_replayed=fast_replayed)
-
-    use_defs = []
-    for i, decl in enumerate(decls):
-        if i < len(entries) and skeys[i] == entries[i].skey:
-            use_defs.append((entries[i].uses, entries[i].defs))
-        else:
-            use_def = decl_use_def(decl)
-            use_defs.append((use_def.uses, use_def.defs))
-    plan = plan_replay(table, skeys, use_defs)
-
-    inferencer = Inferencer()
-    child = inferencer.root_env.child()
     top_level: Dict[str, Scheme] = {}
-    #: Canonical schemes of program-bound names as of the current position.
-    current_fp: Dict[str, str] = {}
-    replayed = degraded = 0
-    degrade_rest = bool(table.stale)
-
-    def counts() -> Dict[str, int]:
-        return {
-            "decls_checked": inferencer.decls_checked,
-            "decls_replayed": replayed,
-            "decls_degraded": degraded,
-        }
-
-    for i, decl in enumerate(decls):
-        entry = entries[i] if i < len(entries) else None
-        do_replay = plan[i] == PLAN_REPLAY and entry is not None and not degrade_rest
-        if do_replay:
-            for name, fp in entry.env_fp.items():
-                if current_fp.get(name) != fp:
-                    do_replay = False
-                    break
-        if do_replay:
-            replayed += 1
-            if entry.error is not None:
-                # The recorded first failure: inference stops here, so
-                # later declarations are irrelevant to the verdict.
-                return CheckResult(ok=False, error=entry.error, **counts())
-            if isinstance(decl, DLet):
-                for name, scheme in entry.bindings.items():
-                    child.bind(name, scheme)
-                    top_level[name] = scheme
-                    current_fp[name] = entry.scheme_fp[name]
-            elif isinstance(decl, (DType, DException)):
-                # Re-executing a declaration header is deterministic and
-                # cheap (no unification) — it *is* the replay.
-                inferencer.check_decl(child, decl, top_level)
-                inferencer.decls_checked -= 1
-            # A replayed DExpr has no bindings to restore; its only
-            # effects (weak-variable links, or the recorded error) are
-            # already baked into the end-of-pass schemes.
-            continue
-        if plan[i] == PLAN_REPLAY:
-            # Planned replay refused by fingerprint verification (stale or
-            # corrupted table): degrade this and every later declaration.
-            degraded += 1
-            degrade_rest = True
-        try:
-            if isinstance(decl, DLet):
-                inferencer.decls_checked += 1
-                bound = inferencer._check_bindings(child, decl.rec, decl.bindings)
-                top_level.update(bound)
-                for name, scheme in bound.items():
-                    current_fp[name] = _scheme_fingerprint(scheme)
-            else:
-                inferencer.check_decl(child, decl, top_level)
-        except MiniMLTypeError as err:
-            return CheckResult(ok=False, error=err, **counts())
-        except RecursionError:
-            return CheckResult(ok=False, error=NestingTooDeepError(), **counts())
-    return CheckResult(ok=True, top_level=top_level, **counts())
+    for replayed, (decl, entry) in enumerate(zip(decls, table), 1):
+        if key_fn(decl) != entry.key:
+            return None
+        if entry.error is not None:
+            return CheckResult(ok=False, error=entry.error, decls_replayed=replayed)
+        top_level.update(entry.bindings)
+    if len(decls) > len(table):
+        return None
+    return CheckResult(ok=True, top_level=top_level, decls_replayed=len(decls))
 
 
 def typecheck_source(source: str) -> CheckResult:

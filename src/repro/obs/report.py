@@ -300,16 +300,12 @@ def render_aggregate(agg: RunAggregate) -> str:
             )
         d_replayed = agg.value("oracle.decl.replayed")
         d_checked = agg.value("oracle.decl.checked")
-        d_degraded = agg.value("oracle.decl.degraded")
-        if d_replayed or d_degraded:
+        if d_replayed:
             rows.append(("decls replayed / checked", f"{d_replayed} / {d_checked}"))
-            total = d_replayed + d_checked
-            if total:
-                rows.append(
-                    ("decl-replay rate", f"{100.0 * d_replayed / total:.1f}%")
-                )
-            if d_degraded:
-                rows.append(("decls degraded", str(d_degraded)))
+            rows.append(
+                ("decl-replay rate",
+                 f"{100.0 * d_replayed / (d_replayed + d_checked):.1f}%")
+            )
         lines.extend(_table(rows))
 
     s_hits = agg.value("oracle.store.hits")

@@ -1,25 +1,30 @@
-"""Declaration outcome table: record/replay equivalence and degradation.
+"""Declaration outcome table: record, unchanged-prefix answers, declines.
 
 The table's contract mirrors the prefix snapshot's: *semantic
-transparency*.  For any candidate, :func:`replay_decl_table` must return
-the same verdict — and on failure, the same rendered error — as a full
-:func:`typecheck_program` pass.  Staleness and fingerprint mismatches may
-only ever cost speed (degrading replays to real checks), never answers.
+transparency*.  It answers exactly the programs that match the recorded
+baseline declaration by declaration (up to their own end or the baseline's
+first failing declaration) — the baseline's unchanged prefixes — with the
+same verdict, and on failure the same rendered error, as a full
+:func:`typecheck_program` pass; it declines (``None``) every other
+program.
 """
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from repro.core import explain
+from repro.core import Oracle, explain
 from repro.core.messages import render_suggestion
 from repro.corpus import generate_corpus
 from repro.miniml import parse_program
+from repro.miniml.ast_nodes import Program
 from repro.miniml.infer import (
-    _scheme_fingerprint,
     record_decl_table,
     replay_decl_table,
     typecheck_program,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.tree import copy_tree, structurally_equal
 from tests.core.reference_checking import ReferenceCheckingOracle
 
 WELL_TYPED = """\
@@ -36,6 +41,34 @@ let double x = x * 2
 let bad = double "nope"
 let after = base + 1
 """
+
+#: Weak ``ref []`` cells, pinned by later declarations (one of them the
+#: failing one).
+WEAK = """\
+let cell = ref []
+let put = cell := [1]
+type t = A | B of int
+let other = ref []
+let bad = (other := ["s"]); 1 + true
+"""
+
+#: Declarations an edited program draws from: some bind the baselines'
+#: names at other types (so some fail where they land), some re-declare a
+#: type.
+EDITS = parse_program(
+    """\
+let base = "ten"
+let double x = x ^ "!"
+let cell = ref [true]
+let put = cell := ["s"]
+let bad = 1 + 2
+exception Boom of int
+type t = A
+let total = base + 1
+"""
+).decls
+
+SWEEP = generate_corpus(scale=0.15, seed=2007).representatives
 
 
 def _errtext(result):
@@ -62,7 +95,7 @@ class TestRecord:
         assert table is not None
         # Entries cover decls up to and including the failing one.
         assert len(table) == 3
-        assert table.entries[2].error is not None
+        assert table[2].error is not None
 
 
 class TestReplay:
@@ -81,130 +114,88 @@ class TestReplay:
         _assert_same(replayed, typecheck_program(program))
         assert not replayed.ok
 
-    def test_mutated_decl_rechecks_only_dependents(self):
+    def test_every_prefix_is_answered(self):
+        program = parse_program(ILL_TYPED)
+        table, _ = record_decl_table(program)
+        for n in range(len(table) + 1):
+            prefix = Program(program.decls[:n])
+            replayed = replay_decl_table(prefix, table)
+            _assert_same(replayed, typecheck_program(prefix))
+            assert replayed.decls_replayed == n
+
+    def test_edited_program_is_declined(self):
+        baseline = parse_program(ILL_TYPED)
+        table, _ = record_decl_table(baseline)
+        edited = list(baseline.decls)
+        edited[1] = parse_program("let double x = x + x").decls[0]
+        assert replay_decl_table(Program(edited), table) is None
+
+    def test_program_past_a_passing_baseline_is_declined(self):
         baseline = parse_program(WELL_TYPED)
         table, _ = record_decl_table(baseline)
-        # Mutate `double` (decl 1): `total` (decl 3) uses it; `base`,
-        # `fact`, `label` are independent.
-        candidate_decls = list(baseline.decls)
-        candidate_decls[1] = parse_program("let double x = x + x").decls[0]
-        candidate = type(baseline)(candidate_decls)
-        replayed = replay_decl_table(candidate, table)
-        _assert_same(replayed, typecheck_program(candidate))
-        assert replayed.decls_checked == 2
-        assert replayed.decls_replayed == 3
-        assert replayed.decls_degraded == 0
+        longer = Program(list(baseline.decls) + list(EDITS[:1]))
+        assert replay_decl_table(longer, table) is None
 
-    def test_mutation_that_breaks_a_dependent_fails_identically(self):
-        baseline = parse_program(WELL_TYPED)
-        table, _ = record_decl_table(baseline)
-        candidate_decls = list(baseline.decls)
-        # `double` now returns a string: `total = base + double 3` breaks.
-        candidate_decls[1] = parse_program('let double x = "two"').decls[0]
-        candidate = type(baseline)(candidate_decls)
-        replayed = replay_decl_table(candidate, table)
-        full = typecheck_program(candidate)
-        _assert_same(replayed, full)
-        assert not replayed.ok
+    def test_replay_leaves_weak_schemes_untouched(self):
+        # The recorded weak cells are never bound live: neither answered
+        # prefixes nor declined edits (which would pin `cell` to bool)
+        # change a recorded scheme.
+        program = parse_program(WEAK)
+        table, _ = record_decl_table(program)
+        rendered = [str(entry.bindings) for entry in table]
+        for n in range(len(table)):
+            replay_decl_table(Program(program.decls[: n + 1]), table)
+            edited = list(program.decls[:n]) + [EDITS[2], EDITS[3]]
+            assert replay_decl_table(Program(edited), table) is None
+        assert [str(entry.bindings) for entry in table] == rendered
 
-    def test_weak_scheme_replay_does_not_leak_across_passes(self):
-        # `cell` is weak (value restriction).  Replaying it twice with
-        # incompatible downstream mutations must not let one candidate's
-        # unifications contaminate the other (or the table itself).
-        src = "let cell = ref []\nlet put = cell := [1]\nlet tail = 0"
-        baseline = parse_program(src)
-        table, rec = record_decl_table(baseline)
-        assert rec.ok and table is not None
-        mk = lambda last: type(baseline)(  # noqa: E731
-            list(baseline.decls[:2]) + [parse_program(last).decls[0]]
-        )
-        for last in ('let tail = cell := ["s"]', "let tail = cell := [2]"):
-            candidate = mk(last)
-            _assert_same(
-                replay_decl_table(candidate, table),
-                typecheck_program(candidate),
-            )
 
-    def test_weak_replay_leaves_table_fingerprints_unchanged(self):
-        # `cell` stays weak in the recorded baseline.  The planner normally
-        # re-infers a weak binding's declaration whenever a checked
-        # declaration touches it; clear the table's weak names so the
-        # recorded scheme itself is bound live and pinned, leaving the
-        # replay's trail as the only thing that keeps the table pristine.
-        # A failing candidate pins `cell` to int before failing, a passing
-        # one pins it to bool.
-        src = "let cell = ref []\nlet x = 0\nlet y = 0"
-        baseline = parse_program(src)
-        table, rec = record_decl_table(baseline)
-        assert rec.ok and table is not None and table.free_vars
-        for entry in table.entries:
-            entry.weak_names = frozenset()
-
-        def fingerprints():
-            return [
-                {name: _scheme_fingerprint(s) for name, s in e.bindings.items()}
-                for e in table.entries
-            ]
-
-        before = fingerprints()
-        mk = lambda x, y: type(baseline)(  # noqa: E731
-            [baseline.decls[0], parse_program(x).decls[0], parse_program(y).decls[0]]
-        )
-        failing = mk("let x = cell := [1]", 'let y = cell := ["s"]')
-        passing = mk("let x = cell := [true]", "let y = 0")
-        for candidate, ok in ((failing, False), (passing, True)):
-            replayed = replay_decl_table(candidate, table)
-            _assert_same(replayed, typecheck_program(candidate))
-            assert replayed.ok is ok
-            assert replayed.decls_replayed >= 1  # `cell`, bound live
-            assert fingerprints() == before
-
-    @pytest.mark.parametrize(
-        "baseline_src,edited",
-        [
-            # Pinned by a later passing declaration the candidate edits.
-            ("let r = ref []\nlet a = r := [1]\nlet b = 2", 'let a = r := ["s"]'),
-            # Pinned part-way by the failing declaration itself.
-            ('let r = ref []\nlet a = (r := ["s"]); 1 + true', "let a = (r := [1]); 1 + 2"),
-        ],
+def _answerable(probe, baseline):
+    """Whether ``probe`` matches ``baseline`` declaration by declaration up
+    to its own end or the baseline's first failing declaration."""
+    result = typecheck_program(baseline)
+    covered = result.decls_checked  # up to and including the first failure
+    if len(probe.decls) > covered and result.ok:
+        return False
+    return all(
+        structurally_equal(mine, theirs)
+        for mine, theirs in zip(probe.decls[:covered], baseline.decls)
     )
-    def test_weak_binding_pinned_later_is_rechecked(self, baseline_src, edited):
-        # `r` is weak when bound; the end-of-pass scheme carries the pin of
-        # a later declaration, which the candidate no longer makes.
-        baseline = parse_program(baseline_src)
+
+
+@st.composite
+def baseline_and_probe(draw):
+    """A baseline and a probe built from its declarations (shared or
+    copied) and from :data:`EDITS`, of any length up to one past it."""
+    baseline = draw(
+        st.sampled_from(
+            [parse_program(s) for s in (WELL_TYPED, ILL_TYPED, WEAK)]
+            + [f.program for f in SWEEP[:10]]
+        )
+    )
+    decls = []
+    for i in range(draw(st.integers(0, len(baseline.decls) + 1))):
+        kind = draw(st.sampled_from(["same", "copy", "edit"]))
+        if kind == "edit" or i >= len(baseline.decls):
+            decls.append(draw(st.sampled_from(EDITS)))
+        elif kind == "copy":
+            decls.append(copy_tree(baseline.decls[i]))
+        else:
+            decls.append(baseline.decls[i])
+    return baseline, Program(decls)
+
+
+class TestPrefixProperty:
+    @given(baseline_and_probe())
+    @settings(max_examples=150, deadline=None)
+    def test_answers_exactly_the_unchanged_prefixes(self, case):
+        baseline, probe = case
         table, _ = record_decl_table(baseline)
-        decls = list(baseline.decls)
-        decls[1] = parse_program(edited).decls[0]
-        candidate = type(baseline)(decls)
-        replayed = replay_decl_table(candidate, table)
-        assert typecheck_program(candidate).ok
-        _assert_same(replayed, typecheck_program(candidate))
-
-
-class TestDegradation:
-    def test_stale_table_degrades_to_full_check(self):
-        program = parse_program(WELL_TYPED)
-        table, _ = record_decl_table(program)
-        table.stale = True
-        replayed = replay_decl_table(program, table)
-        _assert_same(replayed, typecheck_program(program))
-        assert replayed.decls_replayed == 0
-        assert replayed.decls_checked == len(program.decls)
-        assert replayed.decls_degraded == len(program.decls)
-
-    def test_corrupt_fingerprint_degrades_that_decl_onward(self):
-        program = parse_program(WELL_TYPED)
-        table, _ = record_decl_table(program)
-        # `total` (decl 3) records an env fingerprint for `base` and
-        # `double`; corrupting it must force a real check of decl 3+.
-        entry = table.entries[3]
-        assert entry.env_fp, "expected a non-empty used-names fingerprint"
-        name = sorted(entry.env_fp)[0]
-        entry.env_fp = dict(entry.env_fp, **{name: "corrupted"})
-        replayed = replay_decl_table(program, table)
-        _assert_same(replayed, typecheck_program(program))
-        assert replayed.decls_degraded >= 1
-        assert replayed.decls_checked >= 2  # decl 3 and everything after
+        answer = replay_decl_table(probe, table)
+        assert (answer is not None) == _answerable(probe, baseline)
+        if answer is not None:
+            _assert_same(answer, typecheck_program(probe))
+            assert answer.decls_checked == 0
 
 
 class TestCrossCheckSweep:
@@ -237,3 +228,21 @@ class TestCrossCheckSweep:
         assert compared > 0
         assert metrics.value("oracle.decl.replayed") > 0
         assert metrics.value("oracle.prefix.reused") > 0
+
+    @pytest.mark.parametrize("index", range(len(SWEEP)), ids=lambda i: f"rep{i:02d}")
+    def test_representative_zero_mismatches(self, index):
+        program = SWEEP[index].program
+        metrics = MetricsRegistry()
+        oracle = ReferenceCheckingOracle(metrics=metrics)
+        checked = explain(program, oracle=oracle)
+        reference = explain(program, oracle=Oracle(typecheck=typecheck_program))
+        assert oracle.compared > 0
+        assert checked.ok == reference.ok
+        assert checked.oracle_calls == reference.oracle_calls
+        assert [render_suggestion(s) for s in checked.suggestions] == [
+            render_suggestion(s) for s in reference.suggestions
+        ]
+        if checked.bad_decl_index:
+            # Localization's prefix scan is the table's to answer.
+            assert metrics.value("oracle.decl.replayed") > 0
+        assert metrics.value("oracle.decl.fallbacks") == 0

@@ -193,7 +193,7 @@ class TestTransparency:
         oracle = ChaosOracle(FaultPlan())
         explain(corpus_files[0].program, oracle=oracle)
         assert oracle.injected == {
-            "crash": 0, "latency": 0, "flip": 0, "snapshot": 0, "stale": 0,
+            "crash": 0, "latency": 0, "flip": 0, "snapshot": 0, "table": 0,
         }
 
 
@@ -236,19 +236,18 @@ class TestPoisonedSnapshotObject:
             poisoned.env
 
 
-class TestStaleDeclTable:
-    """The `stale-decl-table` plan: a poisoned outcome table may only ever
-    cost speed.  Every planned replay must refuse its fingerprint
-    verification and re-check for real — same suggestions, same ranks,
-    nonzero ``oracle.decl.degraded``, zero wrong answers."""
+class TestDeclTablePoison:
+    """The `decl-table-poison` plan: a poisoned outcome table may only ever
+    cost speed.  The table route raises on its first read after recording,
+    the oracle drops the table and checks from scratch — same suggestions,
+    same ranks, one ``oracle.decl.fallbacks`` per search, zero wrong
+    answers."""
 
-    def test_degrades_to_full_checks_never_lies(self, corpus_files):
+    def test_every_program_falls_back_and_never_lies(self, corpus_files):
         from repro.obs.metrics import MetricsRegistry
 
-        plan = standard_fault_plans()["stale-decl-table"]
-        degraded = 0
-        stale_fired = 0
-        for corpus_file in corpus_files[:10]:
+        plan = standard_fault_plans()["decl-table-poison"]
+        for corpus_file in corpus_files:
             metrics = MetricsRegistry()
             oracle = ChaosOracle(plan, metrics=metrics)
             chaotic = explain(corpus_file.program, oracle=oracle)
@@ -258,11 +257,17 @@ class TestStaleDeclTable:
                 render_suggestion(s) for s in plain.suggestions
             ]
             assert chaotic.oracle_calls == plain.oracle_calls
-            # Staling a table is pure telemetry loss, not degradation in
-            # the search-outcome sense (no budget, crash, or deadline hit).
+            # Dropping a table is pure reuse loss, not degradation in the
+            # search-outcome sense (no budget, crash, or deadline hit).
             assert not chaotic.degraded
+            assert oracle.injected["table"] == 1
+            assert metrics.value("oracle.decl.fallbacks") == 1
             assert metrics.value("oracle.decl.replayed") == 0
-            degraded += metrics.value("oracle.decl.degraded")
-            stale_fired += oracle.injected["stale"]
-        assert stale_fired > 0
-        assert degraded > 0
+
+
+class TestPoisonedDeclTableEntry:
+    def test_any_read_explodes(self):
+        from repro.faults import DeclTablePoisoned, _PoisonedEntry
+
+        with pytest.raises(DeclTablePoisoned):
+            _PoisonedEntry().key

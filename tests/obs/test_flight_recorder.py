@@ -91,12 +91,12 @@ FAULT_PLAN_EXPECTATIONS = {
     "snapshot-poison": ("degraded", {}),
     "latency": ("degraded", {"deadline_seconds": 1e-9}),
     "verdict-flip": ("degraded", {"deadline_seconds": 1e-9}),
-    # Staling the decl outcome table is deliberately event-silent (the
+    # Poisoning the decl outcome table is deliberately event-silent (the
     # event log must stay byte-identical to the from-scratch reference's);
-    # it surfaces through the oracle.decl.degraded counter instead,
+    # it surfaces through the oracle.decl.fallbacks counter instead,
     # asserted by the chaos suite.  Here the tiny-deadline trick applies
     # as above.
-    "stale-decl-table": ("degraded", {"deadline_seconds": 1e-9}),
+    "decl-table-poison": ("degraded", {"deadline_seconds": 1e-9}),
 }
 
 

@@ -293,6 +293,14 @@ def test_fix_all_rejects_max_rounds():
         fix_all(ILL_TYPED, max_rounds=1)
 
 
+def test_replay_decl_table_rejects_freeze_errors():
+    # The table binds nothing live and answers with recorded errors, so
+    # there is no rollback to render an error ahead of.
+    table, _ = record_decl_table(_program())
+    with pytest.raises(TypeError, match="freeze_errors"):
+        replay_decl_table(_program(), table, freeze_errors=True)
+
+
 @pytest.mark.parametrize("name", ["IncrementalMismatch", "AUTO_DEPTH"])
 def test_oracle_module_exports_no_cross_check_or_auto_depth(name):
     assert not hasattr(repro.core.oracle, name)
@@ -319,7 +327,7 @@ OPTION_CENSUS = [
     (typecheck_source, ["source"]),
     (snapshot_prefix, ["program", "upto"]),
     (record_decl_table, ["program", "key_fn"]),
-    (replay_decl_table, ["program", "table", "key_fn", "freeze_errors"]),
+    (replay_decl_table, ["program", "table", "key_fn"]),
 ]
 
 
