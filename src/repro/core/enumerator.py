@@ -136,8 +136,8 @@ def constructive_change(
     description: str,
     is_probe: bool = False,
 ) -> Change:
-    """Public constructor for custom constructive changes (see
-    :meth:`MiniMLEnumerator.register`)."""
+    """Public constructor for custom constructive changes (pass rules via
+    ``explain(custom_rules=...)`` or :attr:`SearchConfig.custom_rules`)."""
     return _change(path, original, replacement, rule, description, is_probe)
 
 

@@ -19,11 +19,13 @@ behind exactly that interface, adding:
     failing declaration) infers only the declarations after the snapshot
     point, against the live armed state, with an undo trail rolling the
     state back afterwards;
-  - the *declaration outcome table*: armed before the initial check
+  - the *declaration table*: armed before the initial check
     (:meth:`Oracle.arm_decl_table`), its recording pass *is* that check,
-    and it then answers every program whose declarations are a
-    key-equal prefix of the baseline — localization's prefix scan —
-    from the recorded outcomes, without inferring anything.
+    and it then answers every program whose declarations *are* (``is``)
+    the baseline's up to its own end or the baseline's first failure —
+    localization's prefix scan — from the recorded verdict, without
+    inferring anything.  Like the snapshot, it matches by identity and
+    keys nothing: only the verdict store keys programs.
 
   Every other check (a candidate that edits the snapshot's prefix, or
   any check when no snapshot is armed) is a from-scratch check; the
@@ -44,11 +46,11 @@ them kill the search:
   degradation report.
 * **Depth pre-check** — candidates whose AST depth exceeds
   :func:`default_max_depth` (derived from the interpreter's recursion
-  limit) are rejected *before* inference by a
-  :class:`~repro.tree.DepthProbe`, which walks only the candidate's
-  unkeyed spine and reads ``HCKey.depth`` for every subtree the keyer
-  already holds, so deep trees can never trip Python's recursion limit
-  inside the checker in the first place.
+  limit) are rejected *before* inference, and before the verdict store
+  keys them, by a :class:`~repro.tree.DepthProbe`, whose memo of subtree
+  heights leaves only each candidate's rebuilt spine to walk, so deep
+  trees can never trip Python's recursion limit inside the checker in
+  the first place.
 * **Self-healing reuse** — any exception from the snapshot route (a
   poisoned snapshot, a :class:`~repro.miniml.infer.TrailIntegrityError`)
   disarms the snapshot, counts ``oracle.prefix.fallbacks``, and
@@ -155,7 +157,10 @@ class Oracle:
         shared no-op registry).
 
     Candidates deeper than :func:`default_max_depth` are rejected before
-    the checker runs (``oracle.depth_rejected``; never counted as a call).
+    the checker runs and before the store keys them
+    (``oracle.depth_rejected``; never counted as a call).  Only the
+    verdict store keys programs: the reuse tiers match declarations by
+    identity, and the depth guard keeps its own memo of heights.
     """
 
     def __init__(
@@ -176,12 +181,11 @@ class Oracle:
         self.depth_rejections = 0
         self.crash_samples: List[str] = []
         self.max_depth = default_max_depth()
-        #: The one structural keyer of a search: store keys and the decl
-        #: table intern into it, the depth guard reads depths off it, and
-        #: :meth:`reset` clears it (the searcher reports its size as
-        #: ``search.keys.interned``).
+        #: The one structural keyer of a search: only the verdict store
+        #: keys programs, and :meth:`reset` clears it (the searcher
+        #: reports its size as ``search.keys.interned``).
         self.keyer = StructuralKeyer()
-        self._depth_probe = DepthProbe(self.keyer)
+        self._depth_probe = DepthProbe()
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.events = events if events is not None else NULL_EVENTS
         #: Reuse is on exactly when the checker is MiniML's own: only it
@@ -300,18 +304,18 @@ class Oracle:
         return True
 
     # ------------------------------------------------------------------
-    # Declaration outcome table (unchanged-prefix answers)
+    # Declaration table (unchanged-prefix answers)
     # ------------------------------------------------------------------
 
     def arm_decl_table(self, program) -> bool:
-        """Arm the per-declaration outcome table for a baseline program.
+        """Arm the declaration table for a baseline program.
 
         Called by the searcher *before* its initial check.  Arming is
         lazy: the recording pass runs on the first check that reaches the
         full (non-snapshot) path — which for the searcher is that initial
         check itself, so recording costs nothing beyond the check the
         search was going to pay anyway.  Once recorded, the table answers
-        every full-path check of a key-equal prefix of the baseline
+        every full-path check of an unchanged prefix of the baseline
         without inferring anything.  No-op (False) for a custom checker.
         """
         self._decl_table = None
@@ -326,7 +330,7 @@ class Oracle:
         self._decl_pending = None
 
     def _decl_tier(self, program) -> Optional[CheckResult]:
-        """Serve a full-path check from the declaration outcome table.
+        """Serve a full-path check from the declaration table.
 
         Returns ``None`` when the tier cannot answer (not armed, recording
         produced no table, ``program`` is not an unchanged prefix of the
@@ -341,9 +345,7 @@ class Oracle:
             if self._decl_table is None:
                 baseline = self._decl_pending
                 self._decl_pending = None
-                table, base_result = record_decl_table(
-                    baseline, key_fn=self.keyer
-                )
+                table, base_result = record_decl_table(baseline)
                 if table is None:
                     # Recording failed soundly (e.g. recursion blowup):
                     # the pass is still a complete check of the baseline.
@@ -358,8 +360,7 @@ class Oracle:
                     self.metrics.incr(
                         "oracle.decl.checked", base_result.decls_checked
                     )
-            # The table interns declaration keys into the oracle's keyer.
-            return replay_decl_table(program, self._decl_table, key_fn=self.keyer)
+            return replay_decl_table(program, self._decl_table)
         except Exception:
             self._drop_decl_table()
             self.metrics.incr("oracle.decl.fallbacks")
@@ -430,12 +431,11 @@ class Oracle:
 
         Accounting order matters: the depth pre-check comes first (a
         too-deep candidate is rejected for free, before checking could
-        recurse into it; with a store attached the candidate is keyed
-        just before it, and a tree too deep to key is rejected the same
-        way); the budget gate comes next, so a call that
-        raises :class:`BudgetExceeded` checked nothing and does not count
-        toward ``calls``.  Finally, any unexpected exception from the
-        checker is isolated: the candidate is rejected
+        recurse into it and before the store keys it; a tree too deep to
+        key is rejected the same way); the budget gate comes next, so a
+        call that raises :class:`BudgetExceeded` checked nothing and does
+        not count toward ``calls``.  Finally, any unexpected exception
+        from the checker is isolated: the candidate is rejected
         (``ok=False``) and the crash is counted instead of propagated.
         Only :class:`BudgetExceeded` ever escapes.
         """
@@ -450,17 +450,15 @@ class Oracle:
             return CheckResult(ok=False)
 
     def _check(self, program) -> CheckResult:
+        if self._depth_probe.exceeds(program, self.max_depth):
+            return self._reject_too_deep()
         skey = None
         if self.store is not None:
-            # The store needs the candidate's key anyway: keyed first,
-            # the guard's depth read is a memo hit at the root.  A tree
-            # too deep to key is too deep to check.
+            # A tree too deep to key is too deep to check.
             try:
                 skey = self.keyer(program)
             except TreeTooDeep:
                 return self._reject_too_deep()
-        if self._depth_probe.exceeds(program, self.max_depth):
-            return self._reject_too_deep()
         if self.max_calls is not None and self.calls >= self.max_calls:
             self.metrics.incr("oracle.budget_exceeded")
             raise BudgetExceeded(self.max_calls)
@@ -507,7 +505,7 @@ class Oracle:
         return self.check(program).ok
 
     def reset(self) -> None:
-        """Clear accounting, keys, and the prefix snapshot between searches.
+        """Clear accounting, keys, depths and the reuse tiers between searches.
 
         The metrics registry is *not* cleared: it aggregates across
         searches by design (reset it explicitly if per-search numbers are
@@ -527,3 +525,4 @@ class Oracle:
         self.store_misses = 0
         self.store_writes = 0
         self.keyer.clear()
+        self._depth_probe.clear()

@@ -166,7 +166,8 @@ class Searcher:
 
     The searcher remembers no verdicts: every candidate it builds is put
     to the oracle, and the oracle's :class:`~repro.tree.StructuralKeyer`
-    is the only keyer a search uses (``search.keys.interned``).
+    is the only keyer a search uses; only a verdict store keys programs
+    through it (``search.keys.interned``).
     """
 
     def __init__(
@@ -257,7 +258,7 @@ class Searcher:
         with self.tracer.span("search", decls=len(program.decls)) as sp:
             outcome = SearchOutcome(ok=False, program=program, degradation=report)
             try:
-                # Arm the declaration outcome table *before* the initial
+                # Arm the declaration table *before* the initial
                 # check: recording piggybacks on that check's full pass, so
                 # every later full-path check (localization prefixes above
                 # all) replays unaffected declarations instead of

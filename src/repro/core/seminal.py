@@ -112,7 +112,7 @@ def explain(
     reproduces the "without triage" configuration of Section 3, and
     ``disabled_rules`` supports the Figure 7 constructive-change ablation.
     The default oracle reuses work across checks (a prefix snapshot and a
-    declaration outcome table, see :class:`~repro.core.oracle.Oracle`);
+    declaration table, see :class:`~repro.core.oracle.Oracle`);
     answers are byte-identical to ``oracle=Oracle(typecheck=...)`` around
     plain :func:`~repro.miniml.infer.typecheck_program`, which checks
     every candidate from scratch.  A passed ``oracle`` carries its own

@@ -18,8 +18,8 @@ deterministic schedule —
   prefix snapshot is wrapped so any use of it explodes, exercising the
   oracle's self-healing snapshot fallback (``oracle.prefix.fallbacks``);
 * **decl-table poisoning** (``poison_decl_table_after``): once recorded,
-  the declaration outcome table's first entry is replaced by one that
-  explodes when read, exercising the oracle's table fallback
+  the declaration table's recorded declarations are replaced by a
+  stand-in that explodes when read, exercising the oracle's table fallback
   (``oracle.decl.fallbacks``) and the from-scratch check behind it;
 * **flaky store I/O** (a :class:`FlakyStore` passed as ``store=``):
   ``OSError`` from the verdict store's segment read/write seams on a
@@ -81,7 +81,7 @@ class FaultPlan:
     flip_verdict_every: Optional[int] = None
     #: Poison the armed prefix snapshot from the Nth check onward.
     poison_snapshot_after: Optional[int] = None
-    #: Poison the recorded declaration outcome table from the Nth check
+    #: Poison the recorded declaration table from the Nth check
     #: onward: the table route raises, the oracle drops the table, and a
     #: from-scratch check answers — correct answers, never wrong.
     poison_decl_table_after: Optional[int] = None
@@ -146,13 +146,17 @@ class _PoisonedSnapshot:
 
 
 class _PoisonedEntry:
-    """Stands in for a decl-table entry and explodes the moment the table
-    route reads it — the shape of a corrupted-table bug."""
+    """Stands in for the decl table's recorded declarations and explodes
+    the moment the table route reads them — the shape of a
+    corrupted-table bug."""
 
     __slots__ = ()
 
     def __getattr__(self, name):
         raise DeclTablePoisoned(f"poisoned decl-table entry access: {name!r}")
+
+    def __getitem__(self, index):
+        return self.__getattr__("__getitem__")
 
 
 class ChaosOracle(Oracle):

@@ -22,7 +22,7 @@ The checker knows nothing about SEMINAL: the search wildcard is a plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, Optional
 
 from .ast_nodes import (
     Binding,
@@ -131,13 +131,15 @@ class CheckResult:
 
     ok: bool
     error: Optional[MiniMLTypeError] = None
-    #: Schemes of top-level value bindings (only when ``ok``).
+    #: Schemes of top-level value bindings (only when ``ok``).  Only a
+    #: check that infers the program fills it: a decl-table answer
+    #: (:func:`replay_decl_table`) infers nothing and leaves it empty.
     top_level: Dict[str, Scheme] = field(default_factory=dict)
     #: ``id(expr) -> Type`` when the pass ran with ``record_types``.
     node_types: Dict[int, object] = field(default_factory=dict)
     #: Declaration accounting for the oracle's reuse telemetry: how many
     #: top-level declarations this pass really inferred, how many it
-    #: answered from a recorded outcome table, and how many it skipped via
+    #: answered from the recorded decl table, and how many it skipped via
     #: a prefix snapshot.
     decls_checked: int = 0
     decls_replayed: int = 0
@@ -206,20 +208,15 @@ class Inferencer:
     # Programs and declarations
     # ------------------------------------------------------------------
 
-    def check_decl(
-        self, env: TypeEnv, decl, top_level: Dict[str, Scheme]
-    ) -> Optional[Dict[str, Scheme]]:
-        """Check one top-level declaration, extending ``env``/``top_level``;
-        returns the schemes a ``let`` bound."""
+    def check_decl(self, env: TypeEnv, decl, top_level: Dict[str, Scheme]) -> None:
+        """Check one top-level declaration, extending ``env``/``top_level``."""
         self.decls_checked += 1
         if isinstance(decl, DType):
             self._declare_type(decl)
         elif isinstance(decl, DException):
             self._declare_exception(decl)
         elif isinstance(decl, DLet):
-            bound = self._check_bindings(env, decl.rec, decl.bindings)
-            top_level.update(bound)
-            return bound
+            top_level.update(self._check_bindings(env, decl.rec, decl.bindings))
         elif isinstance(decl, DExpr):
             self.infer_expr(env, decl.expr)
         else:  # pragma: no cover - parser produces nothing else
@@ -785,6 +782,11 @@ def _check_decls(
         for decl in decls:
             inferencer.check_decl(env, decl, top_level)
     except MiniMLTypeError as err:
+        # The error outlives the check as a value: drop its traceback and
+        # chained ``UnifyError``, whose frames would pin the caller (the
+        # oracle, its searcher and every candidate tree) for as long as
+        # the result is kept.
+        err.__traceback__ = err.__cause__ = err.__context__ = None
         return CheckResult(
             ok=False,
             error=err,
@@ -1000,97 +1002,53 @@ def typecheck_program(program: Program, record_types: bool = False) -> CheckResu
 
 
 # ---------------------------------------------------------------------------
-# The declaration outcome table behind the oracle's table route: one
-# recorded from-scratch pass, answering the baseline's unchanged prefixes.
+# The declaration table behind the oracle's table route: one recorded
+# from-scratch pass, answering the baseline's unchanged prefixes.
 # ---------------------------------------------------------------------------
 
 
-class DeclOutcome(NamedTuple):
-    """One recorded baseline declaration.
+def record_decl_table(program: Program):
+    """Type-check ``program`` once, recording what its prefixes need.
 
-    ``key`` is its structural key, ``bindings`` the value bindings it
-    introduced, and ``error`` the checker's error when it is the first
-    failing declaration (recording stops there).
+    Returns ``(table, result)``: ``result`` is :func:`typecheck_program`'s
+    answer (a complete check — the caller should use it instead of running
+    a second pass), and ``table`` holds the two values
+    :func:`replay_decl_table` answers from: the baseline's declarations up
+    to and including the first failing one, and that failure's error
+    (``None`` when the baseline passed).  ``table`` is ``None`` when the
+    pass blew the recursion guard (:class:`NestingTooDeepError`).
     """
-
-    key: object
-    bindings: Dict[str, Scheme]
-    error: Optional[MiniMLTypeError] = None
-
-
-def record_decl_table(program: Program, key_fn=None):
-    """Fully infer ``program`` once, recording one outcome per declaration.
-
-    Returns ``(table, result)``: a tuple of :class:`DeclOutcome` for later
-    :func:`replay_decl_table` calls, and the pass's :class:`CheckResult`
-    (this *is* a complete check — the caller should use it instead of
-    running a second pass).  The table covers every declaration up to and
-    including the first failing one.  ``table`` is ``None`` when the pass
-    blew the recursion guard mid-inference.  Every declaration is keyed
-    through ``key_fn`` before it is inferred.
-    """
-    if key_fn is None:
-        from repro.tree import structural_key as key_fn  # type: ignore[no-redef]
-
-    inferencer = Inferencer()
-    env = inferencer.root_env.child()
-    top_level: Dict[str, Scheme] = {}
-    table: List[DeclOutcome] = []
-    for decl in program.decls:
-        key = key_fn(decl)
-        try:
-            bindings = inferencer.check_decl(env, decl, top_level)
-        except MiniMLTypeError as err:
-            table.append(DeclOutcome(key, {}, err))
-            return tuple(table), CheckResult(
-                ok=False,
-                error=err,
-                node_types=inferencer.node_types,
-                decls_checked=inferencer.decls_checked,
-            )
-        except RecursionError:
-            # No sound table: inference state is unknown mid-blowup.
-            return None, CheckResult(
-                ok=False,
-                error=NestingTooDeepError(),
-                decls_checked=inferencer.decls_checked,
-            )
-        table.append(DeclOutcome(key, bindings or {}))
-    return tuple(table), CheckResult(
-        ok=True,
-        top_level=top_level,
-        node_types=inferencer.node_types,
-        decls_checked=inferencer.decls_checked,
-    )
+    result = typecheck_program(program)
+    if isinstance(result.error, NestingTooDeepError):
+        return None, result
+    return (tuple(program.decls[: result.decls_checked]), result.error), result
 
 
-def replay_decl_table(
-    program: Program, table, key_fn=None
-) -> Optional[CheckResult]:
+def replay_decl_table(program: Program, table) -> Optional[CheckResult]:
     """Answer ``program`` from a recorded table, or return ``None``.
 
-    The table answers a program whose declarations are key-equal to the
+    The table answers a program whose declarations *are* (``is``) the
     baseline's up to the program's end or the baseline's first failing
     declaration, whichever comes first — every prefix of the baseline
-    (localization's prefix scan) and the baseline itself.  Inference is
+    (localization's prefix scan) and the baseline itself.  The searcher
+    shares unchanged declarations by identity, as the prefix snapshot's
+    :meth:`SpeculativeState.matches` relies on, and inference is
     sequential, so such a program reaches the verdict the recorded pass
-    reached there.  Nothing is inferred and no recorded state is touched.
-    Any other program gets ``None``, and the caller checks it another way.
+    reached there.  Nothing is inferred, so the answer's ``top_level`` is
+    empty.  Any other program gets ``None``, and the caller checks it
+    another way.
     """
-    if key_fn is None:
-        from repro.tree import structural_key as key_fn  # type: ignore[no-redef]
-
+    recorded, error = table
     decls = program.decls
-    top_level: Dict[str, Scheme] = {}
-    for replayed, (decl, entry) in enumerate(zip(decls, table), 1):
-        if key_fn(decl) != entry.key:
+    for mine, theirs in zip(recorded, decls):
+        if mine is not theirs:
             return None
-        if entry.error is not None:
-            return CheckResult(ok=False, error=entry.error, decls_replayed=replayed)
-        top_level.update(entry.bindings)
-    if len(decls) > len(table):
+    covered = min(len(decls), len(recorded))
+    if error is not None and covered == len(recorded):
+        return CheckResult(ok=False, error=error, decls_replayed=covered)
+    if len(decls) > len(recorded):
         return None
-    return CheckResult(ok=True, top_level=top_level, decls_replayed=len(decls))
+    return CheckResult(ok=True, decls_replayed=covered)
 
 
 def typecheck_source(source: str) -> CheckResult:

@@ -89,8 +89,9 @@ class Node:
         """All direct AST children, in field order.
 
         Built directly from the cached per-class field layout: this runs
-        once per node inside :func:`node_depth`, where the generator
-        round-trip through :meth:`child_items` is measurable.
+        once per walked node inside :func:`node_depth` and
+        :class:`DepthProbe`, where the generator round-trip through
+        :meth:`child_items` is measurable.
         """
         out: list["Node"] = []
         for name in _field_names(self.__class__):
@@ -167,9 +168,8 @@ def node_depth(root: Node) -> int:
 
     Iterative (explicit stack) so it is safe on trees far deeper than the
     interpreter's recursion limit.  The oracle's guard measures the same
-    number with :meth:`StructuralKeyer.depth`, which reads
-    :attr:`HCKey.depth` for subtrees already keyed (see
-    :class:`DepthProbe`); this is the exact walk that defines it.
+    number with :class:`DepthProbe`, which memoizes heights across the
+    candidates of a search; this is the exact walk that defines it.
     """
     depths: dict = {}
     stack: list = [(root, None)]
@@ -236,13 +236,12 @@ class HCKey:
     the node's class name followed by one entry per dataclass field: a
     child :class:`HCKey` for node fields, a tuple of element keys for list
     fields, and a ``("#", value)`` pair for scalars.  Two properties make
-    this the cheap currency of the whole search pipeline:
+    it cheap for the verdict store, the only consumer that keys programs:
 
     * the hash is computed once at construction, so every later dict
-      operation (verdict store, decl-table lookups) costs O(1)
-      instead of re-hashing the whole subtree — CPython does not cache
-      tuple hashes, so the old nested-tuple keys paid O(subtree) on every
-      lookup;
+      operation (verdict-store lookups) costs O(1) instead of re-hashing
+      the whole subtree — CPython does not cache tuple hashes, so the old
+      nested-tuple keys paid O(subtree) on every lookup;
     * keys from one interner (:class:`StructuralKeyer` or one
       :func:`structural_key` call) are unique per content, so equality is
       usually a pointer comparison; across interners (and across process
@@ -252,28 +251,12 @@ class HCKey:
     ``digest`` is a content-based Merkle digest: a shared subtree's digest
     is computed once and reused, making persistent-store addressing
     (:func:`repro.store.fingerprint.key_digest`) O(1) amortized per node.
-
-    ``depth`` is the keyed subtree's height (:func:`node_depth` of it),
-    computed from the child keys in ``parts`` — so every interned key, and
-    every key rebuilt by unpickling, carries it for free.  The depth guard
-    reads it through :meth:`StructuralKeyer.depth` instead of re-walking
-    subtrees the search has already keyed.
     """
 
-    __slots__ = ("parts", "depth", "_hash", "_digest")
+    __slots__ = ("parts", "_hash", "_digest")
 
     def __init__(self, parts: Tuple) -> None:
         self.parts = parts
-        depth = 0
-        for part in parts:
-            if type(part) is HCKey:
-                if part.depth > depth:
-                    depth = part.depth
-            elif type(part) is tuple:
-                for element in part:
-                    if type(element) is HCKey and element.depth > depth:
-                        depth = element.depth
-        self.depth = depth + 1
         self._hash = hash(parts)
         self._digest: Optional[str] = None
 
@@ -364,11 +347,7 @@ class StructuralKeyer:
     are treated immutably between :meth:`clear` calls, which is how the
     whole search pipeline operates (``span``/``synthetic`` mutations do
     not participate in keys).  Call :meth:`clear` between searches to
-    release the pinned trees.
-
-    :meth:`depth` measures a tree's height against the same memo without
-    keying it, which is all the oracle's depth guard needs: only the
-    verdict store and the declaration outcome table key programs.
+    release the pinned trees.  Only the verdict store keys programs.
     """
 
     __slots__ = ("_memo", "_intern")
@@ -422,65 +401,47 @@ class StructuralKeyer:
         memo[id(root)] = (root, key)
         return key
 
-    def depth(self, root: Node) -> int:
-        """:func:`node_depth` of ``root``, read off this keyer's keys.
-
-        A subtree already in the identity memo answers with its
-        :attr:`HCKey.depth`; only nodes this keyer has not keyed (a
-        candidate's rebuilt spine and its fresh replacement) are walked.
-        Nothing is interned.  Trees too deep to walk recursively raise
-        :class:`TreeTooDeep`, as keying does.
-        """
-        try:
-            return self._depth(root)
-        except RecursionError:
-            raise TreeTooDeep(
-                "tree is too deeply nested to measure its depth"
-            ) from None
-
-    def _depth(self, root: Node) -> int:
-        entry = self._memo.get(id(root))
-        if entry is not None:
-            return entry[1].depth
-        depth = 0
-        for name in _field_names(root.__class__):
-            value = getattr(root, name)
-            if isinstance(value, Node):
-                child = self._depth(value)
-                if child > depth:
-                    depth = child
-            elif isinstance(value, (list, tuple)):
-                for element in value:
-                    if isinstance(element, Node):
-                        child = self._depth(element)
-                        if child > depth:
-                            depth = child
-        return depth + 1
-
 
 class DepthProbe:
     """The oracle's depth guard (crash-avoidance pre-check).
 
     Rejects candidates deep enough to trip Python's recursion limit
     *inside* inference, where the resulting ``RecursionError`` would
-    otherwise surface mid-unification.  It has no memo of its own and
-    keys nothing: :meth:`StructuralKeyer.depth` on ``keyer``, the
-    oracle's keyer, reads :attr:`HCKey.depth` for every subtree the
-    search has already keyed (the base program's declarations) and walks
-    only the candidate's rebuilt spine.  A tree too deep for that walk
-    (:class:`TreeTooDeep`) is too deep for inference as well.
+    otherwise surface mid-unification.  Heights are memoized by
+    ``id(node)``: the search's candidates share every unchanged subtree
+    with the base program by identity, so after the first probe only a
+    candidate's rebuilt spine and its fresh replacement are walked.  As in
+    :class:`StructuralKeyer`, the memo pins each node so an ``id`` is never
+    recycled while cached; call :meth:`clear` between searches.  A tree
+    too deep for the walk is too deep for inference as well.
     """
 
-    __slots__ = ("keyer",)
+    __slots__ = ("_memo",)
 
-    def __init__(self, keyer: StructuralKeyer) -> None:
-        self.keyer = keyer
+    def __init__(self) -> None:
+        self._memo: dict = {}
+
+    def clear(self) -> None:
+        self._memo.clear()
 
     def exceeds(self, root: Node, limit: int) -> bool:
         try:
-            return self.keyer.depth(root) > limit
-        except TreeTooDeep:
+            return self._height(root) > limit
+        except RecursionError:
             return True
+
+    def _height(self, root: Node) -> int:
+        entry = self._memo.get(id(root))
+        if entry is not None:
+            return entry[1]
+        height = 0
+        for child in root.children():
+            child_height = self._height(child)
+            if child_height > height:
+                height = child_height
+        height += 1
+        self._memo[id(root)] = (root, height)
+        return height
 
 
 #: ``dataclasses.fields`` is surprisingly costly per call; the field layout

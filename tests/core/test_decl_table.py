@@ -1,12 +1,12 @@
-"""Declaration outcome table: record, unchanged-prefix answers, declines.
+"""Declaration table: record, unchanged-prefix answers, declines.
 
 The table's contract mirrors the prefix snapshot's: *semantic
-transparency*.  It answers exactly the programs that match the recorded
-baseline declaration by declaration (up to their own end or the baseline's
-first failing declaration) — the baseline's unchanged prefixes — with the
-same verdict, and on failure the same rendered error, as a full
-:func:`typecheck_program` pass; it declines (``None``) every other
-program.
+transparency*, with matching by identity.  It answers exactly the programs
+whose declarations *are* the recorded baseline's (up to their own end or
+the baseline's first failing declaration) — the baseline's unchanged
+prefixes — with the same verdict, and on failure the same rendered error,
+as a full :func:`typecheck_program` pass; it declines (``None``) every
+other program, structurally equal copies included.
 """
 
 from hypothesis import given, settings
@@ -23,8 +23,9 @@ from repro.miniml.infer import (
     replay_decl_table,
     typecheck_program,
 )
+from repro.miniml.types import type_to_string
 from repro.obs.metrics import MetricsRegistry
-from repro.tree import copy_tree, structurally_equal
+from repro.tree import copy_tree
 from tests.core.reference_checking import ReferenceCheckingOracle
 
 WELL_TYPED = """\
@@ -86,16 +87,28 @@ class TestRecord:
         table, result = record_decl_table(program)
         _assert_same(result, typecheck_program(program))
         assert table is not None
-        assert len(table) == len(program.decls)
+        decls, error = table
+        assert all(mine is theirs for mine, theirs in zip(decls, program.decls))
+        assert len(decls) == len(program.decls)
+        assert error is None
 
     def test_recording_stops_at_failing_decl(self):
         program = parse_program(ILL_TYPED)
         table, result = record_decl_table(program)
         assert not result.ok
         assert table is not None
-        # Entries cover decls up to and including the failing one.
-        assert len(table) == 3
-        assert table[2].error is not None
+        # The table covers decls up to and including the failing one.
+        decls, error = table
+        assert len(decls) == 3
+        assert error is result.error
+
+    def test_recursion_blowup_records_no_table(self):
+        from tests.miniml.test_deep_nesting import PATHOLOGICAL, deep_app_chain
+
+        program = deep_app_chain(PATHOLOGICAL)
+        table, result = record_decl_table(program)
+        assert table is None
+        _assert_same(result, typecheck_program(program))
 
 
 class TestReplay:
@@ -117,7 +130,8 @@ class TestReplay:
     def test_every_prefix_is_answered(self):
         program = parse_program(ILL_TYPED)
         table, _ = record_decl_table(program)
-        for n in range(len(table) + 1):
+        decls, _ = table
+        for n in range(len(decls) + 1):
             prefix = Program(program.decls[:n])
             replayed = replay_decl_table(prefix, table)
             _assert_same(replayed, typecheck_program(prefix))
@@ -136,29 +150,67 @@ class TestReplay:
         longer = Program(list(baseline.decls) + list(EDITS[:1]))
         assert replay_decl_table(longer, table) is None
 
-    def test_replay_leaves_weak_schemes_untouched(self):
-        # The recorded weak cells are never bound live: neither answered
-        # prefixes nor declined edits (which would pin `cell` to bool)
-        # change a recorded scheme.
+    def test_replay_binds_no_weak_scheme(self):
+        # The table records no schemes: answered prefixes carry an empty
+        # top level, and neither they nor declined edits (which would pin
+        # `cell` to bool) change the recorded error.
         program = parse_program(WEAK)
         table, _ = record_decl_table(program)
-        rendered = [str(entry.bindings) for entry in table]
-        for n in range(len(table)):
-            replay_decl_table(Program(program.decls[: n + 1]), table)
+        decls, error = table
+        rendered = error.render()
+        for n in range(len(decls)):
+            answer = replay_decl_table(Program(program.decls[: n + 1]), table)
+            assert answer.top_level == {}
             edited = list(program.decls[:n]) + [EDITS[2], EDITS[3]]
             assert replay_decl_table(Program(edited), table) is None
-        assert [str(entry.bindings) for entry in table] == rendered
+        assert error.render() == rendered
+
+
+class TestOracleTableRoute:
+    def test_copied_prefix_is_checked_from_scratch(self):
+        # Structurally equal declarations that are not the baseline's
+        # objects are not the table's to answer.
+        baseline = parse_program(ILL_TYPED)
+        metrics = MetricsRegistry()
+        oracle = Oracle(metrics=metrics)
+        oracle.arm_decl_table(baseline)
+        assert not oracle.check(baseline).ok
+        checked = metrics.value("oracle.decl.checked")
+        copied = Program([copy_tree(d) for d in baseline.decls[:2]])
+        answer = oracle.check(copied)
+        _assert_same(answer, typecheck_program(copied))
+        assert answer.ok
+        assert metrics.value("oracle.decl.replayed") == 0
+        assert metrics.value("oracle.decl.checked") == checked + 2
+        # The table stays armed for the baseline's own prefixes.
+        assert oracle.check(Program(baseline.decls[:2])).ok
+        assert metrics.value("oracle.decl.replayed") == 2
+
+    def test_prefix_answer_shows_no_scheme_a_later_decl_pinned(self):
+        # `put` pins the weak `cell` to `int list ref` in the recording
+        # pass; the one-declaration prefix must not report that scheme.
+        program = parse_program("let cell = ref []\nlet put = cell := [1]\n")
+        metrics = MetricsRegistry()
+        oracle = Oracle(metrics=metrics)
+        oracle.arm_decl_table(program)
+        assert oracle.check(program).ok
+        answer = oracle.check(Program(program.decls[:1]))
+        assert answer.ok
+        assert metrics.value("oracle.decl.replayed") == 1
+        shown = [type_to_string(s.body) for s in answer.top_level.values()]
+        assert "int list ref" not in shown
+        assert answer.top_level == {}
 
 
 def _answerable(probe, baseline):
-    """Whether ``probe`` matches ``baseline`` declaration by declaration up
-    to its own end or the baseline's first failing declaration."""
+    """Whether ``probe``'s declarations are ``baseline``'s up to its own
+    end or the baseline's first failing declaration."""
     result = typecheck_program(baseline)
     covered = result.decls_checked  # up to and including the first failure
     if len(probe.decls) > covered and result.ok:
         return False
     return all(
-        structurally_equal(mine, theirs)
+        mine is theirs
         for mine, theirs in zip(probe.decls[:covered], baseline.decls)
     )
 

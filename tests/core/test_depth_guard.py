@@ -1,12 +1,11 @@
 """The oracle's depth guard against the exact walk.
 
-:meth:`~repro.tree.StructuralKeyer.depth` walks only what the keyer has
-not keyed and reads :attr:`~repro.tree.HCKey.depth` for the rest, so it
-must equal :func:`~repro.tree.node_depth` on every candidate the search
-can build, whether the base program is keyed or not, and must intern
-nothing.  With a verdict store attached, the oracle keys the candidate
-before the guard runs; a tree too deep to key is then rejected as too
-deep, before any store traffic.
+:class:`~repro.tree.DepthProbe` walks only what its memo has not measured
+and reads memoized heights for the rest, so it must agree with
+:func:`~repro.tree.node_depth` on every candidate the search can build,
+whether the base program was measured first or not.  The guard runs
+before a verdict store keys anything: a tree too deep for it is rejected
+before any keying or store traffic.
 """
 
 import pytest
@@ -60,36 +59,35 @@ def corpus_candidates():
 
 
 class TestAgainstNodeDepth:
-    def test_cold_keyer_measures_exactly(self, corpus_candidates):
+    def test_cold_probe_measures_exactly(self, corpus_candidates):
         for _, candidates in corpus_candidates:
             for candidate, depth in candidates:
-                keyer = StructuralKeyer()
-                assert keyer.depth(candidate) == depth
-                assert keyer.interned == 0
+                assert DepthProbe().exceeds(candidate, depth - 1)
+                assert not DepthProbe().exceeds(candidate, depth)
 
-    def test_keyed_base_measures_exactly(self, corpus_candidates):
+    def test_measured_base_leaves_only_the_spine_to_walk(self, corpus_candidates):
         total = 0
         for base, candidates in corpus_candidates:
-            keyer = StructuralKeyer()
-            keyer(base)
-            interned = keyer.interned
+            probe = DepthProbe()
+            probe.exceeds(base, 0)
             for candidate, depth in candidates:
-                assert keyer.depth(candidate) == depth
+                unmeasured = {id(node) for _, node in walk(candidate)} - set(probe._memo)
+                before = len(probe._memo)
+                assert not probe.exceeds(candidate, depth)
+                assert len(probe._memo) - before == len(unmeasured)
                 total += 1
-            assert keyer.interned == interned
         assert total > 1000
 
     def test_exceeds_agrees_at_the_boundary(self, corpus_candidates):
         for base, candidates in corpus_candidates:
-            keyer = StructuralKeyer()
-            keyer(base)
-            probe = DepthProbe(keyer)
+            probe = DepthProbe()
+            probe.exceeds(base, 0)
             for candidate, depth in candidates:
                 assert probe.exceeds(candidate, depth - 1)
                 assert not probe.exceeds(candidate, depth)
 
 
-class TestStoreFirstOrder:
+class TestGuardBeforeStore:
     def test_unkeyable_candidate_is_rejected_before_the_store(self, tmp_path):
         with VerdictStore(tmp_path) as store:
             oracle = Oracle(store=store)
@@ -98,26 +96,30 @@ class TestStoreFirstOrder:
         assert oracle.depth_rejections == 1
         assert oracle.crashes == 0
         assert oracle.calls == 0
+        assert oracle.keyer.interned == 0
         assert oracle.store_writes == 0
         assert oracle.store_hits == 0
         assert oracle.store_misses == 0
 
-    def test_guard_reads_the_store_key_at_the_root(self, tmp_path, monkeypatch):
-        # Keyed for the store first, the candidate's root is in the memo:
-        # the guard's read descends no further.
-        visits = []
-        measure = StructuralKeyer._depth
+    def test_guard_runs_before_the_store_keys(self, tmp_path, monkeypatch):
+        order = []
+        exceeds, key = DepthProbe.exceeds, StructuralKeyer.__call__
 
-        def counting(self, node):
-            visits.append(node)
-            return measure(self, node)
+        def guard(self, root, limit):
+            order.append("guard")
+            return exceeds(self, root, limit)
 
-        monkeypatch.setattr(StructuralKeyer, "_depth", counting)
+        def keyer(self, root):
+            order.append("key")
+            return key(self, root)
+
+        monkeypatch.setattr(DepthProbe, "exceeds", guard)
+        monkeypatch.setattr(StructuralKeyer, "__call__", keyer)
         program = parse_program("let a = 1\nlet b = a + 1\nlet c = b ^ a")
         with VerdictStore(tmp_path) as store:
             oracle = Oracle(store=store)
             assert not oracle.check(program).ok
-        assert visits == [program]
+        assert order == ["guard", "key"]
         assert oracle.store_misses == 1
 
     def test_over_limit_candidate_with_store_touches_no_store(
@@ -133,3 +135,20 @@ class TestStoreFirstOrder:
         assert oracle.depth_rejections == 1
         assert oracle.calls == 0
         assert (oracle.store_hits, oracle.store_misses, oracle.store_writes) == (0, 0, 0)
+
+    def test_over_limit_candidate_is_rejected_before_the_keyer_interns(
+        self, tmp_path, monkeypatch
+    ):
+        program = deep_app_chain(10)
+        monkeypatch.setattr(
+            oracle_module, "default_max_depth", lambda: node_depth(program) - 1
+        )
+        with VerdictStore(tmp_path) as store:
+            oracle = Oracle(store=store)
+            assert oracle.check(program).ok is False
+            assert oracle.keyer.interned == 0
+            # Within the limit, the same program is keyed for the store.
+            oracle.max_depth = node_depth(program)
+            oracle.check(program)
+            assert oracle.keyer.interned > 0
+        assert oracle.depth_rejections == 1

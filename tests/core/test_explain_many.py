@@ -14,9 +14,11 @@ The contract under test:
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -24,6 +26,8 @@ import pytest
 import repro.core.seminal as seminal
 from repro.core import explain, explain_many
 from repro.core.messages import render_suggestion
+from repro.core.oracle import Oracle
+from repro.core.searcher import Searcher
 from repro.core.parallel import (
     _fork_context,
     explain_batch_worker,
@@ -139,6 +143,33 @@ class TestExplainMany:
         entries = explain_many([ILL_TYPED], jobs=2)
         assert entries[0].result is not None
         assert entries[0].result.checker_message
+
+
+class TestMemory:
+    def test_serial_batch_keeps_no_search_alive(self, monkeypatch):
+        # A kept result holds the checker's error; that error must not
+        # pin the oracle and searcher that produced it (through its
+        # traceback's frames or a chained exception).
+        made = []
+        for cls in (Oracle, Searcher):
+            init = cls.__init__
+
+            def tracked(self, *args, _init=init, **kwargs):
+                made.append(weakref.ref(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", tracked)
+        programs = [f.program for f in CORPUS.representatives[:12]]
+        entries = explain_many(programs)
+        monkeypatch.undo()
+        gc.collect()
+        assert made
+        assert [ref() for ref in made if ref() is not None] == []
+        assert any(e.result.checker_error is not None for e in entries)
+        for program, entry in zip(programs, entries):
+            serial = explain(program)
+            assert _signature(entry.result) == _signature(serial)
+            assert entry.report == serial.render(limit=3)
 
 
 @pytest.fixture(scope="module")

@@ -271,3 +271,7 @@ class TestPoisonedDeclTableEntry:
 
         with pytest.raises(DeclTablePoisoned):
             _PoisonedEntry().key
+        # It stands in for the recorded declarations, which the table
+        # route iterates.
+        with pytest.raises(DeclTablePoisoned):
+            list(_PoisonedEntry())

@@ -167,40 +167,41 @@ class TestNodeDepth:
 
 class TestDepthProbe:
     def test_probe_handles_pathological_depth(self):
-        probe = DepthProbe(StructuralKeyer())
+        probe = DepthProbe()
         assert probe.exceeds(deep_app_chain(PATHOLOGICAL), 100)
 
     def test_probe_limit_is_node_depth(self):
-        probe = DepthProbe(StructuralKeyer())
+        probe = DepthProbe()
         for depth in (1, 5, 50):
             program = deep_app_chain(depth)
             assert probe.exceeds(program, node_depth(program) - 1)
             assert not probe.exceeds(program, node_depth(program))
 
     def test_probe_rejects_shared_pathological_subtrees(self):
-        probe = DepthProbe(StructuralKeyer())
+        probe = DepthProbe()
         program = deep_app_chain(PATHOLOGICAL)
         assert probe.exceeds(program, 100)
-        # Rewrapping reuses the whole chain, which the keyer could never
-        # finish keying: still too deep, still no RecursionError.
+        # Rewrapping reuses the whole chain, which the probe could never
+        # finish measuring: still too deep, still no RecursionError.
         rewrapped = Program([DExpr(EApp(program.decls[0].expr, [EVar("y")]))])
         assert probe.exceeds(rewrapped, 100)
 
-    def test_probe_reads_the_keyer_it_is_given(self):
-        keyer = StructuralKeyer()
+    def test_probe_reads_its_own_memo(self):
         program = deep_app_chain(10)
-        probe = DepthProbe(keyer)
-        # Nothing keyed yet: the probe walks the whole tree, keys nothing.
+        probe = DepthProbe()
+        # The first probe walks the whole tree and memoizes every height.
         assert not probe.exceeds(program, 100)
-        assert keyer.interned == 0
-        keyer(program)
-        assert keyer.interned == node_size(program)
-        # Keyed subtrees answer from HCKey.depth.  Grafting a deeper chain
-        # into the keyed tree in place (the search never mutates a keyed
-        # node) shows the probe reads the key instead of re-walking.
+        assert len(probe._memo) == node_size(program)
+        # Measured subtrees answer from the memo.  Grafting a deeper chain
+        # into the measured tree in place (the search never mutates a
+        # node it has built) shows the probe reads the memo instead of
+        # re-walking...
         program.decls[0].expr.func = deep_app_chain(200).decls[0].expr
         assert not probe.exceeds(program, 100)
-        assert keyer.interned == node_size(deep_app_chain(10))
+        assert len(probe._memo) == node_size(deep_app_chain(10))
+        # ...until the memo is cleared.
+        probe.clear()
+        assert probe.exceeds(program, 100)
 
 
 class TestInference:

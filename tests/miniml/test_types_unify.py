@@ -246,6 +246,6 @@ def test_type_nodes_are_slotted():
         TTuple([TCon("int"), TCon("bool")]),
         HCKey(("probe",)),
         StructuralKeyer(),
-        DepthProbe(StructuralKeyer()),
+        DepthProbe(),
     ):
         assert not hasattr(instance, "__dict__"), type(instance).__name__

@@ -301,6 +301,19 @@ def test_replay_decl_table_rejects_freeze_errors():
         replay_decl_table(_program(), table, freeze_errors=True)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: record_decl_table(_program(), key_fn=None),
+     lambda: replay_decl_table(_program(), record_decl_table(_program())[0],
+                               key_fn=None)],
+    ids=["record_decl_table", "replay_decl_table"],
+)
+def test_decl_table_rejects_key_fn(call):
+    # The table matches declarations by identity and keys nothing.
+    with pytest.raises(TypeError, match="key_fn"):
+        call()
+
+
 @pytest.mark.parametrize("name", ["IncrementalMismatch", "AUTO_DEPTH"])
 def test_oracle_module_exports_no_cross_check_or_auto_depth(name):
     assert not hasattr(repro.core.oracle, name)
@@ -326,8 +339,8 @@ OPTION_CENSUS = [
     (typecheck_program, ["program", "record_types"]),
     (typecheck_source, ["source"]),
     (snapshot_prefix, ["program", "upto"]),
-    (record_decl_table, ["program", "key_fn"]),
-    (replay_decl_table, ["program", "table", "key_fn"]),
+    (record_decl_table, ["program"]),
+    (replay_decl_table, ["program", "table"]),
 ]
 
 

@@ -13,7 +13,7 @@ from repro.core.enumerator import wildcard_expr
 from repro.miniml import parse_expr
 from repro.miniml.ast_nodes import EConst, EVar
 from repro.tree import (
-    StructuralKeyer,
+    DepthProbe,
     get_at,
     node_depth,
     node_size,
@@ -133,44 +133,51 @@ class TestStructuralEqualityProperties:
         assert structurally_equal(a, b) == structurally_equal(b, a)
 
 
-class TestKeyDepthProperties:
-    """The oracle's depth guard reads ``HCKey.depth``; it must be exact."""
+def _measures(probe, tree):
+    """Whether ``probe`` puts ``tree``'s height exactly at its node depth."""
+    depth = node_depth(tree)
+    return probe.exceeds(tree, depth - 1) and not probe.exceeds(tree, depth)
+
+
+class TestDepthProbeProperties:
+    """The oracle's depth guard reads memoized heights; it must be exact."""
 
     @given(expr_trees())
     @settings(max_examples=200, deadline=None)
-    def test_key_depth_is_node_depth(self, tree):
-        key = StructuralKeyer()(tree)
-        assert key.depth == node_depth(tree)
-        # Unpickling rebuilds the key from its parts and keeps the depth.
-        assert pickle.loads(pickle.dumps(key)).depth == key.depth
+    def test_probe_height_is_node_depth(self, tree):
+        assert _measures(DepthProbe(), tree)
+        # A pickled copy is all fresh objects: the memo of the original's
+        # heights does not answer for it, and it measures the same.
+        probe = DepthProbe()
+        probe.exceeds(tree, 0)
+        assert _measures(probe, pickle.loads(pickle.dumps(tree)))
 
     @given(expr_trees(), expr_trees(), st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
-    def test_shared_subtree_keys_keep_depth_exact(self, tree, graft, pick):
-        # A candidate keyed after its original reuses the original's
-        # memoized and interned child keys.
-        keyer = StructuralKeyer()
-        keyer(tree)
+    def test_shared_subtree_heights_stay_exact(self, tree, graft, pick):
+        # A candidate measured after its original reuses the original's
+        # memoized heights.
+        probe = DepthProbe()
+        probe.exceeds(tree, 0)
         nodes = list(walk(tree))
         path, _ = nodes[pick % len(nodes)]
         candidate = replace_at(tree, path, graft)
-        assert keyer(candidate).depth == node_depth(candidate)
+        assert _measures(probe, candidate)
 
     @given(expr_trees(), expr_trees(), st.integers(0, 10_000), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_measured_depth_is_node_depth(self, tree, graft, pick, graft_keyed):
-        # StructuralKeyer.depth walks what the keyer has not keyed and
-        # reads HCKey.depth for the rest; it interns nothing either way.
+    def test_probe_walks_only_unmeasured_nodes(self, tree, graft, pick, graft_measured):
+        # A cold probe walks the whole candidate; a warm one walks only its
+        # rebuilt spine, plus the graft when it has not measured it.
         nodes = list(walk(tree))
         path, _ = nodes[pick % len(nodes)]
         candidate = replace_at(tree, path, graft)
-        cold = StructuralKeyer()
-        assert cold.depth(candidate) == node_depth(candidate)
-        assert cold.interned == 0
-        warm = StructuralKeyer()
-        warm(tree)
-        if graft_keyed:
-            warm(graft)
-        interned = warm.interned
-        assert warm.depth(candidate) == node_depth(candidate)
-        assert warm.interned == interned
+        assert _measures(DepthProbe(), candidate)
+        warm = DepthProbe()
+        warm.exceeds(tree, 0)
+        if graft_measured:
+            warm.exceeds(graft, 0)
+        before = len(warm._memo)
+        assert _measures(warm, candidate)
+        walked = len(path) + (0 if graft_measured else node_size(graft))
+        assert len(warm._memo) - before == walked
