@@ -258,13 +258,8 @@ class Searcher:
         with self.tracer.span("search", decls=len(program.decls)) as sp:
             outcome = SearchOutcome(ok=False, program=program, degradation=report)
             try:
-                # Arm the declaration table *before* the initial
-                # check: recording piggybacks on that check's full pass, so
-                # every later full-path check (localization prefixes above
-                # all) replays unaffected declarations instead of
-                # re-inferring them.  Arming is a no-op for a custom
-                # checker, as is arming the prefix below.
-                self.oracle.arm_decl_table(program)
+                # Only yes/no questions from here on: the oracle arms its
+                # own reuse from this first check after reset().
                 first = self.oracle.check(program)
                 if first.ok:
                     outcome.ok = True
@@ -272,11 +267,6 @@ class Searcher:
                     outcome.checker_error = first.error
                     bad = self._localize_bad_decl(program)
                     outcome.bad_decl_index = bad
-                    # Everything before the failing declaration passed, and
-                    # every candidate below only mutates that declaration — so
-                    # snapshot the prefix environment once and let the oracle
-                    # check candidates incrementally from there.
-                    self.oracle.arm_prefix(program, bad)
                     # Search within the failing prefix: later declarations are
                     # ignored entirely, as in the paper ("It does not examine
                     # the third top-level binding").

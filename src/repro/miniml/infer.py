@@ -131,8 +131,10 @@ class CheckResult:
 
     ok: bool
     error: Optional[MiniMLTypeError] = None
-    #: Schemes of top-level value bindings (only when ``ok``).  Only a
-    #: check that infers the program fills it: a decl-table answer
+    #: Schemes of the top-level value bindings this check inferred (only
+    #: when ``ok``).  A from-scratch check fills in every binding; a
+    #: snapshot answer (:meth:`SpeculativeState.check`) only those its
+    #: suffix bound, not the prefix's; a decl-table answer
     #: (:func:`replay_decl_table`) infers nothing and leaves it empty.
     top_level: Dict[str, Scheme] = field(default_factory=dict)
     #: ``id(expr) -> Type`` when the pass ran with ``record_types``.
@@ -910,21 +912,14 @@ class SpeculativeState:
       would produce.
     """
 
-    __slots__ = ("decls", "top_level", "root", "values_env", "trail")
+    __slots__ = ("decls", "root", "values_env", "trail")
 
-    def __init__(
-        self,
-        decls,
-        root: TypeEnv,
-        values_env: TypeEnv,
-        top_level: Dict[str, Scheme],
-    ):
+    def __init__(self, decls, root: TypeEnv, values_env: TypeEnv):
         self.decls = tuple(decls)
         #: The private root environment (its tables are this state's own).
         self.root = root
         #: The prefix's value bindings, bound *live* (no instantiation).
         self.values_env = values_env
-        self.top_level = top_level
         self.trail = Trail()
 
     @property
@@ -948,7 +943,8 @@ class SpeculativeState:
         The caller must have verified :meth:`matches`.  ``freeze_errors``
         renders a failing result's message before rollback (see
         :func:`_trailed`); the oracle turns it off when the error dies with
-        the check.  Raises :class:`TrailIntegrityError` when the armed
+        the check.  The answer's ``top_level`` holds only the suffix's
+        bindings.  Raises :class:`TrailIntegrityError` when the armed
         state could not be restored.
         """
         skipped = self.n_decls
@@ -958,7 +954,7 @@ class SpeculativeState:
                 _speculative_inferencer(self.root),
                 self.values_env.child(),
                 program.decls[skipped:],
-                dict(self.top_level),
+                {},
                 skipped,
             ),
             freeze_errors,
@@ -976,15 +972,12 @@ def snapshot_prefix(program: Program, upto: int) -> Optional[SpeculativeState]:
         return None
     inferencer = Inferencer()
     values_env = inferencer.root_env.child()
-    top_level: Dict[str, Scheme] = {}
     try:
         for decl in program.decls[:upto]:
-            inferencer.check_decl(values_env, decl, top_level)
+            inferencer.check_decl(values_env, decl, {})
     except (MiniMLTypeError, RecursionError):
         return None
-    return SpeculativeState(
-        program.decls[:upto], inferencer.root_env, values_env, top_level
-    )
+    return SpeculativeState(program.decls[:upto], inferencer.root_env, values_env)
 
 
 def typecheck_program(program: Program, record_types: bool = False) -> CheckResult:

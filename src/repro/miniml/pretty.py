@@ -123,10 +123,6 @@ def pretty_expr(expr: Expr, level: int = _LEVEL_SEQ) -> str:
     return text
 
 
-def _paren_if(text: str, own: int, need: int) -> str:
-    return f"({text})" if own < need else text
-
-
 def _expr(e: Expr) -> tuple[str, int]:
     """Return (text, precedence level of the produced syntax)."""
     if e.synthetic:

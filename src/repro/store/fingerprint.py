@@ -10,7 +10,8 @@ unchanged:
   the store schema version, so editing the type system or the standard
   library silently invalidates every stale verdict on the next run;
 * **the program being asked about** — :func:`key_digest` hashes its
-  :func:`~repro.tree.structural_key` (spans and formatting never matter).
+  :class:`~repro.tree.StructuralKeyer` key (spans and formatting never
+  matter).
 
 Which reuse route (prefix snapshot, decl table, from scratch) computed a
 verdict is not part of its address: every route gives the from-scratch

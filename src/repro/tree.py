@@ -197,9 +197,8 @@ class TreeTooDeep(RuntimeError):
     """A tree exceeded the recursion headroom of a structural operation.
 
     Raised *instead of* the interpreter's :class:`RecursionError` by
-    :func:`structural_key`/:class:`StructuralKeyer` so callers get a
-    domain-level "reject this tree" signal rather than a half-unwound
-    interpreter state."""
+    :class:`StructuralKeyer` so callers get a domain-level "reject this
+    tree" signal rather than a half-unwound interpreter state."""
 
 
 def structurally_equal(a: Node, b: Node) -> bool:
@@ -242,11 +241,10 @@ class HCKey:
       operation (verdict-store lookups) costs O(1) instead of re-hashing
       the whole subtree — CPython does not cache tuple hashes, so the old
       nested-tuple keys paid O(subtree) on every lookup;
-    * keys from one interner (:class:`StructuralKeyer` or one
-      :func:`structural_key` call) are unique per content, so equality is
-      usually a pointer comparison; across interners (and across process
-      boundaries) it falls back to structural comparison, so a hash
-      collision can never alias two different candidates.
+    * keys from one :class:`StructuralKeyer` are unique per content, so
+      equality is usually a pointer comparison; across keyers (and across
+      process boundaries) it falls back to structural comparison, so a
+      hash collision can never alias two different candidates.
 
     ``digest`` is a content-based Merkle digest: a shared subtree's digest
     is computed once and reused, making persistent-store addressing
@@ -309,28 +307,17 @@ class HCKey:
         return d
 
 
-def structural_key(root: Node) -> HCKey:
-    """A hashable key capturing the structure the type-checker sees.
+class StructuralKeyer:
+    """Hashable keys capturing the structure the type-checker sees.
 
     Two trees get equal keys iff they are :func:`structurally_equal`
     (spans and the ``synthetic`` flag are ignored — they are not dataclass
-    fields).  The key is a hash-consed :class:`HCKey` tree mirroring the
-    AST: class name first, then one entry per dataclass field — a sub-key
-    for node fields, a tuple of element keys for list fields, and a
-    ``("#", value)`` pair for scalars (the tag keeps a scalar from
-    imitating a node key).  Being a real key (not a bare hash), dictionary
-    lookups still compare structurally on hash collision, so a collision
-    can never return a wrong cached answer.  For repeated keying of
-    programs that share subtrees, use :class:`StructuralKeyer`.
-
-    Trees too deep to key recursively raise :class:`TreeTooDeep` rather
-    than leaking the interpreter's :class:`RecursionError`.
-    """
-    return StructuralKeyer()(root)
-
-
-class StructuralKeyer:
-    """:func:`structural_key` with an identity memo and hash-cons interning.
+    fields).  A key is a hash-consed :class:`HCKey` tree mirroring the
+    AST; being a real key (not a bare hash), dictionary lookups still
+    compare structurally on hash collision, so a collision can never
+    return a wrong cached answer.  Trees too deep to key recursively raise
+    :class:`TreeTooDeep` rather than leaking the interpreter's
+    :class:`RecursionError`.
 
     The searcher's candidates are built with :func:`replace_at`, which
     shares every unchanged subtree with the original program by object

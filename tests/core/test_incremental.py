@@ -59,6 +59,17 @@ class TestSnapshotApi:
         )
         assert not snapshot.matches(edited_prefix)
 
+    def test_answer_shows_no_prefix_name(self):
+        # A snapshot answer carries the schemes its suffix bound, not the
+        # prefix's: nothing reads an oracle answer's schemes, so the
+        # prefix's are not copied into every check.
+        program = parse_program("let a = 1\nlet b = a + true")
+        snapshot = snapshot_prefix(program, 1)
+        candidate = Program([program.decls[0], parse_program("let b = a").decls[0]])
+        answer = snapshot.check(candidate)
+        assert answer.ok
+        assert sorted(answer.top_level) == ["b"]
+
     def test_shorter_program_never_matches(self):
         program = parse_program("let a = 1\nlet b = 2\nlet c = a + true")
         snapshot = snapshot_prefix(program, 2)

@@ -32,11 +32,11 @@ class TestOracleKeyer:
         oracle = Oracle()
         assert not hasattr(oracle._depth_probe, "keyer")
         program = parse_program(ILL_TYPED)
-        # No store: the guard measures, keying nothing...
+        # No store: the guard measures and the decl table records from
+        # this first check, keying nothing...
         assert not oracle.check(program).ok
         assert oracle.keyer.interned == 0
-        # ...and the decl table records and answers, keying nothing.
-        oracle.arm_decl_table(program)
+        # ...and the table answers, keying nothing.
         assert not oracle.check(program).ok
         assert oracle.check(Program(program.decls[:2])).ok
         assert oracle.keyer.interned == 0

@@ -21,7 +21,6 @@ from repro.tree import (
     TreeTooDeep,
     node_depth,
     node_size,
-    structural_key,
 )
 
 #: Deep enough that naive recursion over it trips the interpreter limit.
@@ -135,9 +134,12 @@ class TestEndToEndAtTheParseCeiling:
 
 
 class TestTreeKeying:
-    def test_structural_key_raises_tree_too_deep(self):
+    def test_keyer_stays_usable_after_tree_too_deep(self):
+        keyer = StructuralKeyer()
         with pytest.raises(TreeTooDeep):
-            structural_key(deep_app_chain(PATHOLOGICAL))
+            keyer(deep_app_chain(PATHOLOGICAL))
+        program = deep_app_chain(20)
+        assert keyer(program) == StructuralKeyer()(program)
 
     def test_structural_keyer_raises_tree_too_deep(self):
         with pytest.raises(TreeTooDeep):
@@ -150,8 +152,10 @@ class TestTreeKeying:
         assert not issubclass(TreeTooDeep, RecursionError)
 
     def test_shallow_keys_unaffected(self):
-        program = deep_app_chain(20)
-        assert structural_key(program) == StructuralKeyer()(program)
+        # Two keyers key separately built equal trees to equal keys.
+        assert StructuralKeyer()(deep_app_chain(20)) == StructuralKeyer()(
+            deep_app_chain(20)
+        )
 
 
 class TestNodeDepth:

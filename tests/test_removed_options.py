@@ -27,6 +27,8 @@ searcher builds its own enumerator, the checker's entry points take no
 ``env``, deadlines and event logs read the monotonic clock, and
 :func:`~repro.core.fix_all` stops after the constant
 :data:`~repro.core.quickfix.MAX_ROUNDS`.
+The searcher only asks yes/no questions: the oracle has no reuse-arming
+API (``arm_prefix``, ``arm_decl_table``, ``prefix_armed``).
 A caller still passing one of the old options gets an error naming it.
 """
 
@@ -349,3 +351,11 @@ OPTION_CENSUS = [
 )
 def test_option_census(target, params):
     assert list(inspect.signature(target).parameters) == params
+
+
+@pytest.mark.parametrize("name", ["arm_prefix", "arm_decl_table", "prefix_armed"])
+def test_oracle_has_no_arming_api(name):
+    # The oracle arms its own reuse from the first check after reset():
+    # the searcher only asks yes/no questions.
+    with pytest.raises(AttributeError, match=name):
+        getattr(Oracle(), name)
