@@ -14,9 +14,11 @@ deterministic schedule —
 * **lying verdicts** (``flip_verdict_every``): every Nth verdict the
   oracle returns is flipped, exercising the search's tolerance of a lying
   oracle — outcomes may be wrong but must stay well-formed;
-* **snapshot poisoning** (``poison_snapshot_after``): once armed, the
-  prefix snapshot is wrapped so any use of it explodes, exercising the
-  oracle's self-healing snapshot fallback (``oracle.prefix.fallbacks``);
+* **snapshot poisoning** (``poison_snapshot_after``): from the Nth check
+  on, the armed prefix snapshot is wrapped so any use of it explodes —
+  one armed during the current check included, so the check that arms
+  it is its first casualty — exercising the oracle's self-healing
+  snapshot fallback (``oracle.prefix.fallbacks``);
 * **decl-table poisoning** (``poison_decl_table_after``): once recorded,
   the declaration table's recorded declarations are replaced by a
   stand-in that explodes when read, exercising the oracle's table fallback
@@ -206,14 +208,7 @@ class ChaosOracle(Oracle):
         if plan.latency_every and n % plan.latency_every == 0:
             self.injected["latency"] += 1
             self._sleep(plan.latency_seconds)
-        if (
-            plan.poison_snapshot_after is not None
-            and n >= plan.poison_snapshot_after
-            and self._snapshot is not None
-            and not isinstance(self._snapshot, _PoisonedSnapshot)
-        ):
-            self.injected["snapshot"] += 1
-            self._snapshot = _PoisonedSnapshot(self._snapshot)
+        self._poison_snapshot()
         if (
             plan.poison_decl_table_after is not None
             and n >= plan.poison_decl_table_after
@@ -228,6 +223,24 @@ class ChaosOracle(Oracle):
             self.injected["crash"] += 1
             raise plan.crash_exception()
         return super()._check_once(program)
+
+    def _arm_snapshot(self, program) -> bool:
+        # The oracle arms the snapshot inside a check (the first
+        # candidate's): poison it before that check uses it.
+        armed = super()._arm_snapshot(program)
+        self._poison_snapshot()
+        return armed
+
+    def _poison_snapshot(self) -> None:
+        after = self.plan.poison_snapshot_after
+        if (
+            after is not None
+            and self.calls >= after
+            and self._snapshot is not None
+            and not isinstance(self._snapshot, _PoisonedSnapshot)
+        ):
+            self.injected["snapshot"] += 1
+            self._snapshot = _PoisonedSnapshot(self._snapshot)
 
 
 class FlakyStore(VerdictStore):
